@@ -14,13 +14,8 @@
 //! throughput-latency `curves` as written by `ferrotcam serve-bench`
 //! (regressions = throughput drops, p99 latency rises, or — on
 //! `*_approx_*` points carrying a `miscls` field — calibrated
-//! misclassification-probability rises). Curve ids
-//! carry an execution-tier tag (`_spice` / `_behav`); legacy untagged
-//! ids are treated as the Spice tier so old baselines keep comparing,
-//! and when both tiers of the same point are present in the new file
-//! the behavioural tier must not be slower than the Spice tier it
-//! accelerates. `--trace`
-//! diffs two `FERROTCAM_TRACE` NDJSON event streams (as written by
+//! misclassification-probability rises); points pair up by id.
+//! `--trace` diffs two `FERROTCAM_TRACE` NDJSON event streams (as written by
 //! `ferrotcam trace --ndjson`) on their per-analysis accepted and
 //! rejected step counts — a stepper-behaviour drift gate — and shows
 //! the device-evaluation bypass hit rate per analysis (informational,
@@ -70,17 +65,6 @@ struct CurveEntry {
     p99_ns: Option<f64>,
     #[serde(default)]
     miscls: Option<f64>,
-}
-
-/// Canonical curve id: serve-bench tags every point with its execution
-/// tier (`_spice` / `_behav`); files from before the tiered backend
-/// carry untagged ids, which were all measured on the Spice tier.
-fn canonical_curve_id(id: &str) -> String {
-    if id.ends_with("_spice") || id.ends_with("_behav") {
-        id.to_string()
-    } else {
-        format!("{id}_spice")
-    }
 }
 
 fn load_bench(path: &str) -> Result<BenchFile, String> {
@@ -166,8 +150,7 @@ fn compare_curves(old: &[CurveEntry], new: &[CurveEntry], tol: f64) -> usize {
         "curve point", "old qps", "new qps", "old p99 ns", "new p99 ns", "Δ"
     );
     for o in old {
-        let want = canonical_curve_id(&o.id);
-        let Some(n) = new.iter().find(|c| canonical_curve_id(&c.id) == want) else {
+        let Some(n) = new.iter().find(|c| c.id == o.id) else {
             println!("{:<28} point removed", o.id);
             regressions += 1;
             continue;
@@ -210,33 +193,9 @@ fn compare_curves(old: &[CurveEntry], new: &[CurveEntry], tol: f64) -> usize {
         );
     }
     for n in new {
-        let want = canonical_curve_id(&n.id);
-        if !old.iter().any(|o| canonical_curve_id(&o.id) == want) {
+        if !old.iter().any(|o| o.id == n.id) {
             println!("{:<28} new point ({:.0} qps)", n.id, n.achieved_qps);
         }
-    }
-    // Intra-file tier check: wherever the new run measured the same
-    // point on both execution tiers, the bit-parallel behavioural tier
-    // must not be slower than the Spice tier it accelerates.
-    for b in new {
-        let Some(base) = b.id.strip_suffix("_behav") else {
-            continue;
-        };
-        let Some(s) = new.iter().find(|c| c.id == format!("{base}_spice")) else {
-            continue;
-        };
-        let speedup = if s.achieved_qps > 0.0 {
-            b.achieved_qps / s.achieved_qps
-        } else {
-            f64::INFINITY
-        };
-        let flag = if b.achieved_qps < s.achieved_qps {
-            regressions += 1;
-            "  <-- behav tier slower than spice"
-        } else {
-            ""
-        };
-        println!("{base:<28} behav/spice speedup {speedup:>10.1}x{flag}");
     }
     regressions
 }

@@ -60,21 +60,20 @@ USAGE:
       BENCH_newton.json to $FERROTCAM_RESULTS (default ./results).
       With --smoke the invariants are hard failures: safe waveforms
       within 1e-6 V of the baseline and a non-zero bypass-hit count.
-  ferrotcam serve-bench [--smoke] [--backend spice|behav|both]
-                        [--workload exact|approx|both]
+  ferrotcam serve-bench [--smoke]
+                        [--workload exact|approx|mixed|both]
                         [--shards 1,2,4] [--rows N] [--width N]
                         [--secs S] [--seed N] [--audit-period N]
                         [--characterize <design>]
-      Load-test the serving layer per execution tier: closed-loop
-      shard sweep, open-loop overload, energy audit, and (behavioural
-      tier) the sampled Spice audit lane. --workload approx sweeps the
-      approximate-match kinds instead (threshold, top-k, range: one
-      closed point per kind plus the behavioural tier's open-loop
-      sustained-rate gate); both runs the exact sweep then the
-      approximate one. Energy attribution is calibrated from the SPICE
-      datasheets in the results directory; --characterize runs live
-      SPICE instead. Writes BENCH_serve.json (curve ids tagged
-      _spice/_behav, approximate points _approx) to $FERROTCAM_RESULTS
+      Load-test the serving layer: closed-loop shard sweep, open-loop
+      overload, energy audit, and the sampled reference-oracle audit
+      lane. --workload approx sweeps the approximate-match kinds
+      instead (threshold, top-k, range: one closed and one open-loop
+      point per kind); mixed runs a 90/8/1/1 search/update/insert/
+      delete open loop; both runs every sweep. Energy attribution is
+      calibrated from the SPICE datasheets in the results directory;
+      --characterize runs live SPICE instead. Writes BENCH_serve.json
+      (approximate points tagged _approx) to $FERROTCAM_RESULTS
       (default ./results). With --smoke the run is bounded to a few
       seconds, the workload defaults to both, and the invariants —
       including a clean audit lane and the approximate kinds' 100k qps

@@ -34,7 +34,6 @@ pub mod cell;
 pub mod fom;
 pub mod full_array;
 pub mod margins;
-pub mod mlc;
 pub mod ops;
 pub mod packed;
 pub mod sense;
@@ -57,7 +56,6 @@ pub use full_array::{
     ArraySearchResult, FullArrayCircuit,
 };
 pub use margins::{nominal_margins, DividerLevels, SearchMargins};
-pub use mlc::{MlcDigit, MlcTcam};
 pub use packed::{BitSlices, PackedQuery, PackedRows, STEP1_MASK, STEP2_MASK};
 pub use table_io::{load_table, parse_table, render_table, save_table};
 pub use ternary::{Ternary, TernaryWord};

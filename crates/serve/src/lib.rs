@@ -11,10 +11,10 @@
 //! ([`admission`]), queue in per-shard bounded lock-free rings
 //! ([`queue`]), get coalesced into per-bank batches ([`batch`]) by
 //! per-shard work-stealing dispatchers, execute on copy-on-write shard
-//! snapshots ([`shard`]) through a tiered execution backend
-//! ([`backend`]) — the circuit-order Spice tier or the bit-parallel
-//! behavioural tier with a sampled Spice audit lane — over the
-//! `spice::parallel` worker pool, and come back with the exact
+//! snapshots ([`shard`]) through one bit-parallel serving kernel
+//! ([`backend`]) over the `spice::parallel` worker pool — with a
+//! sampled audit lane replaying answers through the scalar reference
+//! oracle ([`reference`](mod@reference)) — and come back with the exact
 //! Table IV early-termination energy the search would have burned in
 //! silicon. Writes (insert / delete / update) publish fresh per-shard
 //! snapshots behind an epoch counter, so an in-flight search can never
@@ -59,21 +59,20 @@ pub mod batch;
 pub mod drain;
 pub mod metrics;
 pub mod queue;
+pub mod reference;
 pub mod request;
 pub mod service;
 pub mod shard;
 pub(crate) mod sync;
 
 pub use admission::{Admission, Overloaded, RatePolicy, TenantId, TokenBucket};
-pub use backend::{
-    audit_compare, reference_search, AuditVerdict, BackendKind, BatchSpec, BehaviouralBackend,
-    ExecBackend, ExecResult, SpiceBackend,
-};
+pub use backend::{BackendKind, BatchSpec, BehaviouralBackend, ExecBackend, ExecResult};
 pub use drain::DrainGate;
 pub use metrics::{
     Histogram, KindBreakdown, LatencySummary, MetricsCollector, ResponseSample, ServiceMetrics,
 };
 pub use queue::BoundedQueue;
+pub use reference::{audit_compare, reference_search, reference_walk, AuditVerdict};
 pub use request::{AdmissionClass, RequestKind, KIND_COUNT};
 pub use service::{SearchResponse, ServiceClient, ServiceConfig, TcamService, Ticket};
 pub use shard::{

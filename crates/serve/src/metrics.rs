@@ -10,7 +10,7 @@
 //! response. Snapshots are cheap and can be taken from any thread at
 //! any time, including while the service is loaded.
 
-use crate::backend::AuditVerdict;
+use crate::reference::AuditVerdict;
 use crate::request::{RequestKind, KIND_COUNT};
 use crate::sync::{AtomicU64, AtomicUsize, Mutex, Ordering};
 use ferrotcam_arch::sched::ScheduleOutcome;
@@ -188,7 +188,7 @@ pub struct ServiceMetrics {
     pub bank_utilization: Vec<f64>,
     /// Longest modelled bank wait of any query (s).
     pub max_sched_wait_s: f64,
-    /// Behavioural queries replayed on the reference tier.
+    /// Answered queries replayed through the reference oracle.
     #[serde(default)]
     pub audit_sampled: u64,
     /// Audit replays whose match sets disagreed (correctness bug).

@@ -94,7 +94,7 @@ impl RequestKind {
     }
 
     /// Whether this kind mutates the table (never deadline-shed, never
-    /// routed through the search backends).
+    /// routed through the search kernel).
     #[must_use]
     pub fn is_write(self) -> bool {
         matches!(

@@ -12,7 +12,7 @@
 //!                                                         │
 //!                            deadline shed ◀──────────────┤
 //!                                                         │
-//!                             ExecBackend (spice | behav) over the view
+//!                          BehaviouralBackend kernel over the view
 //!                                                         │
 //!                            merge + energy/latency attribution
 //!                                                         │
@@ -42,15 +42,15 @@
 //! counted per kind in [`ServiceMetrics::shed_deadline`]. Writes are
 //! never deadline-shed — an accepted mutation must land.
 //!
-//! Queries answered on the behavioural tier pass through a **sampled
-//! audit lane**: a deterministic 1-in-`audit_period` subset (SplitMix64
-//! over a per-dispatcher accept counter, so the sample is reproducible
-//! and ungameable by arrival order) is replayed on the Spice tier
-//! *against the same captured view* the fast tier answered from —
-//! exact under concurrent writes by construction. Match sets must be
-//! bit-identical and energies must agree within `audit_tolerance`;
-//! divergences are counted in [`ServiceMetrics`] and emitted as typed
-//! `spice::trace` audit events.
+//! Answered queries pass through a **sampled audit lane**: a
+//! deterministic 1-in-`audit_period` subset (SplitMix64 over a
+//! per-dispatcher accept counter, so the sample is reproducible and
+//! ungameable by arrival order) is replayed through the scalar oracle
+//! ([`crate::reference`]) *against the same captured view* the kernel
+//! answered from — exact under concurrent writes by construction.
+//! Match sets must be bit-identical and energies must agree within
+//! `audit_tolerance`; divergences are counted in [`ServiceMetrics`] and
+//! emitted as typed `spice::trace` audit events.
 //!
 //! Shutdown is a *drain*: new submissions are refused with
 //! [`Overloaded::ShuttingDown`] while every request already accepted
@@ -60,19 +60,17 @@
 //! request can fall between.
 
 use crate::admission::{Admission, Overloaded, RatePolicy, TenantId};
-use crate::backend::{
-    audit_compare, reference_search, BackendKind, BatchSpec, BehaviouralBackend, ExecBackend,
-    ExecResult, SpiceBackend,
-};
+use crate::backend::{BackendKind, BatchSpec, BehaviouralBackend, ExecBackend, ExecResult};
 use crate::drain::DrainGate;
 use crate::metrics::{MetricsCollector, ResponseSample, ServiceMetrics};
 use crate::queue::BoundedQueue;
+use crate::reference::{audit_compare, reference_walk};
 use crate::request::{AdmissionClass, RequestKind};
 use crate::shard::{hash_packed, LiveTable, ShardedTcam, SnapView, WriteAck, WriteOp};
 use crate::sync::{self, AtomicUsize, Ordering};
 use ferrotcam::{
-    levels_to_query, program_duration, row_distance, row_in_windows, ApproxHit, PackedQuery,
-    SearchOutcome, SenseModel, TernaryWord,
+    levels_to_query, program_duration, ApproxHit, PackedQuery, SearchOutcome, SenseModel,
+    TernaryWord,
 };
 use ferrotcam_spice::parallel::default_jobs;
 use ferrotcam_spice::trace::{self, TraceLevel};
@@ -89,7 +87,8 @@ pub struct ServiceConfig {
     /// with the shard count. Each ring gets at least 2 slots.
     pub queue_capacity: usize,
     /// Most queries the dispatcher coalesces into one batch; 0 means
-    /// the backend's preferred batch size.
+    /// 1024, large enough that the kernel's per-query cost, not
+    /// dispatch overhead, sets the rate.
     pub max_batch: usize,
     /// Worker threads for the per-bank batch execution; 0 means the
     /// `spice::parallel` default (`FERROTCAM_JOBS` or the core count).
@@ -113,11 +112,12 @@ pub struct ServiceConfig {
     /// Override for the modelled per-bank busy time (s); defaults to
     /// the attached metrics' two-step latency, else 1 ns.
     pub t_bank: Option<f64>,
-    /// Which execution tier answers queries.
+    /// The execution backend. Single-valued ([`BackendKind`] has one
+    /// variant); kept only for callers that set it explicitly.
     pub backend: BackendKind,
-    /// Audit lane sampling period for behavioural queries: on average
-    /// one in `audit_period` accepted queries is replayed on the Spice
-    /// tier. 0 disables the lane.
+    /// Audit lane sampling period: on average one in `audit_period`
+    /// answered queries is replayed through the reference oracle
+    /// ([`crate::reference`]). 0 disables the lane.
     pub audit_period: u64,
     /// Relative energy-agreement bound the audit lane enforces.
     pub audit_tolerance: f64,
@@ -136,13 +136,16 @@ impl Default for ServiceConfig {
             write_policy: RatePolicy::unlimited(),
             deadline: None,
             t_bank: None,
-            backend: BackendKind::Spice,
+            backend: BackendKind::Behavioural,
             audit_period: 10_000,
             audit_tolerance: 1e-9,
             audit_seed: 0xfe77_0ca3_a0d1_7001,
         }
     }
 }
+
+/// The batch size `max_batch: 0` selects.
+const DEFAULT_MAX_BATCH: usize = 1024;
 
 /// A resolved request. For write kinds, `matches` carries the affected
 /// global row (the assigned slot for an insert, the addressed row for
@@ -236,22 +239,12 @@ struct Inner {
     /// one-step latency): feeds the batch planner's per-kind cost and
     /// the audit lane's sense-classified threshold reference.
     sense: Option<SenseModel>,
-    backend_kind: BackendKind,
-    spice: SpiceBackend,
-    behav: BehaviouralBackend,
     audit_period: u64,
     audit_tolerance: f64,
     audit_seed: u64,
 }
 
 impl Inner {
-    fn backend(&self) -> &dyn ExecBackend {
-        match self.backend_kind {
-            BackendKind::Behavioural => &self.behav,
-            BackendKind::Spice => &self.spice,
-        }
-    }
-
     /// Total backlog across every per-shard queue.
     fn queue_depth(&self) -> usize {
         self.queues.iter().map(BoundedQueue::len).sum()
@@ -655,12 +648,6 @@ impl ServiceClient {
     pub fn table(&self) -> SnapView {
         self.inner.table.snapshot()
     }
-
-    /// The execution tier this service answers on.
-    #[must_use]
-    pub fn backend(&self) -> BackendKind {
-        self.inner.backend_kind
-    }
 }
 
 /// The running service: owns one dispatcher thread per shard.
@@ -681,29 +668,31 @@ impl TcamService {
     /// Panics if a dispatcher thread cannot be spawned.
     #[must_use]
     pub fn start(table: ShardedTcam, config: &ServiceConfig) -> Self {
-        let t_bank = config
-            .t_bank
-            .or_else(|| table.model_latency())
-            .unwrap_or(1e-9);
+        let table = LiveTable::from_sharded(&table);
+        let (t_bank, sense) = {
+            let view = table.snapshot();
+            (
+                config
+                    .t_bank
+                    .or_else(|| view.model_latency())
+                    .unwrap_or(1e-9),
+                view.metrics()
+                    .map(|m| SenseModel::analytic(m.latency_1step)),
+            )
+        };
         let jobs = if config.jobs == 0 {
             default_jobs()
         } else {
             config.jobs
         };
         let max_batch = if config.max_batch == 0 {
-            match config.backend {
-                BackendKind::Behavioural => BehaviouralBackend.preferred_batch(),
-                BackendKind::Spice => SpiceBackend.preferred_batch(),
-            }
+            DEFAULT_MAX_BATCH
         } else {
             config.max_batch
         };
-        let sense = table
-            .metrics()
-            .map(|m| SenseModel::analytic(m.latency_1step));
         let shards = table.shard_count();
         let inner = Arc::new(Inner {
-            table: LiveTable::from_sharded(&table),
+            table,
             queues: (0..shards)
                 .map(|_| BoundedQueue::new((config.queue_capacity / shards).max(2)))
                 .collect(),
@@ -720,9 +709,6 @@ impl TcamService {
             t_bank,
             deadline: config.deadline,
             sense,
-            backend_kind: config.backend,
-            spice: SpiceBackend,
-            behav: BehaviouralBackend,
             audit_period: config.audit_period,
             audit_tolerance: config.audit_tolerance,
             audit_seed: config.audit_seed,
@@ -781,9 +767,9 @@ impl Drop for TcamService {
 /// exit only when draining and every accepted request has resolved.
 fn dispatch_loop(inner: &Inner, me: usize) {
     // The audit sampler's per-dispatcher monotone counter: advancing it
-    // per accepted behavioural job makes the 1-in-`period` sample
-    // deterministic for a given seed, independent of batching and of
-    // which queue the job was stolen from.
+    // per answered search makes the 1-in-`period` sample deterministic
+    // for a given seed, independent of batching and of which queue the
+    // job was stolen from.
     let mut audit_counter: u64 = 0;
     // One batch buffer for the dispatcher's lifetime: `execute_batch`
     // drains it in place, so the hot loop allocates nothing per
@@ -838,9 +824,9 @@ fn kind_cost(kind: RequestKind, sense: Option<&SenseModel>, t_bank: f64) -> f64 
 
 /// Run one batch: apply its writes first (one epoch bump per touched
 /// shard), capture a snapshot view, deadline-shed expired queries, plan
-/// and execute the remaining searches on the configured tier against
-/// that view, model the bank schedule, attribute energy, audit a
-/// sample, resolve tickets. Drains `jobs` in place so the dispatcher's
+/// and execute the remaining searches on the kernel against that view,
+/// model the bank schedule, attribute energy, audit a sample, resolve
+/// tickets. Drains `jobs` in place so the dispatcher's
 /// batch buffer is reused across iterations.
 ///
 /// Ordering: writes-before-searches within one batch is a valid
@@ -849,12 +835,17 @@ fn kind_cost(kind: RequestKind, sense: Option<&SenseModel>, t_bank: f64) -> f64 
 fn execute_batch(inner: &Inner, me: usize, jobs: &mut Vec<Job>, audit_counter: &mut u64) {
     let tracing = trace::level() != TraceLevel::Off;
     let _span = tracing.then(|| trace::span("serve.batch"));
-    let backend = inner.backend();
+    // Queue wait is enqueue → batch start; one clock read per batch,
+    // and only when tracing.
+    let batch_start = tracing.then(Instant::now);
 
     // Writes first, in batch order.
     let mut writes: Vec<Job> = Vec::new();
     let mut searches: Vec<Job> = Vec::new();
     for job in jobs.drain(..) {
+        if let Some(start) = batch_start {
+            trace::sample("serve.queue_wait_ns", nanos_since(job.enqueued, start));
+        }
         if job.kind.is_write() {
             writes.push(job);
         } else {
@@ -909,13 +900,12 @@ fn execute_batch(inner: &Inner, me: usize, jobs: &mut Vec<Job>, audit_counter: &
         hits: mut all_hits,
         per_job_latency_s,
         sched,
-    } = backend.execute(&view, &spec, inner.jobs, inner.t_bank);
+    } = BehaviouralBackend.execute(&view, &spec, inner.jobs, inner.t_bank);
     inner.metrics.on_batch(searches.len(), &sched);
 
     // One clock read for the whole batch: per-job wall latency is pure
     // arithmetic against it.
     let now = Instant::now();
-    let audit = backend.kind() == BackendKind::Behavioural && inner.audit_period > 0;
     let mut samples: Vec<ResponseSample> = Vec::with_capacity(searches.len());
     for (j, job) in searches.drain(..).enumerate() {
         let outcome = std::mem::replace(&mut outcomes[j], SearchOutcome::empty());
@@ -925,12 +915,8 @@ fn execute_batch(inner: &Inner, me: usize, jobs: &mut Vec<Job>, audit_counter: &
             None => view.len(),
         };
         let energy_j = view.energy_of_kind(job.kind, &outcome);
-        let wall_latency_ns = u64::try_from(now.saturating_duration_since(job.enqueued).as_nanos())
-            .unwrap_or(u64::MAX);
-        if tracing {
-            trace::sample("serve.queue_wait_ns", wall_latency_ns);
-        }
-        if audit {
+        let wall_latency_ns = nanos_since(job.enqueued, now);
+        if inner.audit_period > 0 {
             // Deterministic 1-in-`period` sample over the per-
             // dispatcher accept counter (SplitMix64-whitened so the
             // sample is spread, not periodic in arrival order; the
@@ -1009,8 +995,7 @@ fn apply_writes(inner: &Inner, mut writes: Vec<Job>) {
             },
             WriteAck::OutOfRange => Vec::new(),
         };
-        let wall_latency_ns = u64::try_from(now.saturating_duration_since(job.enqueued).as_nanos())
-            .unwrap_or(u64::MAX);
+        let wall_latency_ns = nanos_since(job.enqueued, now);
         samples.push(ResponseSample {
             kind: job.kind,
             wall_ns: wall_latency_ns,
@@ -1039,137 +1024,16 @@ fn apply_writes(inner: &Inner, mut writes: Vec<Job>) {
     inner.metrics.on_responses(&samples);
 }
 
-/// The audit lane's sense-classified threshold reference: every row is
-/// accepted iff its modelled match-line discharge time falls *after*
-/// the threshold's sense point — the decision the analog sense
-/// amplifier makes, computed from the SPICE-fitted [`SenseModel`].
-/// Nominally this agrees bit-for-bit with the digital `d <= t` rule
-/// (the sense point sits strictly between the `t` and `t+1` discharge
-/// curves), so any disagreement is a served-kernel bug.
-fn sense_reference(
-    view: &SnapView,
-    job: &Job,
-    t: u32,
-    model: &SenseModel,
-) -> (SearchOutcome, Vec<ApproxHit>) {
-    let sense_at = model.sense_time(t);
-    let mut outcome = SearchOutcome::empty();
-    let mut hits = Vec::new();
-    for s in audit_shards(view, job) {
-        for (base, blk) in view.shard(s).blocks() {
-            let p = blk.packed();
-            for l in 0..p.rows() {
-                let d = row_distance(p, l, &job.query);
-                if model.discharge_time(d) > sense_at {
-                    let g = view.global_row(s, base + l);
-                    outcome.matches.push(g);
-                    hits.push(ApproxHit {
-                        row: g,
-                        distance: d,
-                    });
-                } else {
-                    outcome.step1_misses += 1;
-                }
-            }
-        }
-    }
-    outcome.matches.sort_unstable();
-    hits.sort_unstable();
-    (outcome, hits)
+/// Whole nanoseconds from `from` to `to` (0 if `to` is earlier).
+fn nanos_since(from: Instant, to: Instant) -> u64 {
+    u64::try_from(to.saturating_duration_since(from).as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// The shards a job's audit replay must cover.
-fn audit_shards(view: &SnapView, job: &Job) -> Vec<usize> {
-    match job.shard {
-        Some(s) => vec![s],
-        None => (0..view.shard_count()).collect(),
-    }
-}
-
-/// Scalar packed reference for the audit lane's approximate kinds:
-/// straight per-row [`row_distance`] / [`row_in_windows`] walks over
-/// the captured snapshot blocks — no block-scan masking, no bound
-/// bookkeeping — producing the same outcome shape the serving tiers
-/// converge to. Replaying against the batch's own view makes the lane
-/// exact under concurrent writes: both sides answered from the same
-/// immutable rows.
-fn packed_reference(view: &SnapView, job: &Job) -> (SearchOutcome, Vec<ApproxHit>) {
-    let mut outcome = SearchOutcome::empty();
-    let mut hits = Vec::new();
-    match job.kind {
-        RequestKind::Threshold { t } => {
-            for s in audit_shards(view, job) {
-                for (base, blk) in view.shard(s).blocks() {
-                    let p = blk.packed();
-                    for l in 0..p.rows() {
-                        let d = row_distance(p, l, &job.query);
-                        if d <= t {
-                            let g = view.global_row(s, base + l);
-                            outcome.matches.push(g);
-                            hits.push(ApproxHit {
-                                row: g,
-                                distance: d,
-                            });
-                        } else {
-                            outcome.step1_misses += 1;
-                        }
-                    }
-                }
-            }
-            outcome.matches.sort_unstable();
-            hits.sort_unstable();
-        }
-        RequestKind::TopK { k } => {
-            let mut examined = 0usize;
-            for s in audit_shards(view, job) {
-                for (base, blk) in view.shard(s).blocks() {
-                    let p = blk.packed();
-                    examined += p.rows();
-                    for l in 0..p.rows() {
-                        hits.push(ApproxHit {
-                            row: view.global_row(s, base + l),
-                            distance: row_distance(p, l, &job.query),
-                        });
-                    }
-                }
-            }
-            hits.sort_unstable();
-            hits.truncate(k);
-            outcome.matches = hits.iter().map(|h| h.row).collect();
-            outcome.matches.sort_unstable();
-            outcome.step1_misses = examined - hits.len();
-        }
-        RequestKind::Range => {
-            for s in audit_shards(view, job) {
-                for (base, blk) in view.shard(s).blocks() {
-                    let p = blk.packed();
-                    for l in 0..p.rows() {
-                        if row_in_windows(p, l, &job.query) {
-                            outcome.matches.push(view.global_row(s, base + l));
-                        } else {
-                            outcome.step1_misses += 1;
-                        }
-                    }
-                }
-            }
-            outcome.matches.sort_unstable();
-        }
-        // Exact replays through the naive row-order kernel; writes
-        // never enter the audit lane.
-        _ => {
-            return reference_search(view, job.kind, &job.query, job.shard);
-        }
-    }
-    (outcome, hits)
-}
-
-/// Replay one sampled behavioural answer on the reference tier and
-/// record the verdict. Exact requests replay through the naive
-/// row-order kernel ([`reference_search`]); top-k / range requests
-/// replay through the scalar packed reference; threshold requests
-/// replay through the sense-time classifier when a model is attached,
-/// grounding the audit in the circuit's analog decision. All replays
-/// run against the same captured view the fast tier answered from.
+/// Replay one sampled kernel answer through the reference oracle and
+/// record the verdict. Threshold requests replay with the sense-time
+/// classifier when a model is attached, grounding the audit in the
+/// circuit's analog decision. Every replay runs against the same
+/// captured view the kernel answered from.
 fn audit_replay(
     inner: &Inner,
     view: &SnapView,
@@ -1178,10 +1042,8 @@ fn audit_replay(
     fast_hits: &[ApproxHit],
     fast_energy: Option<f64>,
 ) {
-    let (reference, ref_hits) = match (job.kind, inner.sense.as_ref()) {
-        (RequestKind::Threshold { t }, Some(model)) => sense_reference(view, job, t, model),
-        _ => packed_reference(view, job),
-    };
+    let (reference, ref_hits) =
+        reference_walk(view, job.kind, &job.query, job.shard, inner.sense.as_ref());
     let ref_energy = view.energy_of_kind(job.kind, &reference);
     let verdict = audit_compare(
         fast,
@@ -1266,39 +1128,10 @@ mod tests {
     }
 
     #[test]
-    fn backends_answer_identically() {
-        for backend in [BackendKind::Spice, BackendKind::Behavioural] {
-            let config = ServiceConfig {
-                backend,
-                ..ServiceConfig::default()
-            };
-            let svc = TcamService::start(table(32, 4), &config);
-            let client = svc.client();
-            assert_eq!(client.backend(), backend);
-            let reference = {
-                let mut r = ferrotcam::BehavioralTcam::new(8);
-                for i in 0..32u64 {
-                    r.store(TernaryWord::from_u64(i * 3, 8));
-                }
-                r
-            };
-            for v in [0u64, 3, 30, 93, 200, 255] {
-                let resp = answered(client.submit(0, bits(v), None).unwrap());
-                let flat = reference.search(&bits(v));
-                assert_eq!(resp.matches, flat.matches, "{backend} v={v}");
-                assert_eq!(resp.step1_misses, flat.step1_misses, "{backend} v={v}");
-                assert_eq!(resp.step2_misses, flat.step2_misses, "{backend} v={v}");
-            }
-            drop(svc);
-        }
-    }
-
-    #[test]
     fn audit_lane_samples_and_stays_clean() {
-        // Period 1 audits *every* behavioural query; any kernel bug
-        // would surface as a divergence here.
+        // Period 1 audits *every* query; any kernel bug would surface
+        // as a divergence here.
         let config = ServiceConfig {
-            backend: BackendKind::Behavioural,
             audit_period: 1,
             ..ServiceConfig::default()
         };
@@ -1318,7 +1151,6 @@ mod tests {
     #[test]
     fn noreply_submissions_are_counted_not_answered() {
         let config = ServiceConfig {
-            backend: BackendKind::Behavioural,
             audit_period: 0,
             ..ServiceConfig::default()
         };

@@ -21,11 +21,11 @@
 //!
 //! # Online writes: the epoch/snapshot layer
 //!
-//! [`ShardedTcam`] is the *build-time* table. The serve layer does not
-//! search it directly any more; at service start it is converted into a
-//! [`LiveTable`] — one [`EpochCell`] per shard, each holding an
-//! `Arc<`[`ShardSnap`]`>` — and every dispatched batch searches a
-//! captured [`SnapView`]. The invariant the whole write path hangs on:
+//! [`ShardedTcam`] is a build-time builder only: it places rows, routes
+//! keys and carries the metric attachments, but is never searched. At
+//! service start it is converted into a [`LiveTable`] — one
+//! [`EpochCell`] per shard, each holding an `Arc<`[`ShardSnap`]`>` —
+//! and every dispatched batch searches a captured [`SnapView`]. The invariant the whole write path hangs on:
 //!
 //! * a snapshot, once captured, **never mutates** — a write commits by
 //!   publishing a *successor* snapshot into the cell and bumping the
@@ -51,7 +51,9 @@ use ferrotcam::{
 use rand::split_mix64;
 use std::sync::Arc;
 
-/// A ternary table split across `n` behavioural shards.
+/// A ternary table split across `n` behavioural shards, as built
+/// before serving. It is never searched: [`LiveTable::from_sharded`]
+/// turns it into the served form.
 #[derive(Debug, Clone)]
 pub struct ShardedTcam {
     width: usize,
@@ -179,19 +181,6 @@ impl ShardedTcam {
         self.write_metrics.as_ref()
     }
 
-    /// Global slot id of a shard-local row: `local * n + shard`. For
-    /// balanced (round-robin) fills this equals the insertion order.
-    #[must_use]
-    pub fn global_row(&self, shard: usize, local: usize) -> usize {
-        local * self.shards.len() + shard
-    }
-
-    /// Inverse of [`Self::global_row`]: `(shard, local)`.
-    #[must_use]
-    pub fn locate(&self, global: usize) -> (usize, usize) {
-        (global % self.shards.len(), global / self.shards.len())
-    }
-
     /// Store a word in the least-loaded shard (round-robin for
     /// balanced fills); returns the global slot id.
     ///
@@ -211,7 +200,7 @@ impl ShardedTcam {
     /// Panics on width mismatch or `shard` out of range.
     pub fn store_in(&mut self, shard: usize, word: TernaryWord) -> usize {
         let local = self.shards[shard].store(word);
-        self.global_row(shard, local)
+        local * self.shards.len() + shard
     }
 
     /// The shard a key-partitioned query belongs to.
@@ -226,84 +215,6 @@ impl ShardedTcam {
     pub fn route_packed(&self, query: &PackedQuery) -> usize {
         (hash_packed(query) % self.shards.len() as u64) as usize
     }
-
-    /// Search one shard; matches come back as *global* slot ids.
-    ///
-    /// # Panics
-    /// Panics on width mismatch or `shard` out of range.
-    #[must_use]
-    pub fn search_shard(&self, shard: usize, query: &[bool]) -> SearchOutcome {
-        let mut out = self.shards[shard].search(query);
-        for m in &mut out.matches {
-            *m = self.global_row(shard, *m);
-        }
-        out
-    }
-
-    /// Fan-out search of every shard, merged into one outcome with
-    /// globally ascending match ids.
-    ///
-    /// # Panics
-    /// Panics on query-width mismatch.
-    #[must_use]
-    pub fn search_all(&self, query: &[bool]) -> SearchOutcome {
-        let mut merged = SearchOutcome::empty();
-        for s in 0..self.shards.len() {
-            merged.absorb(self.search_shard(s, query));
-        }
-        merged.matches.sort_unstable();
-        merged
-    }
-
-    /// Energy (J) a search with these statistics burned, per the
-    /// paper's early-termination model: every step-1 miss pays the
-    /// one-step row energy, every surviving row the full two-step
-    /// figure. `None` without attached metrics.
-    ///
-    /// Equals `rows × SearchMetrics::energy_avg(measured miss rate)`
-    /// by construction, so responses can be audited against the
-    /// standalone `core::fom` number.
-    #[must_use]
-    pub fn energy_of(&self, outcome: &SearchOutcome) -> Option<f64> {
-        let m = self.metrics.as_ref()?;
-        let e1 = m.energy_1step;
-        let e2 = m.energy_2step.unwrap_or(m.energy_1step);
-        Some(outcome.step1_misses as f64 * e1 + outcome.survivors() as f64 * e2)
-    }
-
-    /// Unloaded per-search silicon latency (s) from the attached
-    /// metrics.
-    #[must_use]
-    pub fn model_latency(&self) -> Option<f64> {
-        self.metrics.as_ref().map(SearchMetrics::latency)
-    }
-
-    /// Energy (J) of a full-parallel drive over `rows` rows — the
-    /// approximate-match figure. Distance and range sensing race every
-    /// match line to the sense moment, so no row early-terminates:
-    /// each pays the full two-step row energy.
-    #[must_use]
-    pub fn energy_full_parallel(&self, rows: usize) -> Option<f64> {
-        let m = self.metrics.as_ref()?;
-        Some(rows as f64 * m.energy_2step.unwrap_or(m.energy_1step))
-    }
-
-    /// Energy (J) of one answered request: early-termination
-    /// accounting ([`Self::energy_of`]) for exact matches,
-    /// full-parallel accounting for the approximate kinds, `None` for
-    /// writes (priced by the 3-step program, not a search model).
-    #[must_use]
-    pub fn energy_of_kind(
-        &self,
-        kind: crate::request::RequestKind,
-        outcome: &SearchOutcome,
-    ) -> Option<f64> {
-        match kind {
-            crate::request::RequestKind::Exact => self.energy_of(outcome),
-            k if k.is_write() => None,
-            _ => self.energy_full_parallel(outcome.rows_examined()),
-        }
-    }
 }
 
 /// Rows per copy-on-write block of a [`ShardSnap`].
@@ -311,7 +222,7 @@ pub const BLOCK_ROWS: usize = 512;
 
 /// One copy-on-write unit of a shard snapshot: up to [`BLOCK_ROWS`]
 /// rows as bit-sliced match planes (with the row-major packed words
-/// backing survivor verification and the scalar reference walks) plus,
+/// backing survivor verification and the reference oracle) plus,
 /// for even widths, the lane-packed `[lo, hi]` range table.
 #[derive(Debug, Clone)]
 pub struct RowBlock {
@@ -340,14 +251,13 @@ impl RowBlock {
         self.len() == 0
     }
 
-    /// The bit-sliced match planes (the behavioural tier's exact
-    /// kernel).
+    /// The bit-sliced match planes (the serving kernel's exact search).
     #[must_use]
     pub fn slices(&self) -> &BitSlices {
         &self.slices
     }
 
-    /// The row-major packed words (scalar reference walks and the
+    /// The row-major packed words (the reference oracle's walk and the
     /// popcount approximate kernels).
     #[must_use]
     pub fn packed(&self) -> &PackedRows {
@@ -445,8 +355,9 @@ impl ShardSnap {
             .row_word(row % BLOCK_ROWS)
     }
 
-    /// Exact two-step search over every block's sliced planes, with
-    /// shard-local match ids.
+    /// Exact two-step search over every block's sliced planes — the
+    /// serving kernel's exact loop — with shard-local match ids,
+    /// ascending.
     ///
     /// # Panics
     /// Panics on query-width mismatch.
@@ -460,7 +371,6 @@ impl ShardSnap {
             }
             out.absorb(o);
         }
-        out.matches.sort_unstable();
         out
     }
 
@@ -699,22 +609,11 @@ impl LiveTable {
         self.write_metrics.as_ref()
     }
 
-    /// The shard a key-partitioned query belongs to.
-    #[must_use]
-    pub fn route(&self, query: &[bool]) -> usize {
-        (hash_bits(query) % self.cells.len() as u64) as usize
-    }
-
-    /// [`Self::route`] for a packed query — identical routing.
+    /// The shard a key-partitioned packed query belongs to — the same
+    /// route as [`ShardedTcam::route_packed`].
     #[must_use]
     pub fn route_packed(&self, query: &PackedQuery) -> usize {
         (hash_packed(query) % self.cells.len() as u64) as usize
-    }
-
-    /// Inverse of the global interleave: `(shard, local)`.
-    #[must_use]
-    pub fn locate(&self, global: usize) -> (usize, usize) {
-        (global % self.cells.len(), global / self.cells.len())
     }
 
     /// Per-shard write epochs, in shard order.
@@ -808,9 +707,8 @@ impl LiveTable {
 /// An immutable view of every shard, captured at one instant by
 /// [`LiveTable::snapshot`]. A dispatcher executes a whole batch against
 /// one view, so a search can never observe a torn word — it sees each
-/// shard exactly as of that shard's recorded epoch. The accessors
-/// mirror [`ShardedTcam`]'s so the execution backends are agnostic to
-/// whether the table is live.
+/// shard exactly as of that shard's recorded epoch. Search pricing
+/// lives here and only here.
 #[derive(Debug, Clone)]
 pub struct SnapView {
     width: usize,
@@ -877,14 +775,14 @@ impl SnapView {
         (global % self.shards.len(), global / self.shards.len())
     }
 
-    /// [`ShardedTcam::route_packed`] over this view's shard count.
-    #[must_use]
-    pub fn route_packed(&self, query: &PackedQuery) -> usize {
-        (hash_packed(query) % self.shards.len() as u64) as usize
-    }
-
-    /// Energy (J) of a search per the early-termination model; `None`
-    /// without attached metrics. See [`ShardedTcam::energy_of`].
+    /// Energy (J) a search with these statistics burned, per the
+    /// paper's early-termination model: every step-1 miss pays the
+    /// one-step row energy, every surviving row the full two-step
+    /// figure. `None` without attached metrics.
+    ///
+    /// Equals `rows × SearchMetrics::energy_avg(measured miss rate)`
+    /// by construction, and the sum is linear over rows, so sharding
+    /// never changes the total.
     #[must_use]
     pub fn energy_of(&self, outcome: &SearchOutcome) -> Option<f64> {
         let m = self.metrics.as_ref()?;
@@ -900,17 +798,20 @@ impl SnapView {
         self.metrics.as_ref().map(SearchMetrics::latency)
     }
 
-    /// Energy (J) of a full-parallel drive over `rows` rows (the
-    /// approximate-match figure). See
-    /// [`ShardedTcam::energy_full_parallel`].
+    /// Energy (J) of a full-parallel drive over `rows` rows — the
+    /// approximate-match figure. Distance and range sensing race every
+    /// match line to the sense moment, so no row early-terminates:
+    /// each pays the full two-step row energy.
     #[must_use]
     pub fn energy_full_parallel(&self, rows: usize) -> Option<f64> {
         let m = self.metrics.as_ref()?;
         Some(rows as f64 * m.energy_2step.unwrap_or(m.energy_1step))
     }
 
-    /// Energy (J) of one answered request by kind. Write kinds return
-    /// `None` here — they are priced by the 3-step program figures
+    /// Energy (J) of one answered request: early-termination
+    /// accounting ([`Self::energy_of`]) for exact matches,
+    /// full-parallel accounting for the approximate kinds. Write kinds
+    /// return `None` — they are priced by the 3-step program figures
     /// ([`LiveTable::write_metrics`]), not by a search model.
     #[must_use]
     pub fn energy_of_kind(&self, kind: RequestKind, outcome: &SearchOutcome) -> Option<f64> {
@@ -944,6 +845,28 @@ mod tests {
             .collect()
     }
 
+    /// The served view of a built table.
+    fn view_of(table: &ShardedTcam) -> SnapView {
+        LiveTable::from_sharded(table).snapshot()
+    }
+
+    /// Fan-out exact search of every shard of `view` with the serving
+    /// kernel's loop ([`ShardSnap::search`]), merged into one outcome
+    /// with globally ascending match ids.
+    fn search_all(view: &SnapView, query: &[bool]) -> SearchOutcome {
+        let q = PackedQuery::from_bits(query);
+        let mut merged = SearchOutcome::empty();
+        for s in 0..view.shard_count() {
+            let mut o = view.shard(s).search(&q);
+            for m in &mut o.matches {
+                *m = view.global_row(s, *m);
+            }
+            merged.absorb(o);
+        }
+        merged.matches.sort_unstable();
+        merged
+    }
+
     #[test]
     fn fanout_matches_unsharded_reference() {
         let mut reference = BehavioralTcam::new(8);
@@ -953,9 +876,10 @@ mod tests {
             let row = reference.store(w);
             assert_eq!(global, row, "round-robin fill keeps insertion ids");
         }
+        let view = view_of(&sharded);
         for q in [0u64, 7, 21, 77, 255] {
             let query: Vec<bool> = (0..8).rev().map(|b| (q >> b) & 1 == 1).collect();
-            let merged = sharded.search_all(&query);
+            let merged = search_all(&view, &query);
             let flat = reference.search(&query);
             assert_eq!(merged.matches, flat.matches, "query {q}");
             assert_eq!(merged.step1_misses, flat.step1_misses);
@@ -973,8 +897,9 @@ mod tests {
                 t.store(w);
             }
             t.attach_metrics(metrics());
-            let out = t.search_all(&query);
-            energies.push(t.energy_of(&out).unwrap());
+            let view = view_of(&t);
+            let out = search_all(&view, &query);
+            energies.push(view.energy_of(&out).unwrap());
         }
         for e in &energies[1..] {
             assert!((e - energies[0]).abs() < 1e-30, "{energies:?}");
@@ -988,11 +913,12 @@ mod tests {
             t.store(w);
         }
         t.attach_metrics(metrics());
+        let view = view_of(&t);
         let query: Vec<bool> = (0..8).map(|i| i % 2 == 0).collect();
-        let out = t.search_all(&query);
-        let rows = t.len() as f64;
+        let out = search_all(&view, &query);
+        let rows = view.len() as f64;
         let standalone = rows * metrics().energy_avg(out.step1_miss_rate());
-        let served = t.energy_of(&out).unwrap();
+        let served = view.energy_of(&out).unwrap();
         assert!(
             (served - standalone).abs() < 1e-9 * standalone.max(1e-30),
             "served {served:.6e} vs fom {standalone:.6e}"
@@ -1049,9 +975,10 @@ mod tests {
         for i in 0..7u64 {
             t.store(TernaryWord::from_u64(i, 4));
         }
+        let view = view_of(&t);
         for g in 0..7 {
-            let (s, l) = t.locate(g);
-            assert_eq!(t.global_row(s, l), g);
+            let (s, l) = view.locate(g);
+            assert_eq!(view.global_row(s, l), g);
             assert!(t.shard(s).row(l).is_some());
         }
     }
@@ -1093,7 +1020,7 @@ mod tests {
             panic!("insert must ack with a slot id, got {acks:?}");
         };
         let after = live.snapshot();
-        let (s, l) = live.locate(row);
+        let (s, l) = after.locate(row);
         assert_eq!(after.shard(s).search(&probe).matches, vec![l]);
         assert!(
             miss_everywhere(&before),
@@ -1346,10 +1273,12 @@ mod tests {
             );
         }
         assert_eq!(view.metrics(), sharded.metrics());
-        // The view prices searches exactly like the built table.
-        let q = bits(0x15, 8);
-        let outcome = sharded.search_all(&q);
-        assert_eq!(view.energy_of(&outcome), sharded.energy_of(&outcome));
+        // The view prices searches with the attached metrics.
+        let outcome = search_all(&view, &bits(0x15, 8));
+        let m = metrics();
+        let want = outcome.step1_misses as f64 * m.energy_1step
+            + outcome.survivors() as f64 * m.energy_2step.unwrap();
+        assert_eq!(view.energy_of(&outcome), Some(want));
         assert_eq!(
             view.energy_of_kind(RequestKind::Insert, &outcome),
             None,

@@ -1,13 +1,12 @@
 //! Approximate-match serving integration: threshold / top-k / range
-//! requests answered identically on both execution tiers, per-kind
-//! accounting, sense-grounded audit cleanliness, and class-split
-//! admission.
+//! requests served end to end, per-kind accounting, sense-grounded
+//! audit cleanliness, and class-split admission.
 
 use ferrotcam::fom::SearchMetrics;
 use ferrotcam::{DesignKind, PackedQuery};
 use ferrotcam_serve::{
-    reference_search, AdmissionClass, BackendKind, Overloaded, RatePolicy, RequestKind,
-    ServiceConfig, ShardedTcam, TcamService,
+    reference_search, AdmissionClass, Overloaded, RatePolicy, RequestKind, ServiceConfig,
+    ShardedTcam, TcamService,
 };
 use rand::split_mix64;
 
@@ -47,10 +46,10 @@ fn rand_query(seed: &mut u64) -> PackedQuery {
     PackedQuery::from_words(WIDTH, &[split_mix64(seed)])
 }
 
-/// Every kind, both tiers, fan-out and routed: the served answer must
-/// equal the standalone naive reference, tier-invariantly.
+/// Every kind, fan-out and routed, through the whole service: the
+/// served answer equals the reference oracle's on the served table.
 #[test]
-fn tiers_serve_identical_approximate_answers() {
+fn served_approximate_answers_equal_the_reference() {
     let mut seed = 0xa11c_e5ed_dead_beef;
     let queries: Vec<PackedQuery> = (0..12).map(|_| rand_query(&mut seed)).collect();
     let kinds = [
@@ -61,38 +60,34 @@ fn tiers_serve_identical_approximate_answers() {
         RequestKind::Range,
         RequestKind::Exact,
     ];
-    for backend in [BackendKind::Spice, BackendKind::Behavioural] {
-        let t = table(96, 3);
-        let svc = TcamService::start(
-            t,
-            &ServiceConfig {
-                backend,
-                audit_period: 0,
-                ..ServiceConfig::default()
-            },
-        );
-        let client = svc.client();
-        for (i, q) in queries.iter().enumerate() {
-            let kind = kinds[i % kinds.len()];
-            let shard = if i % 2 == 0 { None } else { Some(i % 3) };
-            let resp = client
-                .submit_kind(7, q.clone(), kind, shard)
-                .unwrap()
-                .wait()
-                .expect("no deadline configured");
-            let (ref_out, ref_hits) = reference_search(&client.table(), kind, q, shard);
-            assert_eq!(resp.matches, ref_out.matches, "{backend} {kind} q{i}");
-            assert_eq!(resp.hits, ref_hits, "{backend} {kind} q{i}");
-            assert_eq!(resp.step1_misses, ref_out.step1_misses, "{backend} {kind}");
-            assert_eq!(resp.kind, kind);
-            // Top-k answers are capped and sorted best-first.
-            if let RequestKind::TopK { k } = kind {
-                assert!(resp.hits.len() <= k);
-                assert!(resp.hits.windows(2).all(|w| w[0] < w[1]));
-            }
+    let svc = TcamService::start(
+        table(96, 3),
+        &ServiceConfig {
+            audit_period: 0,
+            ..ServiceConfig::default()
+        },
+    );
+    let client = svc.client();
+    for (i, q) in queries.iter().enumerate() {
+        let kind = kinds[i % kinds.len()];
+        let shard = if i % 2 == 0 { None } else { Some(i % 3) };
+        let resp = client
+            .submit_kind(7, q.clone(), kind, shard)
+            .unwrap()
+            .wait()
+            .expect("no deadline configured");
+        let (ref_out, ref_hits) = reference_search(&client.table(), kind, q, shard);
+        assert_eq!(resp.matches, ref_out.matches, "{kind} q{i}");
+        assert_eq!(resp.hits, ref_hits, "{kind} q{i}");
+        assert_eq!(resp.step1_misses, ref_out.step1_misses, "{kind}");
+        assert_eq!(resp.kind, kind);
+        // Top-k answers are capped and sorted best-first.
+        if let RequestKind::TopK { k } = kind {
+            assert!(resp.hits.len() <= k);
+            assert!(resp.hits.windows(2).all(|w| w[0] < w[1]));
         }
-        drop(svc);
     }
+    drop(svc);
 }
 
 /// Threshold semantics end to end: t = 0 equals exact-match rows;
@@ -167,15 +162,14 @@ fn range_requests_honour_cell_windows() {
     drop(svc);
 }
 
-/// The behavioural tier's approximate answers survive a period-1 audit
-/// (every query replayed through the sense-time-classified / naive
-/// reference) with zero divergences.
+/// The kernel's approximate answers survive a period-1 audit (every
+/// query replayed through the reference oracle, threshold in sense
+/// mode) with zero divergences.
 #[test]
 fn approx_audit_lane_stays_clean_at_period_one() {
     let svc = TcamService::start(
         table(96, 3),
         &ServiceConfig {
-            backend: BackendKind::Behavioural,
             audit_period: 1,
             ..ServiceConfig::default()
         },
@@ -201,7 +195,10 @@ fn approx_audit_lane_stays_clean_at_period_one() {
     let m = svc.drain();
     assert_eq!(m.completed, sent);
     assert_eq!(m.audit_sampled, sent, "period-1 lane replays everything");
-    assert_eq!(m.audit_match_divergences, 0, "tiers agree on every kind");
+    assert_eq!(
+        m.audit_match_divergences, 0,
+        "kernel ≡ oracle on every kind"
+    );
     assert_eq!(m.audit_energy_divergences, 0);
     assert_eq!(m.audit_sampled_by_kind.total(), sent);
     assert!(m.audit_sampled_by_kind.threshold > 0);

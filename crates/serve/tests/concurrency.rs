@@ -235,7 +235,6 @@ fn concurrent_writes_never_expose_a_torn_word() {
     t.store(TernaryWord::from_u64(0, 16));
     t.attach_metrics(metrics());
     let cfg = ServiceConfig {
-        backend: ferrotcam_serve::BackendKind::Behavioural,
         audit_period: 4,
         ..ServiceConfig::default()
     };
