@@ -51,10 +51,12 @@ use ferrotcam::{Calibration, DesignKind, PackedQuery, RowWriteMetrics, SenseMode
 use ferrotcam_eval::parasitics::row_parasitics;
 use ferrotcam_eval::tech::tech_14nm;
 use ferrotcam_serve::{
-    Overloaded, RequestKind, ServiceConfig, ServiceMetrics, ShardedTcam, TcamService,
+    Overloaded, Rejected, Request, RequestKind, Route, ServiceConfig, ServiceMetrics, ShardedTcam,
+    TcamService,
 };
 use rand::split_mix64;
 use serde::Serialize;
+use std::cell::Cell;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -247,10 +249,6 @@ fn random_packed(state: &mut u64, width: usize) -> PackedQuery {
     PackedQuery::from_words(width, &words[..n.max(1)])
 }
 
-fn random_query(state: &mut u64, width: usize) -> Vec<bool> {
-    random_packed(state, width).to_bits()
-}
-
 /// Build a key-partitioned table: every stored word lives on the
 /// shard its own bit-pattern hashes to, so routed queries find their
 /// keys while scanning only `rows / shards` rows.
@@ -333,6 +331,11 @@ fn closed_loop(
     secs: f64,
 ) -> (f64, ServiceMetrics) {
     let svc = TcamService::start(table, &service_config(opts));
+    let route = if kind == RequestKind::Exact {
+        Route::Home
+    } else {
+        Route::FanOut
+    };
     let started = Instant::now();
     let deadline = started + Duration::from_secs_f64(secs);
     let completions: u64 = std::thread::scope(|scope| {
@@ -345,11 +348,7 @@ fn closed_loop(
                     let mut done = 0u64;
                     while Instant::now() < deadline {
                         let q = random_packed(&mut state, width);
-                        let submitted = match kind {
-                            RequestKind::Exact => client.submit_packed_routed(c as u32, q),
-                            _ => client.submit_kind(c as u32, q, kind, None),
-                        };
-                        match submitted {
+                        match client.submit(c as u32, Request::search(kind, q, route)) {
                             Ok(ticket) => {
                                 let _ = ticket.wait();
                                 done += 1;
@@ -371,20 +370,21 @@ fn closed_loop(
 }
 
 /// Open loop: offer `offered_qps` with SplitMix64 exponential
-/// inter-arrivals for `secs` through the fire-and-forget packed path,
-/// never waiting for responses. The achieved rate counts the full
-/// elapsed time *including the drain*, so every completed query was
-/// genuinely executed inside the measured window.
-fn open_loop(
-    table: ShardedTcam,
-    opts: &Opts,
-    kind: RequestKind,
+/// inter-arrivals for `secs`, sending each `next` request
+/// fire-and-forget (searches as tenant 0, writes as tenant 1) and never
+/// waiting for responses; `accepted` sees the kind of every request the
+/// service took. Returns the elapsed time *including the drain* — so
+/// every completed request was genuinely executed inside the measured
+/// window — and the drained metrics.
+fn drive_open(
+    svc: TcamService,
     offered_qps: f64,
     secs: f64,
+    mut state: u64,
+    mut next: impl FnMut(&mut u64) -> Request,
+    mut accepted: impl FnMut(RequestKind),
 ) -> (f64, ServiceMetrics) {
-    let svc = TcamService::start(table, &service_config(opts));
     let client = svc.client();
-    let mut state = opts.seed ^ 0xDEAD_BEEF;
     let started = Instant::now();
     let horizon = Duration::from_secs_f64(secs);
     let mut next_arrival = 0.0f64; // seconds since start
@@ -398,22 +398,35 @@ fn open_loop(
             // Exponential inter-arrival: -ln(U)/λ, U ∈ (0, 1].
             let u = (split_mix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
             next_arrival += -(1.0 - u).max(f64::MIN_POSITIVE).ln() / offered_qps;
-            let q = random_packed(&mut state, opts.width);
-            // Route every kind, as a sharded deployment would under
-            // overload: per-query work is one shard's rows, and the
-            // fan-out (whole-table) form is covered by the closed
-            // loop's latency points.
-            let shard = Some(client.route_packed(&q));
-            match client.submit_noreply_kind(0, q, kind, shard) {
-                Ok(()) => {}
-                Err(Overloaded::QueueFull) => {} // counted by the service
+            let req = next(&mut state);
+            let kind = req.kind();
+            match client.send(u32::from(kind.is_write()), req) {
+                Ok(()) => accepted(kind),
+                Err(Rejected::Overloaded(Overloaded::QueueFull)) => {} // counted by the service
                 Err(e) => panic!("unexpected shed: {e}"),
             }
         }
         std::thread::sleep(Duration::from_micros(200));
     }
     let metrics = svc.drain();
-    let elapsed = started.elapsed().as_secs_f64();
+    (started.elapsed().as_secs_f64(), metrics)
+}
+
+/// Open loop over one search kind through the fire-and-forget packed
+/// path. Every kind is routed, as a sharded deployment would under
+/// overload: per-query work is one shard's rows, and the fan-out
+/// (whole-table) form is covered by the closed loop's latency points.
+fn open_loop(
+    table: ShardedTcam,
+    opts: &Opts,
+    kind: RequestKind,
+    offered_qps: f64,
+    secs: f64,
+) -> (f64, ServiceMetrics) {
+    let svc = TcamService::start(table, &service_config(opts));
+    let search = |s: &mut u64| Request::search(kind, random_packed(s, opts.width), Route::Home);
+    let seed = opts.seed ^ 0xDEAD_BEEF;
+    let (elapsed, metrics) = drive_open(svc, offered_qps, secs, seed, search, |_| {});
     (metrics.completed as f64 / elapsed, metrics)
 }
 
@@ -425,9 +438,9 @@ fn energy_audit(table: ShardedTcam, opts: &Opts, metrics: &SearchMetrics) -> f64
     let mut state = opts.seed ^ 0xA0D1;
     let mut worst = 0.0f64;
     for _ in 0..64 {
-        let q = random_query(&mut state, opts.width);
+        let q = random_packed(&mut state, opts.width);
         let resp = client
-            .submit_routed(0, q)
+            .submit(0, Request::search(RequestKind::Exact, q, Route::Home))
             .expect("idle service")
             .wait()
             .expect("no deadline configured");
@@ -654,53 +667,30 @@ fn run_mixed(
     // churn.
     let offered = 1.2e6;
     let svc = TcamService::start(table, &service_config(opts));
-    let client = svc.client();
-    let mut state = opts.seed ^ 0x3317_ED00;
-    let mut approx_rows = opts.rows;
-    let started = Instant::now();
-    let horizon = Duration::from_secs_f64(opts.secs.max(0.5));
-    let mut next_arrival = 0.0f64;
-    loop {
-        let now = started.elapsed();
-        if now >= horizon {
-            break;
+    let approx_rows = Cell::new(opts.rows);
+    let mix = |s: &mut u64| {
+        let pick = split_mix64(s) % 100;
+        let row = |s: &mut u64| split_mix64(s) as usize % approx_rows.get().max(1);
+        let word = |s: &mut u64| TernaryWord::from_bits(&random_packed(s, opts.width).to_bits());
+        match pick {
+            0..90 => Request::search(
+                RequestKind::Exact,
+                random_packed(s, opts.width),
+                Route::Home,
+            ),
+            90..98 => Request::update(row(s), word(s)),
+            98 => Request::insert(word(s)),
+            _ => Request::delete(row(s)),
         }
-        while next_arrival <= now.as_secs_f64() {
-            let u = (split_mix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
-            next_arrival += -(1.0 - u).max(f64::MIN_POSITIVE).ln() / offered;
-            let pick = split_mix64(&mut state) % 100;
-            let res = if pick < 90 {
-                let q = random_packed(&mut state, opts.width);
-                let shard = Some(client.route_packed(&q));
-                client.submit_noreply_kind(0, q, RequestKind::Exact, shard)
-            } else if pick < 98 {
-                let row = split_mix64(&mut state) as usize % approx_rows.max(1);
-                let bits = random_packed(&mut state, opts.width).to_bits();
-                client.submit_update_noreply(1, row, TernaryWord::from_bits(&bits))
-            } else if pick < 99 {
-                let bits = random_packed(&mut state, opts.width).to_bits();
-                let r = client.submit_insert_noreply(1, TernaryWord::from_bits(&bits));
-                if r.is_ok() {
-                    approx_rows += 1;
-                }
-                r
-            } else {
-                let row = split_mix64(&mut state) as usize % approx_rows.max(1);
-                let r = client.submit_delete_noreply(1, row);
-                if r.is_ok() {
-                    approx_rows = approx_rows.saturating_sub(1).max(1);
-                }
-                r
-            };
-            match res {
-                Ok(()) | Err(Overloaded::QueueFull) => {}
-                Err(e) => panic!("unexpected shed: {e}"),
-            }
-        }
-        std::thread::sleep(Duration::from_micros(200));
-    }
-    let m = svc.drain();
-    let elapsed = started.elapsed().as_secs_f64();
+    };
+    // Track the table size the write rows are drawn from.
+    let track = |kind| match kind {
+        RequestKind::Insert => approx_rows.set(approx_rows.get() + 1),
+        RequestKind::Delete { .. } => approx_rows.set(approx_rows.get().saturating_sub(1).max(1)),
+        _ => {}
+    };
+    let secs = opts.secs.max(0.5);
+    let (elapsed, m) = drive_open(svc, offered, secs, opts.seed ^ 0x3317_ED00, mix, track);
     let search_qps = m.completed_by_kind.exact as f64 / elapsed;
     let writes =
         m.completed_by_kind.insert + m.completed_by_kind.delete + m.completed_by_kind.update;

@@ -193,7 +193,10 @@ fn shard_answer(view: &SnapView, s: usize, kind: RequestKind, q: &PackedQuery) -
             // bound carries from block to block, so the copy-on-write
             // layout prunes as hard as a contiguous scan. Local rows
             // scan ascending and global ids are monotone in them, so
-            // the (distance, row) tie order is preserved.
+            // the (distance, row) tie order is preserved. A k past the
+            // shard's rows keeps them all; clamping it keeps a client's
+            // huge k from sizing the heap.
+            let k = k.min(snap.rows());
             let mut hits =
                 top_k_chunked(snap.blocks().map(|(base, blk)| (base, blk.packed())), q, k);
             for hit in &mut hits {

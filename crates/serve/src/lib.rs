@@ -26,9 +26,15 @@
 //! queue depth, batch sizes, shed counts, step-1 early-termination
 //! rate) exports as JSON at any time.
 //!
+//! Every submission is one [`Request`] (a kind, its payload and a
+//! [`Route`]) through [`ServiceClient::submit`] or, fire-and-forget,
+//! [`ServiceClient::send`]; a malformed one is [`Rejected::Invalid`].
+//!
 //! ```
-//! use ferrotcam_serve::{ServiceConfig, ShardedTcam, TcamService};
-//! use ferrotcam::TernaryWord;
+//! use ferrotcam_serve::{
+//!     Invalid, Rejected, Request, RequestKind, Route, ServiceConfig, ShardedTcam, TcamService,
+//! };
+//! use ferrotcam::{PackedQuery, TernaryWord};
 //!
 //! let mut table = ShardedTcam::new(8, 2);
 //! for i in 0..16u64 {
@@ -36,18 +42,26 @@
 //! }
 //! let service = TcamService::start(table, &ServiceConfig::default());
 //! let client = service.client();
-//! let query = vec![false, false, false, false, false, true, false, true];
-//! let response = client.submit(0, query, None)?.wait().expect("answered");
+//! let exact = |v: u64| {
+//!     let bits: Vec<bool> = (0..8).rev().map(|b| (v >> b) & 1 == 1).collect();
+//!     Request::search(RequestKind::Exact, PackedQuery::from_bits(&bits), Route::FanOut)
+//! };
+//! let response = client.submit(0, exact(5))?.wait().expect("answered");
 //! assert_eq!(response.matches, vec![5]);
 //! // Online write: program a new word, then find it.
-//! let ack = client.submit_insert(0, TernaryWord::from_u64(0xAB, 8))?.wait();
-//! let slot = ack.expect("answered").matches[0];
-//! let probe: Vec<bool> = (0..8).rev().map(|b| (0xABu64 >> b) & 1 == 1).collect();
-//! let hit = client.submit(0, probe, None)?.wait().expect("answered");
+//! let ack = client.submit(0, Request::insert(TernaryWord::from_u64(0xAB, 8)))?;
+//! let slot = ack.wait().expect("answered").matches[0];
+//! let hit = client.submit(0, exact(0xAB))?.wait().expect("answered");
 //! assert_eq!(hit.matches, vec![slot]);
+//! // A malformed request is refused, not admitted.
+//! let short = Request::search(RequestKind::Exact, PackedQuery::from_bits(&[true]), Route::FanOut);
+//! assert_eq!(
+//!     client.submit(0, short).unwrap_err(),
+//!     Rejected::Invalid(Invalid::Width { expected: 8, got: 1 })
+//! );
 //! let metrics = service.drain();
 //! assert_eq!(metrics.completed, 3);
-//! # Ok::<(), ferrotcam_serve::Overloaded>(())
+//! # Ok::<(), Rejected>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -73,9 +87,9 @@ pub use metrics::{
 };
 pub use queue::BoundedQueue;
 pub use reference::{audit_compare, reference_search, reference_walk, AuditVerdict};
-pub use request::{AdmissionClass, RequestKind, KIND_COUNT};
+pub use request::{AdmissionClass, Invalid, Rejected, Request, RequestKind, Route, KIND_COUNT};
 pub use service::{SearchResponse, ServiceClient, ServiceConfig, TcamService, Ticket};
 pub use shard::{
-    hash_bits, hash_packed, EpochCell, LiveTable, RowBlock, ShardSnap, ShardedTcam, SnapView,
-    WriteAck, WriteOp, BLOCK_ROWS,
+    hash_packed, EpochCell, LiveTable, RowBlock, ShardSnap, ShardedTcam, SnapView, WriteAck,
+    WriteOp, BLOCK_ROWS,
 };

@@ -1,25 +1,30 @@
 //! The associative-search service: submission, dispatch, writes, drain.
 //!
 //! ```text
-//!  clients ──submit──▶ [admission] ──▶ [queue 0] ──▶ dispatcher 0 ─┐
-//!                          │shed       [queue 1] ──▶ dispatcher 1 ─┤ work-
-//!                          ▼              ⋮               ⋮        │ stealing
-//!                      Overloaded      [queue n] ──▶ dispatcher n ─┘
-//!                                                         │
-//!                                 writes → LiveTable::apply (epoch bump)
-//!                                                         │
-//!                                     capture SnapView ───┤
-//!                                                         │
-//!                            deadline shed ◀──────────────┤
-//!                                                         │
-//!                          BehaviouralBackend kernel over the view
-//!                                                         │
-//!                            merge + energy/latency attribution
-//!                                                         │
-//!                            sampled audit replay (same view) ◀─┤
-//!                                                         │
-//!                                              tickets resolve ◀┘
+//!  clients ──submit/send──▶ [validate] ──▶ [admission] ──▶ [queue 0] ──▶ dispatcher 0 ─┐
+//!                               │             │shed       [queue 1] ──▶ dispatcher 1 ─┤ work-
+//!                               ▼             ▼              ⋮               ⋮        │ stealing
+//!                            Invalid      Overloaded      [queue n] ──▶ dispatcher n ─┘
+//!                                                                            │
+//!                                                    writes → LiveTable::apply (epoch bump)
+//!                                                                            │
+//!                                                        capture SnapView ───┤
+//!                                                                            │
+//!                                               deadline shed ◀──────────────┤
+//!                                                                            │
+//!                                             BehaviouralBackend kernel over the view
+//!                                                                            │
+//!                                               merge + energy/latency attribution
+//!                                                                            │
+//!                                               sampled audit replay (same view) ◀─┤
+//!                                                                            │
+//!                                                                 tickets resolve ◀┘
 //! ```
+//!
+//! Every submission is one [`Request`] through [`ServiceClient::submit`]
+//! (answered through a [`Ticket`]) or [`ServiceClient::send`]
+//! (fire-and-forget); a malformed one is [`Rejected::Invalid`] before
+//! admission, a shed one [`Rejected::Overloaded`].
 //!
 //! Dispatch is **per-shard**: one bounded queue and one dispatcher
 //! thread per shard. Pinned (key-routed) queries and row-addressed
@@ -65,13 +70,10 @@ use crate::drain::DrainGate;
 use crate::metrics::{MetricsCollector, ResponseSample, ServiceMetrics};
 use crate::queue::BoundedQueue;
 use crate::reference::{audit_compare, reference_walk};
-use crate::request::{AdmissionClass, RequestKind};
+use crate::request::{AdmissionClass, Body, Rejected, Request, RequestKind, Route, Search};
 use crate::shard::{hash_packed, LiveTable, ShardedTcam, SnapView, WriteAck, WriteOp};
 use crate::sync::{self, AtomicUsize, Ordering};
-use ferrotcam::{
-    levels_to_query, program_duration, ApproxHit, PackedQuery, SearchOutcome, SenseModel,
-    TernaryWord,
-};
+use ferrotcam::{program_duration, ApproxHit, PackedQuery, SearchOutcome, SenseModel, TernaryWord};
 use ferrotcam_spice::parallel::default_jobs;
 use ferrotcam_spice::trace::{self, TraceLevel};
 use rand::split_mix64;
@@ -199,18 +201,27 @@ impl Ticket {
 }
 
 /// One accepted request travelling through the queue. `tx: None` is a
-/// fire-and-forget submission: the search still runs and is accounted,
-/// but no response object is built or delivered (open-loop load).
+/// fire-and-forget submission: the request still runs and is
+/// accounted, but no response object is built or delivered (open-loop
+/// load). The queue holds a [`Body`]; a dispatcher splits its batch
+/// into search jobs and write jobs by that body.
 #[derive(Debug)]
-struct Job {
-    query: PackedQuery,
-    kind: RequestKind,
-    /// Write kinds carry their row payload here (insert/update word);
-    /// searches carry `None`.
-    word: Option<TernaryWord>,
+struct Job<B = Body> {
+    body: B,
+    /// The shard pin: the queue the job landed on and, for a search,
+    /// the one shard it scans (`None` fans out).
     shard: Option<usize>,
     enqueued: Instant,
     tx: Option<mpsc::Sender<SearchResponse>>,
+}
+
+/// [`ServiceClient::submit`]'s result with [`Rejected::Invalid`] turned
+/// into a panic, for the `Overloaded`-only entry points.
+fn overloaded<T>(res: Result<T, Rejected>) -> Result<T, Overloaded> {
+    res.map_err(|e| match e {
+        Rejected::Overloaded(e) => e,
+        Rejected::Invalid(e) => panic!("invalid request: {e}"),
+    })
 }
 
 /// Shared state between clients and the dispatchers.
@@ -251,63 +262,49 @@ impl Inner {
     }
 }
 
-/// Cloneable client handle: submit requests, read metrics.
+/// Cloneable client handle: submit [`Request`]s, read metrics.
 #[derive(Debug, Clone)]
 pub struct ServiceClient {
     inner: Arc<Inner>,
 }
 
 impl ServiceClient {
-    /// Submit a query. `shard: None` fans out over every bank and
-    /// merges; `Some(s)` pins the query to bank `s` (key-partitioned
-    /// tables — see [`ServiceClient::submit_routed`]).
+    /// Submit `req` for `tenant` and return the ticket its answer
+    /// resolves. Searches admit against the tenant's exact or approx
+    /// token bucket, writes against its write bucket.
     ///
     /// # Errors
-    /// Typed [`Overloaded`] sheds: draining, tenant throttled, or the
-    /// bounded queue is full. Sheds are counted in the metrics.
-    ///
-    /// # Panics
-    /// Panics on query-width mismatch or out-of-range shard
-    /// (programmer errors, consistent with the core layer).
-    pub fn submit(
-        &self,
-        tenant: TenantId,
-        query: Vec<bool>,
-        shard: Option<usize>,
-    ) -> Result<Ticket, Overloaded> {
-        self.submit_packed(tenant, PackedQuery::from_bits(&query), shard)
+    /// [`Rejected::Invalid`] when the request is malformed for the
+    /// served table (checked first; nothing is admitted or counted),
+    /// else a typed [`Rejected::Overloaded`] shed — draining, tenant
+    /// throttled, or the bounded queue is full — counted in the
+    /// metrics.
+    pub fn submit(&self, tenant: TenantId, req: Request) -> Result<Ticket, Rejected> {
+        let (tx, rx) = mpsc::channel();
+        self.enqueue(tenant, req, Some(tx))?;
+        Ok(Ticket { rx })
     }
 
-    /// [`Self::submit`] over an already bit-packed query — the
-    /// allocation-light hot path (no `Vec<bool>` unpacking anywhere).
+    /// Fire-and-forget [`Self::submit`]: the request runs and is fully
+    /// accounted in metrics and the audit lane, but no response is
+    /// built or delivered. This is the open-loop load-generation path —
+    /// it skips the per-request channel entirely.
     ///
     /// # Errors
-    /// Same sheds as [`ServiceClient::submit`].
-    ///
-    /// # Panics
-    /// Panics on query-width mismatch or out-of-range shard.
-    pub fn submit_packed(
-        &self,
-        tenant: TenantId,
-        query: PackedQuery,
-        shard: Option<usize>,
-    ) -> Result<Ticket, Overloaded> {
-        self.submit_kind(tenant, query, RequestKind::Exact, shard)
+    /// Same as [`Self::submit`].
+    pub fn send(&self, tenant: TenantId, req: Request) -> Result<(), Rejected> {
+        self.enqueue(tenant, req, None)
     }
 
-    /// Submit any request kind over a packed query: exact match,
-    /// Hamming [`RequestKind::Threshold`] / [`RequestKind::TopK`]
-    /// search, or multi-bit [`RequestKind::Range`] match (the query
-    /// then carries one 2-digit level per cell — see
-    /// [`ServiceClient::submit_range`]).
+    /// [`Self::submit`] of a search pinned to `shard` (`None` fans
+    /// out). This and the four shims below exist only because the
+    /// `perfbench/` harness calls them; new code calls `submit`.
     ///
     /// # Errors
-    /// Same sheds as [`ServiceClient::submit`]; approximate kinds are
-    /// admitted against the tenant's *approx* token bucket.
+    /// The [`Overloaded`] sheds of [`Self::submit`].
     ///
     /// # Panics
-    /// Panics on query-width mismatch, out-of-range shard, or a range
-    /// request against an odd-width table.
+    /// On a request `submit` refuses as [`Rejected::Invalid`].
     pub fn submit_kind(
         &self,
         tenant: TenantId,
@@ -315,259 +312,86 @@ impl ServiceClient {
         kind: RequestKind,
         shard: Option<usize>,
     ) -> Result<Ticket, Overloaded> {
-        let (tx, rx) = mpsc::channel();
-        self.enqueue(tenant, query, kind, None, shard, Some(tx))?;
-        Ok(Ticket { rx })
+        let route = shard.map_or(Route::FanOut, Route::Shard);
+        overloaded(self.submit(tenant, Request::search(kind, query, route)))
     }
 
-    /// Program `word` into a fresh row of the least-loaded shard. The
-    /// response's `matches` carries the assigned global slot id.
-    ///
-    /// # Errors
-    /// Same sheds as [`ServiceClient::submit`]; writes are admitted
-    /// against the tenant's *write* token bucket.
+    /// `perfbench/` shim: an exact search on its [`Route::Home`] shard.
     ///
     /// # Panics
-    /// Panics on a word-width mismatch.
+    /// As [`Self::submit_kind`], whose [`Overloaded`] errors it shares.
+    pub fn submit_packed_routed(
+        &self,
+        tenant: TenantId,
+        query: PackedQuery,
+    ) -> Result<Ticket, Overloaded> {
+        let req = Request::search(RequestKind::Exact, query, Route::Home);
+        overloaded(self.submit(tenant, req))
+    }
+
+    /// `perfbench/` shim: [`Request::insert`].
+    ///
+    /// # Panics
+    /// As [`Self::submit_kind`], whose [`Overloaded`] errors it shares.
     pub fn submit_insert(&self, tenant: TenantId, word: TernaryWord) -> Result<Ticket, Overloaded> {
-        self.submit_write(tenant, RequestKind::Insert, word, None)
+        overloaded(self.submit(tenant, Request::insert(word)))
     }
 
-    /// Re-program global row `row` with `word`. The response's
-    /// `matches` echoes the row when applied and is empty when the row
-    /// was out of range.
-    ///
-    /// # Errors
-    /// Same sheds as [`ServiceClient::submit_insert`].
+    /// `perfbench/` shim: [`Request::update`].
     ///
     /// # Panics
-    /// Panics on a word-width mismatch.
+    /// As [`Self::submit_kind`], whose [`Overloaded`] errors it shares.
     pub fn submit_update(
         &self,
         tenant: TenantId,
         row: usize,
         word: TernaryWord,
     ) -> Result<Ticket, Overloaded> {
-        self.submit_write(tenant, RequestKind::Update { row }, word, Some(row))
+        overloaded(self.submit(tenant, Request::update(row, word)))
     }
 
-    /// Retire global row `row` (slot-reuse delete: the shard's last
-    /// local row moves into the freed slot, so *that* row's global id
-    /// changes). The response's `matches` echoes the row when applied
-    /// and is empty when it was out of range.
+    /// `perfbench/` shim: [`Request::delete`].
     ///
-    /// # Errors
-    /// Same sheds as [`ServiceClient::submit_insert`].
+    /// # Panics
+    /// Never: a delete is never invalid. Errors as [`Self::submit_kind`].
     pub fn submit_delete(&self, tenant: TenantId, row: usize) -> Result<Ticket, Overloaded> {
-        let (tx, rx) = mpsc::channel();
-        self.enqueue_write(
-            tenant,
-            RequestKind::Delete { row },
-            None,
-            Some(row),
-            Some(tx),
-        )?;
-        Ok(Ticket { rx })
+        overloaded(self.submit(tenant, Request::delete(row)))
     }
 
-    fn submit_write(
-        &self,
-        tenant: TenantId,
-        kind: RequestKind,
-        word: TernaryWord,
-        row: Option<usize>,
-    ) -> Result<Ticket, Overloaded> {
-        let (tx, rx) = mpsc::channel();
-        self.enqueue_write(tenant, kind, Some(word), row, Some(tx))?;
-        Ok(Ticket { rx })
-    }
-
-    /// Fire-and-forget insert (open-loop write load).
-    ///
-    /// # Errors
-    /// Same sheds as [`ServiceClient::submit_insert`].
-    pub fn submit_insert_noreply(
-        &self,
-        tenant: TenantId,
-        word: TernaryWord,
-    ) -> Result<(), Overloaded> {
-        self.enqueue_write(tenant, RequestKind::Insert, Some(word), None, None)
-    }
-
-    /// Fire-and-forget update (open-loop write load).
-    ///
-    /// # Errors
-    /// Same sheds as [`ServiceClient::submit_insert`].
-    pub fn submit_update_noreply(
-        &self,
-        tenant: TenantId,
-        row: usize,
-        word: TernaryWord,
-    ) -> Result<(), Overloaded> {
-        self.enqueue_write(
-            tenant,
-            RequestKind::Update { row },
-            Some(word),
-            Some(row),
-            None,
-        )
-    }
-
-    /// Fire-and-forget delete (open-loop write load).
-    ///
-    /// # Errors
-    /// Same sheds as [`ServiceClient::submit_insert`].
-    pub fn submit_delete_noreply(&self, tenant: TenantId, row: usize) -> Result<(), Overloaded> {
-        self.enqueue_write(tenant, RequestKind::Delete { row }, None, Some(row), None)
-    }
-
-    /// Shared write-submission path: row-addressed writes queue on
-    /// their row's shard (dispatch affinity — any dispatcher may still
-    /// steal them), inserts round-robin like fan-out queries.
-    fn enqueue_write(
-        &self,
-        tenant: TenantId,
-        kind: RequestKind,
-        word: Option<TernaryWord>,
-        row: Option<usize>,
-        tx: Option<mpsc::Sender<SearchResponse>>,
-    ) -> Result<(), Overloaded> {
-        let shard = row.map(|r| r % self.inner.table.shard_count());
-        self.enqueue(tenant, PackedQuery::from_bits(&[]), kind, word, shard, tx)
-    }
-
-    /// All rows within Hamming distance `t` of `query` (wildcarded
-    /// cells never mismatch), with per-row distances in the response's
-    /// `hits`.
-    ///
-    /// # Errors
-    /// Same sheds as [`ServiceClient::submit_kind`].
-    pub fn submit_threshold(
-        &self,
-        tenant: TenantId,
-        query: PackedQuery,
-        t: u32,
-        shard: Option<usize>,
-    ) -> Result<Ticket, Overloaded> {
-        self.submit_kind(tenant, query, RequestKind::Threshold { t }, shard)
-    }
-
-    /// The `k` nearest rows to `query` by masked Hamming distance,
-    /// ties broken toward the lowest row id.
-    ///
-    /// # Errors
-    /// Same sheds as [`ServiceClient::submit_kind`].
-    pub fn submit_top_k(
-        &self,
-        tenant: TenantId,
-        query: PackedQuery,
-        k: usize,
-        shard: Option<usize>,
-    ) -> Result<Ticket, Overloaded> {
-        self.submit_kind(tenant, query, RequestKind::TopK { k }, shard)
-    }
-
-    /// FeCAM-style range match: every row whose per-cell `[lo, hi]`
-    /// windows all contain the corresponding query level (one 4-ary
-    /// level per 2-digit cell).
-    ///
-    /// # Errors
-    /// Same sheds as [`ServiceClient::submit_kind`].
-    ///
-    /// # Panics
-    /// Panics if a level exceeds 3 or `levels` does not cover the
-    /// table width (one level per two digits).
-    pub fn submit_range(
-        &self,
-        tenant: TenantId,
-        levels: &[u8],
-        shard: Option<usize>,
-    ) -> Result<Ticket, Overloaded> {
-        self.submit_kind(tenant, levels_to_query(levels), RequestKind::Range, shard)
-    }
-
-    /// Fire-and-forget submission: the query runs, is fully accounted
-    /// in metrics and the audit lane, but no response is delivered.
-    /// This is the open-loop load-generation path — it skips the
-    /// per-request channel entirely.
-    ///
-    /// # Errors
-    /// Same sheds as [`ServiceClient::submit`].
-    ///
-    /// # Panics
-    /// Panics on query-width mismatch or out-of-range shard.
-    pub fn submit_noreply(
-        &self,
-        tenant: TenantId,
-        query: PackedQuery,
-        shard: Option<usize>,
-    ) -> Result<(), Overloaded> {
-        self.enqueue(tenant, query, RequestKind::Exact, None, shard, None)
-    }
-
-    /// [`Self::submit_noreply`] for any request kind (open-loop
-    /// approximate load).
-    ///
-    /// # Errors
-    /// Same sheds as [`ServiceClient::submit_kind`].
-    pub fn submit_noreply_kind(
-        &self,
-        tenant: TenantId,
-        query: PackedQuery,
-        kind: RequestKind,
-        shard: Option<usize>,
-    ) -> Result<(), Overloaded> {
-        self.enqueue(tenant, query, kind, None, shard, None)
-    }
-
+    /// The one admission path [`Self::submit`] and [`Self::send`]
+    /// funnel into: validate, admit, accept against the drain gate,
+    /// queue.
     fn enqueue(
         &self,
         tenant: TenantId,
-        query: PackedQuery,
-        kind: RequestKind,
-        word: Option<TernaryWord>,
-        shard: Option<usize>,
+        req: Request,
         tx: Option<mpsc::Sender<SearchResponse>>,
-    ) -> Result<(), Overloaded> {
+    ) -> Result<(), Rejected> {
         let inner = &*self.inner;
-        if kind.is_write() {
-            if let Some(w) = &word {
-                assert_eq!(w.len(), inner.table.width(), "word width mismatch");
-            }
-        } else {
-            assert_eq!(query.width(), inner.table.width(), "query width mismatch");
-        }
-        if let Some(s) = shard {
-            assert!(s < inner.table.shard_count(), "shard {s} out of range");
-        }
-        if kind == RequestKind::Range {
-            assert!(
-                inner.table.width().is_multiple_of(2),
-                "range queries need an even word width"
-            );
-        }
+        // A malformed request is refused before it touches admission,
+        // the drain gate or the metrics.
+        let kind = req.kind();
+        let (body, shard) = req.resolve(inner.table.width(), inner.table.shard_count())?;
         let now = Instant::now();
         if let Err(e) = inner.admission.admit(tenant, kind.class(), now) {
             inner.metrics.on_shed(e, kind);
-            return Err(e);
+            return Err(e.into());
         }
         // Accept atomically against the drain flag: either this bumps
         // the accepted count before the drain begins (a dispatcher
         // will then wait for it) or the service is already draining.
         if !inner.gate.try_accept() {
             inner.metrics.on_shed(Overloaded::ShuttingDown, kind);
-            return Err(Overloaded::ShuttingDown);
+            return Err(Overloaded::ShuttingDown.into());
         }
-        // Pinned work queues on its shard's dispatcher; fan-out work
+        // Pinned work queues on its shard's dispatcher; the rest
         // round-robins so no single dispatcher owns the merge load.
         let qi = shard.unwrap_or_else(|| {
             inner.route_counter.fetch_add(1, Ordering::Relaxed) // ordering: route-relaxed
                 % inner.queues.len()
         });
         let job = Job {
-            query,
-            kind,
-            word,
+            body,
             shard,
             enqueued: now,
             tx,
@@ -576,57 +400,16 @@ impl ServiceClient {
             // Give the acceptance back before reporting the shed.
             inner.gate.retract();
             inner.metrics.on_shed(Overloaded::QueueFull, kind);
-            return Err(Overloaded::QueueFull);
+            return Err(Overloaded::QueueFull.into());
         }
         inner.metrics.on_submit(inner.queues[qi].len());
         Ok(())
-    }
-
-    /// Submit a key-partitioned query: the shard is chosen by the
-    /// table's deterministic hash route.
-    ///
-    /// # Errors
-    /// Same sheds as [`ServiceClient::submit`].
-    pub fn submit_routed(&self, tenant: TenantId, query: Vec<bool>) -> Result<Ticket, Overloaded> {
-        self.submit_packed_routed(tenant, PackedQuery::from_bits(&query))
-    }
-
-    /// [`Self::submit_routed`] over a packed query: routed by
-    /// [`ShardedTcam::route_packed`], which hashes the packed words
-    /// directly (identical route to the boolean path).
-    ///
-    /// # Errors
-    /// Same sheds as [`ServiceClient::submit`].
-    pub fn submit_packed_routed(
-        &self,
-        tenant: TenantId,
-        query: PackedQuery,
-    ) -> Result<Ticket, Overloaded> {
-        let shard = self.inner.table.route_packed(&query);
-        self.submit_packed(tenant, query, Some(shard))
     }
 
     /// The shard a key-partitioned packed query routes to.
     #[must_use]
     pub fn route_packed(&self, query: &PackedQuery) -> usize {
         self.inner.table.route_packed(query)
-    }
-
-    /// Served word width in digits.
-    #[must_use]
-    pub fn width(&self) -> usize {
-        self.inner.table.width()
-    }
-
-    /// Number of shards (and dispatchers).
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.inner.table.shard_count()
-    }
-
-    /// Install a per-tenant rate policy for *exact* traffic.
-    pub fn set_policy(&self, tenant: TenantId, policy: RatePolicy) {
-        self.inner.admission.set_policy(tenant, policy);
     }
 
     /// Install a per-tenant rate policy for one admission class
@@ -733,12 +516,6 @@ impl TcamService {
         }
     }
 
-    /// Snapshot the service metrics.
-    #[must_use]
-    pub fn metrics(&self) -> ServiceMetrics {
-        self.inner.metrics.snapshot(self.inner.queue_depth())
-    }
-
     /// Graceful shutdown: refuse new work, answer everything already
     /// accepted, stop every dispatcher, and return the final metrics.
     #[must_use]
@@ -840,16 +617,31 @@ fn execute_batch(inner: &Inner, me: usize, jobs: &mut Vec<Job>, audit_counter: &
     let batch_start = tracing.then(Instant::now);
 
     // Writes first, in batch order.
-    let mut writes: Vec<Job> = Vec::new();
-    let mut searches: Vec<Job> = Vec::new();
-    for job in jobs.drain(..) {
+    let mut writes: Vec<Job<WriteOp>> = Vec::new();
+    let mut searches: Vec<Job<Search>> = Vec::new();
+    for Job {
+        body,
+        shard,
+        enqueued,
+        tx,
+    } in jobs.drain(..)
+    {
         if let Some(start) = batch_start {
-            trace::sample("serve.queue_wait_ns", nanos_since(job.enqueued, start));
+            trace::sample("serve.queue_wait_ns", nanos_since(enqueued, start));
         }
-        if job.kind.is_write() {
-            writes.push(job);
-        } else {
-            searches.push(job);
+        match body {
+            Body::Write(op) => writes.push(Job {
+                body: op,
+                shard,
+                enqueued,
+                tx,
+            }),
+            Body::Search(search) => searches.push(Job {
+                body: search,
+                shard,
+                enqueued,
+                tx,
+            }),
         }
     }
     if !writes.is_empty() {
@@ -869,7 +661,7 @@ fn execute_batch(inner: &Inner, me: usize, jobs: &mut Vec<Job>, audit_counter: &
             if now.saturating_duration_since(job.enqueued) <= deadline {
                 return true;
             }
-            inner.metrics.on_deadline_shed(job.kind);
+            inner.metrics.on_deadline_shed(job.body.kind);
             // Dropping `tx` unanswered resolves the ticket to `None`.
             inner.gate.complete();
             false
@@ -882,8 +674,8 @@ fn execute_batch(inner: &Inner, me: usize, jobs: &mut Vec<Job>, audit_counter: &
     // Split the Sync part (queries/kinds/targets) from the send side
     // (tickets) so the worker pool only ever sees the former.
     let targets: Vec<Option<usize>> = searches.iter().map(|j| j.shard).collect();
-    let queries: Vec<PackedQuery> = searches.iter().map(|j| j.query.clone()).collect();
-    let kinds: Vec<RequestKind> = searches.iter().map(|j| j.kind).collect();
+    let queries: Vec<PackedQuery> = searches.iter().map(|j| j.body.query.clone()).collect();
+    let kinds: Vec<RequestKind> = searches.iter().map(|j| j.body.kind).collect();
     let costs: Vec<f64> = kinds
         .iter()
         .map(|&k| kind_cost(k, inner.sense.as_ref(), inner.t_bank))
@@ -914,7 +706,8 @@ fn execute_batch(inner: &Inner, me: usize, jobs: &mut Vec<Job>, audit_counter: &
             Some(s) => view.shard(s).rows(),
             None => view.len(),
         };
-        let energy_j = view.energy_of_kind(job.kind, &outcome);
+        let kind = job.body.kind;
+        let energy_j = view.energy_of_kind(kind, &outcome);
         let wall_latency_ns = nanos_since(job.enqueued, now);
         if inner.audit_period > 0 {
             // Deterministic 1-in-`period` sample over the per-
@@ -928,7 +721,7 @@ fn execute_batch(inner: &Inner, me: usize, jobs: &mut Vec<Job>, audit_counter: &
             }
         }
         samples.push(ResponseSample {
-            kind: job.kind,
+            kind,
             wall_ns: wall_latency_ns,
             model_latency_s: Some(per_job_latency_s[j]),
             rows: rows_searched,
@@ -941,7 +734,7 @@ fn execute_batch(inner: &Inner, me: usize, jobs: &mut Vec<Job>, audit_counter: &
             // A dropped ticket is fine — the work was still done and
             // accounted; only the delivery is skipped.
             let _ = tx.send(SearchResponse {
-                kind: job.kind,
+                kind,
                 matches: outcome.matches,
                 hits,
                 step1_misses: outcome.step1_misses,
@@ -964,21 +757,8 @@ fn execute_batch(inner: &Inner, me: usize, jobs: &mut Vec<Job>, audit_counter: &
 /// attached; without metrics the latency falls back to the design's
 /// nominal program duration and the energy is `None`, mirroring how
 /// searches degrade without attached search metrics.
-fn apply_writes(inner: &Inner, mut writes: Vec<Job>) {
-    let ops: Vec<WriteOp> = writes
-        .iter()
-        .map(|job| match job.kind {
-            RequestKind::Insert => {
-                WriteOp::Insert(job.word.clone().expect("insert jobs carry their word"))
-            }
-            RequestKind::Update { row } => WriteOp::Update {
-                row,
-                word: job.word.clone().expect("update jobs carry their word"),
-            },
-            RequestKind::Delete { row } => WriteOp::Delete { row },
-            _ => unreachable!("search kinds never reach the write path"),
-        })
-        .collect();
+fn apply_writes(inner: &Inner, mut writes: Vec<Job<WriteOp>>) {
+    let ops: Vec<WriteOp> = writes.iter().map(|job| job.body.clone()).collect();
     let acks = inner.table.apply(&ops);
     let (energy_j, model_latency_s) = match inner.table.write_metrics() {
         Some(m) => (Some(m.energy), m.latency),
@@ -987,29 +767,33 @@ fn apply_writes(inner: &Inner, mut writes: Vec<Job>) {
     let now = Instant::now();
     let mut samples: Vec<ResponseSample> = Vec::with_capacity(writes.len());
     for (job, ack) in writes.drain(..).zip(acks) {
-        let matches = match ack {
-            WriteAck::Inserted { row } => vec![row],
-            WriteAck::Applied => match job.kind {
-                RequestKind::Update { row } | RequestKind::Delete { row } => vec![row],
-                _ => Vec::new(),
-            },
-            WriteAck::OutOfRange => Vec::new(),
+        // The affected global row: the assigned slot of an insert, the
+        // addressed row of an applied update or delete.
+        let row = match (ack, &job.body) {
+            (WriteAck::Inserted { row }, _) => Some(row),
+            (WriteAck::Applied, WriteOp::Update { row, .. } | WriteOp::Delete { row }) => {
+                Some(*row)
+            }
+            _ => None,
         };
+        let kind = job.body.kind();
         let wall_latency_ns = nanos_since(job.enqueued, now);
         samples.push(ResponseSample {
-            kind: job.kind,
+            kind,
             wall_ns: wall_latency_ns,
             model_latency_s: Some(model_latency_s),
             rows: 0,
             step1_misses: 0,
             step2_misses: 0,
-            matches: matches.len(),
+            matches: usize::from(row.is_some()),
             energy_j,
         });
         if let Some(tx) = job.tx {
             let _ = tx.send(SearchResponse {
-                kind: job.kind,
-                matches,
+                kind,
+                // hot-ok: a reply owns its match list; fire-and-forget writes build none
+                matches: row.into_iter().collect(),
+                // hot-ok: an empty Vec does not allocate
                 hits: Vec::new(),
                 step1_misses: 0,
                 step2_misses: 0,
@@ -1037,14 +821,14 @@ fn nanos_since(from: Instant, to: Instant) -> u64 {
 fn audit_replay(
     inner: &Inner,
     view: &SnapView,
-    job: &Job,
+    job: &Job<Search>,
     fast: &SearchOutcome,
     fast_hits: &[ApproxHit],
     fast_energy: Option<f64>,
 ) {
-    let (reference, ref_hits) =
-        reference_walk(view, job.kind, &job.query, job.shard, inner.sense.as_ref());
-    let ref_energy = view.energy_of_kind(job.kind, &reference);
+    let Search { kind, query } = &job.body;
+    let (reference, ref_hits) = reference_walk(view, *kind, query, job.shard, inner.sense.as_ref());
+    let ref_energy = view.energy_of_kind(*kind, &reference);
     let verdict = audit_compare(
         fast,
         fast_hits,
@@ -1054,7 +838,7 @@ fn audit_replay(
         ref_energy,
         inner.audit_tolerance,
     );
-    inner.metrics.on_audit(&verdict, job.kind);
+    inner.metrics.on_audit(&verdict, *kind);
     if !verdict.clean() {
         let lane = if verdict.match_divergence {
             "match"
@@ -1063,7 +847,7 @@ fn audit_replay(
         };
         trace::audit_divergence(
             lane,
-            hash_packed(&job.query),
+            hash_packed(query),
             verdict.energy_rel,
             verdict.detail.clone().unwrap_or_default(),
         );
@@ -1087,6 +871,10 @@ mod tests {
         (0..8).rev().map(|b| (v >> b) & 1 == 1).collect()
     }
 
+    fn exact(v: u64, route: Route) -> Request {
+        Request::search(RequestKind::Exact, PackedQuery::from_bits(&bits(v)), route)
+    }
+
     /// `Ticket::wait` for tests without a deadline configured: every
     /// accepted request is answered.
     fn answered(t: Ticket) -> SearchResponse {
@@ -1098,7 +886,7 @@ mod tests {
     fn single_query_roundtrip() {
         let svc = TcamService::start(table(16, 2), &ServiceConfig::default());
         let client = svc.client();
-        let resp = answered(client.submit(0, bits(9), None).unwrap());
+        let resp = answered(client.submit(0, exact(9, Route::FanOut)).unwrap());
         // 9 = 3*3 is stored; fan-out scans all 16 rows.
         assert!(!resp.matches.is_empty());
         assert_eq!(resp.rows_searched, 16);
@@ -1121,7 +909,7 @@ mod tests {
         let svc = TcamService::start(t, &ServiceConfig::default());
         let client = svc.client();
         for v in [0u64, 3, 30, 93, 200] {
-            let resp = answered(client.submit(0, bits(v), None).unwrap());
+            let resp = answered(client.submit(0, exact(v, Route::FanOut)).unwrap());
             assert_eq!(resp.matches, reference.search_naive(&bits(v)), "v={v}");
         }
         drop(svc);
@@ -1138,7 +926,7 @@ mod tests {
         let svc = TcamService::start(table(48, 3), &config);
         let client = svc.client();
         for v in 0..64u64 {
-            let _ = answered(client.submit(0, bits(v * 5), None).unwrap());
+            let _ = answered(client.submit(0, exact(v * 5, Route::FanOut)).unwrap());
         }
         let m = svc.drain();
         assert_eq!(m.completed, 64);
@@ -1157,9 +945,7 @@ mod tests {
         let svc = TcamService::start(table(16, 2), &config);
         let client = svc.client();
         for v in 0..32u64 {
-            client
-                .submit_noreply(0, PackedQuery::from_bits(&bits(v * 7)), None)
-                .unwrap();
+            client.send(0, exact(v * 7, Route::FanOut)).unwrap();
         }
         let m = svc.drain();
         assert_eq!(m.completed, 32);
@@ -1172,7 +958,7 @@ mod tests {
         let svc = TcamService::start(table(8, 2), &ServiceConfig::default());
         let client = svc.client();
         let tickets: Vec<Ticket> = (0..50)
-            .map(|i| client.submit(0, bits(i % 256), None).unwrap())
+            .map(|i| client.submit(0, exact(i % 256, Route::FanOut)).unwrap())
             .collect();
         let m = svc.drain();
         assert_eq!(m.completed, 50);
@@ -1181,8 +967,8 @@ mod tests {
         }
         // After drain, new submissions shed as ShuttingDown.
         assert_eq!(
-            client.submit(0, bits(1), None).unwrap_err(),
-            Overloaded::ShuttingDown
+            client.submit(0, exact(1, Route::FanOut)).unwrap_err(),
+            Rejected::Overloaded(Overloaded::ShuttingDown)
         );
         assert_eq!(client.metrics().shed_shutting_down, 1);
     }
@@ -1191,55 +977,38 @@ mod tests {
     fn rate_limited_tenant_sheds_but_others_proceed() {
         let svc = TcamService::start(table(8, 1), &ServiceConfig::default());
         let client = svc.client();
-        client.set_policy(1, RatePolicy::per_second(0.0, 1.0));
-        assert!(client.submit(1, bits(0), None).is_ok());
+        client.set_class_policy(1, AdmissionClass::Exact, RatePolicy::per_second(0.0, 1.0));
+        assert!(client.submit(1, exact(0, Route::FanOut)).is_ok());
         assert_eq!(
-            client.submit(1, bits(0), None).unwrap_err(),
-            Overloaded::RateLimited { tenant: 1 }
+            client.submit(1, exact(0, Route::FanOut)).unwrap_err(),
+            Rejected::Overloaded(Overloaded::RateLimited { tenant: 1 })
         );
-        assert!(client.submit(2, bits(0), None).is_ok());
+        assert!(client.submit(2, exact(0, Route::FanOut)).is_ok());
         let m = svc.drain();
         assert_eq!(m.shed_rate_limited, 1);
         assert_eq!(m.completed, 2);
     }
 
+    /// Home-routed searches scan only their key's shard and find it
+    /// there, and the `submit_packed_routed` shim routes identically.
     #[test]
-    fn partitioned_submit_scans_one_shard() {
+    fn home_route_scans_one_shard() {
         let mut t = ShardedTcam::new(8, 4);
         // Key-partitioned fill: every word lives on its hash shard.
         for i in 0..64u64 {
-            let word = TernaryWord::from_u64(i, 8);
-            let shard = t.route(&bits(i));
-            t.store_in(shard, word);
-        }
-        let svc = TcamService::start(t, &ServiceConfig::default());
-        let client = svc.client();
-        for i in [0u64, 17, 42, 63] {
-            let resp = answered(client.submit_routed(0, bits(i)).unwrap());
-            assert_eq!(resp.matches.len(), 1, "key {i} found on its shard");
-            assert!(resp.rows_searched < 64, "scans one shard, not the table");
-        }
-        drop(svc);
-    }
-
-    #[test]
-    fn packed_routed_equals_boolean_routed() {
-        let mut t = ShardedTcam::new(8, 4);
-        for i in 0..64u64 {
-            let shard = t.route(&bits(i));
+            let shard = t.route_packed(&PackedQuery::from_bits(&bits(i)));
             t.store_in(shard, TernaryWord::from_u64(i, 8));
         }
         let svc = TcamService::start(t, &ServiceConfig::default());
         let client = svc.client();
         for i in [0u64, 17, 42, 63] {
-            let a = answered(client.submit_routed(0, bits(i)).unwrap());
-            let b = answered(
-                client
-                    .submit_packed_routed(0, PackedQuery::from_bits(&bits(i)))
-                    .unwrap(),
-            );
-            assert_eq!(a.matches, b.matches, "key {i}");
-            assert_eq!(a.rows_searched, b.rows_searched, "same shard routed");
+            let home = answered(client.submit(0, exact(i, Route::Home)).unwrap());
+            assert_eq!(home.matches.len(), 1, "key {i} found on its shard");
+            assert!(home.rows_searched < 64, "scans one shard, not the table");
+            let query = PackedQuery::from_bits(&bits(i));
+            let shim = answered(client.submit_packed_routed(0, query).unwrap());
+            assert_eq!(shim.matches, home.matches, "key {i}");
+            assert_eq!(shim.rows_searched, home.rows_searched, "same shard");
         }
         drop(svc);
     }

@@ -62,33 +62,10 @@ pub struct ShardedTcam {
     write_metrics: Option<RowWriteMetrics>,
 }
 
-/// Deterministic SplitMix64 hash of a query bit-pattern, used for
-/// shard routing and load generation.
-#[must_use]
-pub fn hash_bits(bits: &[bool]) -> u64 {
-    let mut state = 0x9E37_79B9_7F4A_7C15 ^ bits.len() as u64;
-    let mut acc = 0u64;
-    let mut n = 0u32;
-    for &b in bits {
-        acc = (acc << 1) | u64::from(b);
-        n += 1;
-        if n == 64 {
-            state ^= acc;
-            let _ = split_mix64(&mut state);
-            acc = 0;
-            n = 0;
-        }
-    }
-    state ^= acc ^ u64::from(n);
-    split_mix64(&mut state)
-}
-
-/// [`hash_bits`] over a bit-packed query, without unpacking: produces
-/// the *same* hash as `hash_bits(&q.to_bits())`, so packed and boolean
-/// submission paths route identically. The MSB-first fold of
-/// `hash_bits` corresponds to `u64::reverse_bits` on each LSB-first
-/// packed word (a partial tail of `n` bits lands right-aligned after
-/// an extra `64 - n` shift).
+/// Deterministic SplitMix64 hash of a query, used for shard routing:
+/// the query's digits fold MSB-first into 64-bit chunks (a partial
+/// tail of `n` digits lands right-aligned), which on the LSB-first
+/// packed words is one `u64::reverse_bits` per word.
 #[must_use]
 pub fn hash_packed(q: &PackedQuery) -> u64 {
     let width = q.width();
@@ -106,6 +83,11 @@ pub fn hash_packed(q: &PackedQuery) -> u64 {
     };
     state ^= acc ^ u64::from(tail);
     split_mix64(&mut state)
+}
+
+/// The shard of `shards` a key-partitioned query belongs to.
+pub(crate) fn route_of(query: &PackedQuery, shards: usize) -> usize {
+    (hash_packed(query) % shards as u64) as usize
 }
 
 impl ShardedTcam {
@@ -194,7 +176,7 @@ impl ShardedTcam {
     }
 
     /// Store a word in a specific shard (key-partitioned tables route
-    /// with [`Self::route`]); returns the global slot id.
+    /// with [`Self::route_packed`]); returns the global slot id.
     ///
     /// # Panics
     /// Panics on width mismatch or `shard` out of range.
@@ -205,15 +187,8 @@ impl ShardedTcam {
 
     /// The shard a key-partitioned query belongs to.
     #[must_use]
-    pub fn route(&self, query: &[bool]) -> usize {
-        (hash_bits(query) % self.shards.len() as u64) as usize
-    }
-
-    /// [`Self::route`] for a packed query — identical routing, no
-    /// unpack.
-    #[must_use]
     pub fn route_packed(&self, query: &PackedQuery) -> usize {
-        (hash_packed(query) % self.shards.len() as u64) as usize
+        route_of(query, self.shards.len())
     }
 }
 
@@ -524,6 +499,17 @@ pub enum WriteOp {
     },
 }
 
+impl WriteOp {
+    /// The request kind this mutation serves.
+    pub(crate) fn kind(&self) -> RequestKind {
+        match self {
+            Self::Insert(_) => RequestKind::Insert,
+            Self::Update { row, .. } => RequestKind::Update { row: *row },
+            Self::Delete { row } => RequestKind::Delete { row: *row },
+        }
+    }
+}
+
 /// What one [`WriteOp`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WriteAck {
@@ -613,7 +599,7 @@ impl LiveTable {
     /// route as [`ShardedTcam::route_packed`].
     #[must_use]
     pub fn route_packed(&self, query: &PackedQuery) -> usize {
-        (hash_packed(query) % self.cells.len() as u64) as usize
+        route_of(query, self.cells.len())
     }
 
     /// Per-shard write epochs, in shard order.
@@ -828,6 +814,26 @@ mod tests {
     use super::*;
     use ferrotcam::DesignKind;
 
+    /// The routing hash's specification over an unpacked query: the
+    /// oracle [`hash_packed`] is held to.
+    fn hash_bits(bits: &[bool]) -> u64 {
+        let mut state = 0x9E37_79B9_7F4A_7C15 ^ bits.len() as u64;
+        let mut acc = 0u64;
+        let mut n = 0u32;
+        for &b in bits {
+            acc = (acc << 1) | u64::from(b);
+            n += 1;
+            if n == 64 {
+                state ^= acc;
+                let _ = split_mix64(&mut state);
+                acc = 0;
+                n = 0;
+            }
+        }
+        state ^= acc ^ u64::from(n);
+        split_mix64(&mut state)
+    }
+
     fn metrics() -> SearchMetrics {
         SearchMetrics {
             design: DesignKind::T15Dg,
@@ -931,8 +937,9 @@ mod tests {
         let mut seen = [0usize; 4];
         for i in 0..256u64 {
             let bits: Vec<bool> = (0..16).rev().map(|b| (i >> b) & 1 == 1).collect();
-            let s = t.route(&bits);
-            assert_eq!(s, t.route(&bits), "routing must be stable");
+            let q = PackedQuery::from_bits(&bits);
+            let s = t.route_packed(&q);
+            assert_eq!(s, t.route_packed(&q), "routing must be stable");
             seen[s] += 1;
         }
         assert!(
@@ -958,14 +965,6 @@ mod tests {
                     "width {width}: packed and boolean hashes must agree"
                 );
             }
-        }
-        let t = ShardedTcam::new(65, 5);
-        for _ in 0..32 {
-            let bits: Vec<bool> = (0..65).map(|_| split_mix64(&mut seed) & 1 == 1).collect();
-            assert_eq!(
-                t.route_packed(&PackedQuery::from_bits(&bits)),
-                t.route(&bits)
-            );
         }
     }
 

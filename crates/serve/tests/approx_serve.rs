@@ -5,8 +5,8 @@
 use ferrotcam::fom::SearchMetrics;
 use ferrotcam::{DesignKind, PackedQuery};
 use ferrotcam_serve::{
-    reference_search, AdmissionClass, Overloaded, RatePolicy, RequestKind, ServiceConfig,
-    ShardedTcam, TcamService,
+    reference_search, AdmissionClass, Overloaded, RatePolicy, Request, RequestKind, Route,
+    ServiceConfig, ShardedTcam, TcamService,
 };
 use rand::split_mix64;
 
@@ -46,6 +46,10 @@ fn rand_query(seed: &mut u64) -> PackedQuery {
     PackedQuery::from_words(WIDTH, &[split_mix64(seed)])
 }
 
+fn fan_out(kind: RequestKind, q: &PackedQuery) -> Request {
+    Request::search(kind, q.clone(), Route::FanOut)
+}
+
 /// Every kind, fan-out and routed, through the whole service: the
 /// served answer equals the reference oracle's on the served table.
 #[test]
@@ -71,8 +75,9 @@ fn served_approximate_answers_equal_the_reference() {
     for (i, q) in queries.iter().enumerate() {
         let kind = kinds[i % kinds.len()];
         let shard = if i % 2 == 0 { None } else { Some(i % 3) };
+        let route = shard.map_or(Route::FanOut, Route::Shard);
         let resp = client
-            .submit_kind(7, q.clone(), kind, shard)
+            .submit(7, Request::search(kind, q.clone(), route))
             .unwrap()
             .wait()
             .expect("no deadline configured");
@@ -100,14 +105,14 @@ fn threshold_zero_equals_exact_and_grows_monotonically() {
     for _ in 0..6 {
         let q = rand_query(&mut seed);
         let exact = client
-            .submit_packed(0, q.clone(), None)
+            .submit(0, fan_out(RequestKind::Exact, &q))
             .unwrap()
             .wait()
             .expect("no deadline configured");
         let mut prev = Vec::new();
         for t in 0..4u32 {
             let resp = client
-                .submit_threshold(0, q.clone(), t, None)
+                .submit(0, fan_out(RequestKind::Threshold { t }, &q))
                 .unwrap()
                 .wait()
                 .expect("no deadline configured");
@@ -124,7 +129,7 @@ fn threshold_zero_equals_exact_and_grows_monotonically() {
     drop(svc);
 }
 
-/// Range serving: a level query built from `submit_range` matches
+/// Range serving: a level query built by `levels_to_query` matches
 /// exactly the rows whose per-cell windows contain it.
 #[test]
 fn range_requests_honour_cell_windows() {
@@ -145,18 +150,14 @@ fn range_requests_honour_cell_windows() {
     let client = svc.client();
     // Level 3 in both cells: rows "11XX" (windows [3,3],[0,3]) and
     // "XXXX" ([0,3],[0,3]) contain (3,3); "0110" and "10X1" don't.
+    let levels = ferrotcam::levels_to_query(&[3, 3, 3, 3]);
     let resp = client
-        .submit_range(0, &[3, 3, 3, 3], None)
+        .submit(0, fan_out(RequestKind::Range, &levels))
         .unwrap()
         .wait()
         .expect("no deadline configured");
     assert_eq!(resp.kind, RequestKind::Range);
-    let (ref_out, _) = reference_search(
-        &client.table(),
-        RequestKind::Range,
-        &ferrotcam::levels_to_query(&[3, 3, 3, 3]),
-        None,
-    );
+    let (ref_out, _) = reference_search(&client.table(), RequestKind::Range, &levels, None);
     assert_eq!(resp.matches, ref_out.matches);
     assert!(resp.matches.contains(&client.table().global_row(2, 0)));
     drop(svc);
@@ -186,7 +187,7 @@ fn approx_audit_lane_stays_clean_at_period_one() {
             _ => RequestKind::Exact,
         };
         let _ = client
-            .submit_kind(0, q, kind, None)
+            .submit(0, fan_out(kind, &q))
             .unwrap()
             .wait()
             .expect("no deadline configured");
@@ -215,13 +216,16 @@ fn per_kind_accounting_and_class_admission() {
     client.set_class_policy(4, AdmissionClass::Approx, RatePolicy::per_second(0.0, 2.0));
     let mut seed = 0xbeef;
     let q = rand_query(&mut seed);
-    assert!(client.submit_threshold(4, q.clone(), 1, None).is_ok());
-    assert!(client.submit_top_k(4, q.clone(), 3, None).is_ok());
-    let shed = client.submit_threshold(4, q.clone(), 1, None).unwrap_err();
-    assert_eq!(shed, Overloaded::RateLimited { tenant: 4 });
+    let threshold = fan_out(RequestKind::Threshold { t: 1 }, &q);
+    assert!(client.submit(4, threshold.clone()).is_ok());
+    assert!(client
+        .submit(4, fan_out(RequestKind::TopK { k: 3 }, &q))
+        .is_ok());
+    let shed = client.submit(4, threshold).unwrap_err();
+    assert_eq!(shed, Overloaded::RateLimited { tenant: 4 }.into());
     // The same tenant's exact traffic rides the unlimited default.
     for _ in 0..8 {
-        assert!(client.submit_packed(4, q.clone(), None).is_ok());
+        assert!(client.submit(4, fan_out(RequestKind::Exact, &q)).is_ok());
     }
     let m = svc.drain();
     assert_eq!(m.completed_by_kind.threshold, 1);
@@ -232,8 +236,8 @@ fn per_kind_accounting_and_class_admission() {
     assert_eq!(m.shed_rate_limited, 1);
 }
 
-/// Level round-trip sanity for the public helper the range client path
-/// uses.
+/// Level round-trip sanity for the public helper range clients build
+/// their queries with.
 #[test]
 fn levels_round_trip_through_packed_queries() {
     let levels = [0u8, 1, 2, 3, 3, 0, 2, 1];

@@ -2,13 +2,22 @@
 //! overload shedding, and energy-true accounting against `core::fom`.
 
 use ferrotcam::fom::SearchMetrics;
-use ferrotcam::{program_duration, DesignKind, RowWriteMetrics, TernaryWord};
-use ferrotcam_serve::{Overloaded, RatePolicy, ServiceConfig, ShardedTcam, TcamService};
+use ferrotcam::{program_duration, DesignKind, PackedQuery, RowWriteMetrics, TernaryWord};
+use ferrotcam_serve::{
+    AdmissionClass, Overloaded, RatePolicy, Rejected, Request, RequestKind, Route, ServiceConfig,
+    ShardedTcam, TcamService,
+};
 use std::sync::Arc;
 use std::time::Duration;
 
 fn bits(v: u64, width: usize) -> Vec<bool> {
     (0..width).rev().map(|b| (v >> b) & 1 == 1).collect()
+}
+
+/// A fan-out exact search for the 16-digit key `v`.
+fn exact(v: u64) -> Request {
+    let query = PackedQuery::from_bits(&bits(v, 16));
+    Request::search(RequestKind::Exact, query, Route::FanOut)
 }
 
 fn metrics() -> SearchMetrics {
@@ -59,7 +68,7 @@ fn n_threads_yield_exactly_n_responses() {
                     for i in 0..PER_THREAD {
                         let key = (p * PER_THREAD + i) as u64 & 0xFFFF;
                         let ticket = client
-                            .submit(p as u32, bits(key, 16), None)
+                            .submit(p as u32, exact(key))
                             .expect("unlimited tenants, roomy queue");
                         out.push((key, ticket.wait().expect("no deadline configured")));
                     }
@@ -121,12 +130,12 @@ fn overload_sheds_and_queue_stays_bounded() {
     // Blast far more submissions than a 16-deep queue can hold while
     // the dispatcher chews 512-row fan-out scans.
     for i in 0..2000u64 {
-        match client.submit(0, bits(i & 0xFFFF, 16), None) {
+        match client.submit(0, exact(i & 0xFFFF)) {
             Ok(t) => {
                 accepted += 1;
                 tickets.push(t);
             }
-            Err(Overloaded::QueueFull) => shed += 1,
+            Err(Rejected::Overloaded(Overloaded::QueueFull)) => shed += 1,
             Err(e) => panic!("unexpected shed kind: {e}"),
         }
     }
@@ -156,7 +165,7 @@ fn response_energy_matches_standalone_fom() {
         let client = svc.client();
         for q in 0..32u64 {
             let resp = client
-                .submit(0, bits((q * 37) & 0xFFFF, 16), None)
+                .submit(0, exact((q * 37) & 0xFFFF))
                 .unwrap()
                 .wait()
                 .expect("no deadline configured");
@@ -181,7 +190,7 @@ fn response_energy_matches_standalone_fom() {
 fn tenant_isolation_under_concurrency() {
     let svc = TcamService::start(table(64, 2), &ServiceConfig::default());
     let client = svc.client();
-    client.set_policy(9, RatePolicy::per_second(0.0, 4.0));
+    client.set_class_policy(9, AdmissionClass::Exact, RatePolicy::per_second(0.0, 4.0));
 
     let throttled = Arc::new(client.clone());
     let free = Arc::new(client);
@@ -191,12 +200,12 @@ fn tenant_isolation_under_concurrency() {
             let mut ok = 0;
             let mut limited = 0;
             for i in 0..64u64 {
-                match c.submit(9, bits(i, 16), None) {
+                match c.submit(9, exact(i)) {
                     Ok(t) => {
                         let _ = t.wait();
                         ok += 1;
                     }
-                    Err(Overloaded::RateLimited { tenant: 9 }) => limited += 1,
+                    Err(e) if e == Overloaded::RateLimited { tenant: 9 }.into() => limited += 1,
                     Err(e) => panic!("unexpected: {e}"),
                 }
             }
@@ -207,7 +216,7 @@ fn tenant_isolation_under_concurrency() {
         let c = Arc::clone(&free);
         move || {
             for i in 0..64u64 {
-                let _ = c.submit(1, bits(i, 16), None).unwrap().wait();
+                let _ = c.submit(1, exact(i)).unwrap().wait();
             }
         }
     });
@@ -247,7 +256,7 @@ fn concurrent_writes_never_expose_a_torn_word() {
             for i in 0..FLIPS {
                 let v = if i % 2 == 0 { 0xFFFFu64 } else { 0 };
                 let ack = c
-                    .submit_update(0, 0, TernaryWord::from_u64(v, 16))
+                    .submit(0, Request::update(0, TernaryWord::from_u64(v, 16)))
                     .expect("unlimited write policy")
                     .wait()
                     .expect("writes are never deadline-shed");
@@ -261,7 +270,7 @@ fn concurrent_writes_never_expose_a_torn_word() {
             std::thread::spawn(move || {
                 for _ in 0..PROBES {
                     let resp = c
-                        .submit(p + 1, bits(0x00FF, 16), None)
+                        .submit(p + 1, exact(0x00FF))
                         .expect("roomy queue")
                         .wait()
                         .expect("no deadline configured");
@@ -304,10 +313,10 @@ fn expired_deadline_sheds_searches_but_never_writes() {
 
     let mut searches = Vec::new();
     for i in 0..32u64 {
-        searches.push(client.submit(0, bits(i, 16), None).unwrap());
+        searches.push(client.submit(0, exact(i)).unwrap());
     }
     let ack = client
-        .submit_insert(0, TernaryWord::from_u64(0xBEEF, 16))
+        .submit(0, Request::insert(TernaryWord::from_u64(0xBEEF, 16)))
         .unwrap()
         .wait()
         .expect("writes bypass the deadline");
@@ -344,7 +353,7 @@ fn write_responses_price_the_three_step_program() {
     let client = svc.client();
 
     let ins = client
-        .submit_insert(0, TernaryWord::from_u64(0x1234, 16))
+        .submit(0, Request::insert(TernaryWord::from_u64(0x1234, 16)))
         .unwrap()
         .wait()
         .expect("answered");
@@ -355,7 +364,7 @@ fn write_responses_price_the_three_step_program() {
     );
 
     let del = client
-        .submit_delete(0, ins.matches[0])
+        .submit(0, Request::delete(ins.matches[0]))
         .unwrap()
         .wait()
         .expect("answered");
