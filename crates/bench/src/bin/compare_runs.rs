@@ -10,7 +10,10 @@
 //! The default mode diffs `table4.json` FoM files; `--bench` diffs the
 //! machine-readable `BENCH_<target>.json` files written by the bench
 //! harness. Two bench shapes are understood: per-case `results`
-//! (criterion-style `ns_per_iter`, regressions = slowdowns only) and
+//! (criterion-style `ns_per_iter`; regressions = slowdowns, or a rise
+//! in `throughput` where both files carry it — for `BENCH_newton.json`
+//! that is Newton iterations per transient, work that does not depend
+//! on the host's clock) and
 //! throughput-latency `curves` as written by `ferrotcam serve-bench`
 //! (regressions = throughput drops, p99 latency rises, or — on
 //! `*_approx_*` points carrying a `miscls` field — calibrated
@@ -48,7 +51,8 @@ struct BenchFile {
 struct BenchEntry {
     id: String,
     ns_per_iter: f64,
-    samples: usize,
+    /// Work per iteration (Newton iterations per transient for
+    /// `BENCH_newton.json`); more is worse.
     throughput: Option<u64>,
 }
 
@@ -72,8 +76,9 @@ fn load_bench(path: &str) -> Result<BenchFile, String> {
     serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Diff two bench result files. Only slowdowns beyond `tol` percent
-/// count as regressions — getting faster is never an error.
+/// Diff two bench result files. Only slowdowns (and, for `results`
+/// cases, more work) beyond `tol` percent count as regressions —
+/// getting faster or doing less is never an error.
 fn compare_bench(old_path: &str, new_path: &str, tol: f64) -> ExitCode {
     let (old, new) = match (load_bench(old_path), load_bench(new_path)) {
         (Ok(a), Ok(b)) => (a, b),
@@ -110,7 +115,6 @@ fn compare_bench(old_path: &str, new_path: &str, tol: f64) -> ExitCode {
             regressions += 1;
             continue;
         };
-        let _ = (o.samples, o.throughput);
         let d = pct(o.ns_per_iter, n.ns_per_iter);
         let flag = if d > tol {
             regressions += 1;
@@ -122,6 +126,19 @@ fn compare_bench(old_path: &str, new_path: &str, tol: f64) -> ExitCode {
             "{:<44} {:>14.1} {:>14.1} {:>7.1}%{flag}",
             o.id, o.ns_per_iter, n.ns_per_iter, d
         );
+        if let (Some(ot), Some(nt)) = (o.throughput, n.throughput) {
+            let dt = pct(ot as f64, nt as f64);
+            let flag = if dt > tol {
+                regressions += 1;
+                "  <-- more work"
+            } else {
+                ""
+            };
+            println!(
+                "{:<44} {:>14} {:>14} {:>7.1}%{flag}",
+                "  throughput", ot, nt, dt
+            );
+        }
     }
     for n in new_results {
         if !old_results.iter().any(|o| o.id == n.id) {
@@ -129,10 +146,10 @@ fn compare_bench(old_path: &str, new_path: &str, tol: f64) -> ExitCode {
         }
     }
     if regressions > 0 {
-        eprintln!("\n{regressions} benchmark(s) slowed beyond +{tol}%");
+        eprintln!("\n{regressions} benchmark(s) regressed beyond +{tol}%");
         ExitCode::FAILURE
     } else {
-        println!("\nno benchmark slowed beyond +{tol}%");
+        println!("\nno benchmark regressed beyond +{tol}%");
         ExitCode::SUCCESS
     }
 }

@@ -5,21 +5,31 @@
 //! search) under pinned solver configurations and reports wall-clock
 //! per transient:
 //!
-//! * `bypass=off, ordering=natural` — the pre-optimisation baseline;
-//! * `bypass=safe, ordering=amd` — the production default;
-//! * `bypass=aggressive, ordering=amd` — caches persisted across steps.
+//! * `bypass=off, ordering=natural` — no fill-reducing ordering;
+//! * `bypass=off, ordering=amd` — the default every caller runs
+//!   ([`NewtonOpts::default`] with `FERROTCAM_BYPASS` and
+//!   `FERROTCAM_ORDERING` unset);
+//! * `bypass=safe, ordering=amd` — tolerance bypass within each solve;
+//! * `bypass=aggressive, ordering=amd` — bypass bases persisted across
+//!   steps.
+//!
+//! Each configuration runs `--reps` untraced transients, whose median
+//! is the reported time, then `--reps` traced ones whose per-phase wall
+//! times ([`ferrotcam_spice::PhaseTimes`]: device evaluation, assembly,
+//! refactor, triangular solve, step control) give the median breakdown.
 //!
 //! Results land in `BENCH_newton.json` (results dir: `$FERROTCAM_RESULTS`
 //! or `./results`), in the criterion-style `results` format understood
 //! by `compare_runs --bench`. With `--smoke` the acceptance invariants
-//! become hard failures: the safe-bypass waveforms must agree with the
-//! baseline to 1e-6 V on every probed node, and `SimStats.bypass_hits`
-//! must be non-zero (a silent bypass regression fails CI, not just a
-//! slow one).
+//! become hard failures: the bypass waveforms must agree with the
+//! `bypass=off` baseline to 1e-6 V on every probed node, and
+//! `SimStats.bypass_hits` must be non-zero (a silent bypass regression
+//! fails CI, not just a slow one).
 
 use ferrotcam::cell::DesignKind;
 use ferrotcam::SearchSim;
-use ferrotcam_spice::{BypassPolicy, NewtonOpts, Ordering, SimStats, Trace};
+use ferrotcam_spice::trace::{self, TraceLevel};
+use ferrotcam_spice::{BypassPolicy, NewtonOpts, Ordering, PhaseTimes, SimStats, Trace};
 use serde::Serialize;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -29,11 +39,13 @@ use std::time::Instant;
 struct BenchEntry {
     id: String,
     /// Wall-clock nanoseconds for one full search transient (median of
-    /// the repetitions).
+    /// the untraced repetitions).
     ns_per_iter: f64,
     samples: usize,
     /// Newton iterations per transient — the work the wall-clock buys.
     throughput: Option<u64>,
+    /// Median wall time per Newton phase over `samples` traced runs.
+    phases: PhaseTimes,
 }
 
 /// The `BENCH_newton.json` artefact (`compare_runs --bench` shape).
@@ -119,16 +131,27 @@ fn config(bypass: BypassPolicy, ordering: Ordering) -> NewtonOpts {
     }
 }
 
-/// Time `reps` fresh transients of one configuration; returns the
-/// median wall-clock ns, the stats, and the last run's trace.
-fn time_config(
-    opts: &Opts,
-    label: &str,
-    newton: &NewtonOpts,
-) -> Result<(f64, SimStats, Trace), String> {
-    let mut times = Vec::with_capacity(opts.reps);
-    let mut last = None;
-    for _ in 0..opts.reps {
+/// What [`time_config`] measured for one configuration.
+struct Timed {
+    /// Median untraced wall-clock ns per transient.
+    ns: f64,
+    /// Median phase times of the traced runs.
+    phases: PhaseTimes,
+    stats: SimStats,
+    /// The last untraced run's trace.
+    trace: Trace,
+}
+
+/// Median of `values` (upper median for even counts).
+fn median<T: Copy + PartialOrd>(mut values: Vec<T>) -> T {
+    values.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
+    values[values.len() / 2]
+}
+
+/// Run `reps` fresh transients of one configuration untraced (timed),
+/// then `reps` traced ones for the phase breakdown.
+fn time_config(opts: &Opts, label: &str, newton: &NewtonOpts) -> Result<Timed, String> {
+    let run_once = || -> Result<(f64, Trace), String> {
         // Rebuild per repetition: `commit` advances FeFET polarisation,
         // so a reused circuit would simulate a different trajectory.
         let mut sim = build_sim(opts, newton.clone())?;
@@ -136,21 +159,54 @@ fn time_config(
         let run = sim
             .run()
             .map_err(|e| format!("{label}: transient failed: {e}"))?;
-        times.push(started.elapsed().as_secs_f64() * 1e9);
-        last = Some(run.trace);
+        Ok((started.elapsed().as_secs_f64() * 1e9, run.trace))
+    };
+    let level = trace::level();
+    trace::set_level(TraceLevel::Off);
+    let mut times = Vec::with_capacity(opts.reps);
+    let mut last = None;
+    for _ in 0..opts.reps {
+        let (ns, tr) = run_once()?;
+        times.push(ns);
+        last = Some(tr);
     }
-    times.sort_by(f64::total_cmp);
-    let median = times[times.len() / 2];
+    trace::set_level(TraceLevel::Summary);
+    let mut phases = Vec::with_capacity(opts.reps);
+    let mut traced_ns = Vec::with_capacity(opts.reps);
+    for _ in 0..opts.reps {
+        let (ns, tr) = run_once()?;
+        traced_ns.push(ns);
+        phases.push(tr.phase_times());
+    }
+    trace::set_level(level);
+    trace::reset();
+    let phases = PhaseTimes {
+        eval_ns: median(phases.iter().map(|p| p.eval_ns).collect()),
+        assembly_ns: median(phases.iter().map(|p| p.assembly_ns).collect()),
+        refactor_ns: median(phases.iter().map(|p| p.refactor_ns).collect()),
+        solve_ns: median(phases.iter().map(|p| p.solve_ns).collect()),
+        step_ns: median(phases.iter().map(|p| p.step_ns).collect()),
+    };
+    let ns = median(times);
     let trace = last.expect("reps >= 1");
     let stats = trace.stats();
     println!(
-        "  {label:<26} {:>9.2} ms/run   {:>6} iters   {:>6} hits / {} evals",
-        median / 1e6,
+        "  {label:<26} {:>9.2} ms/run   {:>6} iters   {:>6} evals / {} reuses / {} bypass hits",
+        ns / 1e6,
         stats.newton_iters,
-        stats.bypass_hits,
-        stats.bypass_hits + stats.bypass_misses
+        stats.bypass_misses,
+        stats.reuses,
+        stats.bypass_hits
     );
-    Ok((median, stats, trace))
+    for line in crate::trace_cmd::render_phases(&phases, median(traced_ns)).lines() {
+        println!("      {line}");
+    }
+    Ok(Timed {
+        ns,
+        phases,
+        stats,
+        trace,
+    })
 }
 
 /// Maximum absolute deviation between two traces over every signal of
@@ -189,6 +245,7 @@ pub fn run(
             "bypass_off_natural",
             config(BypassPolicy::Off, Ordering::Natural),
         ),
+        ("bypass_off_amd", config(BypassPolicy::Off, Ordering::Amd)),
         ("bypass_safe_amd", config(BypassPolicy::Safe, Ordering::Amd)),
         (
             "bypass_aggressive_amd",
@@ -198,18 +255,22 @@ pub fn run(
     let mut results = Vec::new();
     let mut runs = Vec::new();
     for (name, newton) in &configs {
-        let (ns, stats, trace) = time_config(&opts, name, newton)?;
+        let t = time_config(&opts, name, newton)?;
         results.push(BenchEntry {
             id: format!("fig7_search{}_{name}", opts.bits),
-            ns_per_iter: ns,
+            ns_per_iter: t.ns,
             samples: opts.reps,
-            throughput: Some(stats.newton_iters),
+            throughput: Some(t.stats.newton_iters),
+            phases: t.phases,
         });
-        runs.push((name, ns, stats, trace));
+        runs.push((name, t));
     }
-
-    let speedup = runs[0].1 / runs[1].1;
-    println!("  speedup (safe+amd over off+natural): {speedup:.2}x");
+    for (name, t) in &runs[2..] {
+        println!(
+            "  {name} over bypass_off_amd (the default): {:.2}x",
+            runs[1].1.ns / t.ns
+        );
+    }
 
     // --- Artefact ----------------------------------------------------------
     let file = NewtonBenchFile {
@@ -225,22 +286,24 @@ pub fn run(
 
     // --- Acceptance invariants --------------------------------------------
     let mut report = String::new();
-    let (_, _, off_stats, off_trace) = &runs[0];
-    if off_stats.bypass_hits != 0 {
-        let _ = writeln!(
-            report,
-            "bypass=off recorded {} hit(s)",
-            off_stats.bypass_hits
-        );
+    for (name, t) in &runs[..2] {
+        if t.stats.bypass_hits != 0 {
+            let _ = writeln!(
+                report,
+                "{name}: bypass=off recorded {} hit(s)",
+                t.stats.bypass_hits
+            );
+        }
     }
-    for (name, _, stats, trace) in &runs[1..] {
-        if stats.bypass_hits == 0 {
+    let off_trace = &runs[1].1.trace;
+    for (name, t) in &runs[2..] {
+        if t.stats.bypass_hits == 0 {
             let _ = writeln!(
                 report,
                 "{name}: SimStats.bypass_hits == 0 (bypass never engaged)"
             );
         }
-        let dev = max_waveform_deviation(off_trace, trace)?;
+        let dev = max_waveform_deviation(off_trace, &t.trace)?;
         println!("  {name:<26} max |ΔV| vs baseline = {dev:.3e} V");
         if dev > 1e-6 {
             let _ = writeln!(
@@ -277,6 +340,8 @@ mod tests {
         let body = std::fs::read_to_string(dir.join("BENCH_newton.json")).unwrap();
         assert!(body.contains("\"target\": \"newton\""));
         assert!(body.contains("fig7_search4_bypass_safe_amd"));
+        assert!(body.contains("fig7_search4_bypass_off_amd"));
+        assert!(body.contains("\"eval_ns\""));
         std::env::remove_var("FERROTCAM_RESULTS");
         std::fs::remove_dir_all(&dir).ok();
     }

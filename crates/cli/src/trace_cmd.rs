@@ -2,6 +2,33 @@
 //! observability output (human summary or NDJSON event stream).
 
 use ferrotcam_spice::trace::{self, TraceLevel};
+use ferrotcam_spice::PhaseTimes;
+use std::fmt::Write as _;
+
+/// Render per-phase wall time as a table: milliseconds and share of
+/// `span_ns` (the analysis span the phases tile), plus their coverage
+/// of it.
+pub(crate) fn render_phases(p: &PhaseTimes, span_ns: f64) -> String {
+    let mut out = String::new();
+    let share = |ns: u64| 100.0 * ns as f64 / span_ns.max(1.0);
+    let _ = writeln!(out, "{:<24} {:>10} {:>8}", "phase", "ms", "% span");
+    for (name, ns) in [
+        ("device evaluation", p.eval_ns),
+        ("assembly", p.assembly_ns),
+        ("refactor", p.refactor_ns),
+        ("triangular solve", p.solve_ns),
+        ("step control", p.step_ns),
+        ("all phases", p.total_ns()),
+    ] {
+        let _ = writeln!(
+            out,
+            "{name:<24} {:>10.3} {:>7.1}%",
+            ns as f64 / 1e6,
+            share(ns)
+        );
+    }
+    out
+}
 
 /// Run the `trace` subcommand.
 ///
@@ -104,9 +131,21 @@ pub fn run(args: &[String]) -> Result<(), String> {
             design.name()
         );
         print!("{}", summary.render());
+        if let Some(span) = summary.spans.iter().find(|s| s.name == "transient") {
+            print!(
+                "{}",
+                render_phases(&run.trace.phase_times(), span.mean * span.count as f64)
+            );
+        }
         println!(
-            "simstats cross-check: {} accepted / {} rejected step(s), {} newton iter(s)",
-            stats.accepted_steps, stats.rejected_steps, stats.newton_iters
+            "simstats cross-check: {} accepted / {} rejected step(s), {} newton iter(s), \
+             {} device eval(s), {} reuse(s), {} bypass hit(s)",
+            stats.accepted_steps,
+            stats.rejected_steps,
+            stats.newton_iters,
+            stats.bypass_misses,
+            stats.reuses,
+            stats.bypass_hits
         );
     }
     Ok(())

@@ -281,17 +281,13 @@ impl NonlinearDevice for Fefet {
         out.add_branch_charge(S, BG, p.c_junction * (v[S] - v[BG]), p.c_junction);
     }
 
-    fn commit(&mut self, v: &[f64], _ctx: &EvalCtx) {
+    fn commit(&mut self, v: &[f64], _ctx: &EvalCtx) -> bool {
         use terminal::{D, FG, S};
         // The film sees the FG voltage relative to the channel potential.
+        // A flipped domain shifts `vth` and the frozen film charge that
+        // later `eval`s see.
         let v_fe = v[FG] - 0.5 * (v[S] + v[D]);
-        self.film.apply(v_fe);
-    }
-
-    fn has_history(&self) -> bool {
-        // Preisach polarisation advances in `commit`, shifting `vth` and
-        // the frozen film charge seen by later `eval`s.
-        true
+        self.film.apply(v_fe)
     }
 
     fn state(&self, key: &str) -> Option<f64> {

@@ -57,6 +57,9 @@ pub struct PreisachFilm {
     thresholds: Vec<f64>,
     /// Per-domain binary state: `true` = polarised up (+).
     up: Vec<bool>,
+    /// Number of `true` entries in `up`, kept in step by every mutator
+    /// so reading the polarisation is O(1).
+    n_up: usize,
 }
 
 impl PreisachFilm {
@@ -74,6 +77,7 @@ impl PreisachFilm {
             .collect();
         Self {
             up: vec![false; n],
+            n_up: 0,
             thresholds,
             params,
         }
@@ -86,21 +90,38 @@ impl PreisachFilm {
     }
 
     /// Quasi-statically apply a voltage across the film, switching every
-    /// domain whose coercive voltage is exceeded.
-    pub fn apply(&mut self, v: f64) {
-        for (up, &vc) in self.up.iter_mut().zip(&self.thresholds) {
-            if v >= vc {
-                *up = true;
-            } else if v <= -vc {
-                *up = false;
+    /// domain whose coercive voltage is exceeded. Returns whether any
+    /// domain flipped.
+    pub fn apply(&mut self, v: f64) -> bool {
+        // Coercive voltages are positive and ascending, so `v` reaches a
+        // prefix of the domains and flips them in one direction only:
+        // any flip moves the count.
+        let before = self.n_up;
+        let set_up = v > 0.0;
+        let reached = self.thresholds.partition_point(|&vc| vc <= v.abs());
+        for up in &mut self.up[..reached] {
+            if *up != set_up {
+                *up = set_up;
+                if set_up {
+                    self.n_up += 1;
+                } else {
+                    self.n_up -= 1;
+                }
             }
         }
+        self.n_up != before
+    }
+
+    /// Per-domain states in ascending coercive voltage (`true` = up).
+    #[must_use]
+    pub fn domains(&self) -> &[bool] {
+        &self.up
     }
 
     /// Fraction of domains polarised up, in `[0, 1]`.
     #[must_use]
     pub fn fraction_up(&self) -> f64 {
-        self.up.iter().filter(|&&u| u).count() as f64 / self.up.len() as f64
+        self.n_up as f64 / self.up.len() as f64
     }
 
     /// Normalised polarisation in `[−1, +1]`.
@@ -130,13 +151,14 @@ impl PreisachFilm {
         for (i, up) in self.up.iter_mut().enumerate() {
             *up = i < n_up;
         }
+        self.n_up = n_up.min(self.up.len());
     }
 
     /// Charge that would switch if the film were driven from its current
     /// state to positive saturation (C) — proxy for remaining write work.
     #[must_use]
     pub fn switchable_charge(&self) -> f64 {
-        let down = self.up.iter().filter(|&&u| !u).count() as f64;
+        let down = (self.up.len() - self.n_up) as f64;
         2.0 * self.params.p_sat * self.params.area * down / self.up.len() as f64
     }
 }
@@ -274,6 +296,31 @@ mod tests {
         f.apply(1.45); // small ascent that flips nothing above 1.45
         f.apply(-1.55); // return to the reversal point
         assert_eq!(f, snapshot);
+    }
+
+    #[test]
+    fn apply_flips_exactly_the_domains_each_rule_reaches() {
+        // Reference: the per-domain rule, applied domain by domain.
+        let mut f = film();
+        let mut reference = f.up.clone();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..500 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            let v = 5.0 * ((state >> 11) as f64 / (1u64 << 53) as f64) - 2.5;
+            for (up, &vc) in reference.iter_mut().zip(&f.thresholds) {
+                if v >= vc {
+                    *up = true;
+                } else if v <= -vc {
+                    *up = false;
+                }
+            }
+            let before = f.up.clone();
+            let flipped = f.apply(v);
+            assert_eq!(f.up, reference, "v = {v}");
+            assert_eq!(flipped, before != f.up, "v = {v}");
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property tests of the Preisach hysteresis model: the two defining
 //! Preisach properties (wiping-out, return-point memory) plus
-//! monotonicity and disturb immunity, over arbitrary voltage histories.
+//! monotonicity and disturb immunity, over arbitrary voltage histories,
+//! and the bookkeeping behind O(1) polarisation reads.
 
 use ferrotcam_device::ferro::{PreisachFilm, PreisachParams};
 use proptest::prelude::*;
@@ -85,6 +86,31 @@ proptest! {
             f.apply(*v);
             let p = f.polarization();
             prop_assert!((-0.1 - 1e-12..=0.1 + 1e-12).contains(&p));
+        }
+    }
+
+    /// The kept up-count equals a recount of the domains after every
+    /// `apply` or `set_normalized`, and `apply` reports a flip exactly
+    /// when the domain states changed.
+    #[test]
+    fn kept_count_matches_recount(
+        hist in history(),
+        preset in 0u8..2,
+        p_set in -1.2f64..1.2,
+    ) {
+        let mut f = film();
+        if preset == 1 {
+            f.set_normalized(p_set);
+        }
+        let recount = |f: &PreisachFilm| {
+            f.domains().iter().filter(|&&u| u).count() as f64 / f.domains().len() as f64
+        };
+        prop_assert_eq!(f.fraction_up(), recount(&f));
+        for v in &hist {
+            let before = f.domains().to_vec();
+            let flipped = f.apply(*v);
+            prop_assert_eq!(flipped, before != f.domains());
+            prop_assert_eq!(f.fraction_up(), recount(&f));
         }
     }
 }

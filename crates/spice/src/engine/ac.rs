@@ -13,11 +13,11 @@
 //! which reuses the real sparse LU unchanged.
 
 use super::dc::{operating_point, DcOpts, Solution};
-use super::{NewtonOpts, System};
+use super::{NewtonOpts, NewtonWorkspace, System};
 use crate::error::{Error, Result};
 use crate::matrix::sparse::Triplets;
 use crate::netlist::{Circuit, Element, NodeId};
-use crate::nonlinear::{DeviceStamps, EvalCtx};
+use crate::nonlinear::EvalCtx;
 
 /// A complex phasor value.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -149,24 +149,20 @@ pub fn ac_analysis(ckt: &Circuit, source: &str, freqs: &[f64]) -> Result<AcResul
     let x = op.as_vec();
 
     // Assemble G (resistive part incl. device conductances) and C
-    // (capacitive part) separately.
-    let mut g_tri = Triplets::new(n);
-    let mut c_tri = Triplets::new(n);
-    let mut rhs = vec![0.0; n];
-    let mut stamps: Vec<DeviceStamps> = ckt
-        .devices()
-        .iter()
-        .map(|d| DeviceStamps::new(d.terminals().len()))
-        .collect();
+    // (capacitive part) separately, from one evaluation per device.
+    let newton = NewtonOpts::default();
     let ctx = EvalCtx {
-        temp: NewtonOpts::default().temp,
+        temp: newton.temp,
         gmin: 1e-12,
         time: 0.0,
     };
+    let mut ws = NewtonWorkspace::with_ordering(&sys, newton.ordering);
+    sys.eval_devices(x, &ctx, &newton, &mut ws);
     // Conductance assembly (sources at DC values; RHS unused here).
-    sys.assemble(x, 0.0, 1.0, &ctx, None, &mut g_tri, &mut rhs, &mut stamps);
+    sys.stamp_triplets(x, 0.0, 1.0, ctx.gmin, None, &mut ws);
 
     // Capacitances: linear capacitors + device ∂Q/∂V at the OP.
+    let mut c_tri = Triplets::new(n);
     for elem in ckt.elements() {
         if let Element::Capacitor {
             p, n: nn, farads, ..
@@ -188,10 +184,7 @@ pub fn ac_analysis(ckt: &Circuit, source: &str, freqs: &[f64]) -> Result<AcResul
     for (di, dev) in ckt.devices().iter().enumerate() {
         let terms = dev.terminals();
         let t = terms.len();
-        let st = &mut stamps[di];
-        st.clear();
-        let vt: Vec<f64> = terms.iter().map(|&nd| sys.voltage(x, nd)).collect();
-        dev.eval(&vt, st, &ctx);
+        let st = &ws.stamps[di];
         for (a, &term_a) in terms.iter().enumerate() {
             let Some(ra) = sys.var_of(term_a) else {
                 continue;
@@ -213,7 +206,7 @@ pub fn ac_analysis(ckt: &Circuit, source: &str, freqs: &[f64]) -> Result<AcResul
     // after the first is a numeric-only refactorisation.
     let mut g_compressed = crate::matrix::CscMatrix::default();
     let mut c_compressed = crate::matrix::CscMatrix::default();
-    g_tri.compress_into(&mut g_compressed);
+    ws.tri.compress_into(&mut g_compressed);
     c_tri.compress_into(&mut c_compressed);
     let mut solver = crate::matrix::CachedSolver::new();
     let mut big = Triplets::new(2 * n);

@@ -1,6 +1,6 @@
 //! DC operating-point analysis with gmin and source stepping fallbacks.
 
-use super::{NewtonOpts, NewtonWorkspace, SimStats, System};
+use super::{NewtonOpts, NewtonWorkspace, PhaseTimes, SimStats, System};
 use crate::erc::{self, ErcMode};
 use crate::error::{Error, Result};
 use crate::netlist::{Circuit, NodeId};
@@ -23,6 +23,7 @@ pub struct Solution {
     x: Vec<f64>,
     num_nodes: usize,
     stats: SimStats,
+    phase_times: PhaseTimes,
 }
 
 impl Solution {
@@ -31,11 +32,14 @@ impl Solution {
             x,
             num_nodes,
             stats: SimStats::default(),
+            phase_times: PhaseTimes::default(),
         }
     }
 
-    pub(crate) fn with_stats(mut self, stats: SimStats) -> Self {
-        self.stats = stats;
+    /// Attach the counters and phase times of the workspace that solved it.
+    pub(crate) fn with_run(mut self, ws: &NewtonWorkspace) -> Self {
+        self.stats = ws.stats();
+        self.phase_times = ws.clock.times;
         self
     }
 
@@ -43,6 +47,11 @@ impl Solution {
     #[must_use]
     pub fn stats(&self) -> SimStats {
         self.stats
+    }
+
+    /// Wall time per Newton phase (zero unless tracing was on).
+    pub(crate) fn phase_times(&self) -> PhaseTimes {
+        self.phase_times
     }
 
     /// Node voltage (0 for ground).
@@ -109,7 +118,7 @@ pub fn operating_point(ckt: &Circuit, opts: &DcOpts) -> Result<Solution> {
         None,
         "dc",
     ) {
-        Ok((x, _)) => return Ok(Solution::new(x, sys.num_nodes).with_stats(ws.stats())),
+        Ok((x, _)) => return Ok(Solution::new(x, sys.num_nodes).with_run(&ws)),
         Err(Error::SingularMatrix { .. }) => {
             // Structural problem — stepping will not fix a floating
             // subcircuit; retry once with a heavy shunt before giving up.
@@ -142,7 +151,7 @@ pub fn operating_point(ckt: &Circuit, opts: &DcOpts) -> Result<Solution> {
         }
     }
     if ok {
-        return Ok(Solution::new(x, sys.num_nodes).with_stats(ws.stats()));
+        return Ok(Solution::new(x, sys.num_nodes).with_run(&ws));
     }
 
     // 3. Source stepping.
@@ -175,7 +184,7 @@ pub fn operating_point(ckt: &Circuit, opts: &DcOpts) -> Result<Solution> {
         None,
         "dc",
     )?;
-    Ok(Solution::new(x, sys.num_nodes).with_stats(ws.stats()))
+    Ok(Solution::new(x, sys.num_nodes).with_run(&ws))
 }
 
 #[cfg(test)]

@@ -6,11 +6,16 @@ pub mod dc;
 pub mod sweep;
 pub mod transient;
 
+#[cfg(test)]
+mod exactness;
+
 use crate::error::{ConvergenceForensics, Error, Result};
 use crate::matrix::cached::{CachedSolver, Ordering};
 use crate::matrix::sparse::{Stamper, Triplets};
 use crate::netlist::{Circuit, Element, NodeId};
-use crate::nonlinear::{BypassPolicy, DeviceStamps, EvalCtx};
+use crate::nonlinear::{BypassPolicy, DeviceStamps, EvalCtx, NonlinearDevice};
+use serde::Serialize;
+use std::time::Instant;
 
 /// Absolute node-voltage convergence tolerance (V).
 const VNTOL: f64 = 1e-6;
@@ -85,8 +90,13 @@ pub struct SimStats {
     /// Device evaluations skipped via the operating-point bypass cache
     /// (see [`crate::nonlinear::BypassPolicy`]). Zero when bypass is off.
     pub bypass_hits: u64,
-    /// Device evaluations actually performed.
+    /// Device evaluations actually performed by Newton iterations.
     pub bypass_misses: u64,
+    /// Newton-iteration device evaluations skipped because the terminal
+    /// voltages were bitwise equal to those of the cached evaluation and
+    /// the device's state had not moved since: the cached stamps are
+    /// what `eval` would return. Runs under every bypass policy.
+    pub reuses: u64,
 }
 
 impl SimStats {
@@ -100,48 +110,204 @@ impl SimStats {
         self.rejected_steps += other.rejected_steps;
         self.bypass_hits += other.bypass_hits;
         self.bypass_misses += other.bypass_misses;
+        self.reuses += other.reuses;
     }
 }
 
-/// Reusable Newton scratch: assembly buffers, per-device stamp buffers
-/// and the pattern-cached linear solver.
+/// Wall time an analysis spent in each phase of its Newton loop.
+///
+/// Recorded only while tracing is on ([`crate::trace::TraceLevel`]
+/// `Summary` or above): the clock is read once per phase per Newton
+/// iteration, never per device, and not at all in an untraced run,
+/// where every field stays zero. Consecutive phases share their clock
+/// reads, so the fields tile the analysis from its first Newton solve
+/// to its end.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+pub struct PhaseTimes {
+    /// Device evaluation, including the bypass and reuse decisions (ns).
+    pub eval_ns: u64,
+    /// MNA assembly: stamping into the factored matrix, or the triplet
+    /// path that discovers its pattern (ns).
+    pub assembly_ns: u64,
+    /// LU factorisation and numeric refactorisation (ns).
+    pub refactor_ns: u64,
+    /// Triangular solves plus the Newton update and convergence test (ns).
+    pub solve_ns: u64,
+    /// Step control: everything between Newton solves — accepting a step
+    /// (companion history, device evaluation and commit), recording the
+    /// trace point and choosing the next step (ns).
+    pub step_ns: u64,
+}
+
+impl PhaseTimes {
+    /// Sum of all phases (ns).
+    #[must_use]
+    pub fn total_ns(&self) -> u64 {
+        self.eval_ns + self.assembly_ns + self.refactor_ns + self.solve_ns + self.step_ns
+    }
+
+    /// Accumulate another run's phase times into this one.
+    pub fn merge(&mut self, other: PhaseTimes) {
+        self.eval_ns += other.eval_ns;
+        self.assembly_ns += other.assembly_ns;
+        self.refactor_ns += other.refactor_ns;
+        self.solve_ns += other.solve_ns;
+        self.step_ns += other.step_ns;
+    }
+}
+
+/// One of the [`PhaseTimes`] fields.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Phase {
+    Eval,
+    Assembly,
+    Refactor,
+    Solve,
+    Step,
+}
+
+/// Lap timer behind [`PhaseTimes`]; inert unless tracing was on when it
+/// was created.
+#[derive(Debug)]
+pub(crate) struct PhaseClock {
+    last: Option<Instant>,
+    pub times: PhaseTimes,
+}
+
+impl PhaseClock {
+    fn new() -> Self {
+        Self {
+            last: (crate::trace::level() != crate::trace::TraceLevel::Off).then(Instant::now),
+            times: PhaseTimes::default(),
+        }
+    }
+
+    /// Charge the time since the previous lap to `phase`.
+    #[inline]
+    pub fn lap(&mut self, phase: Phase) {
+        let Some(last) = &mut self.last else { return };
+        let now = Instant::now();
+        let ns = u64::try_from((now - *last).as_nanos()).unwrap_or(u64::MAX);
+        *last = now;
+        let t = &mut self.times;
+        *match phase {
+            Phase::Eval => &mut t.eval_ns,
+            Phase::Assembly => &mut t.assembly_ns,
+            Phase::Refactor => &mut t.refactor_ns,
+            Phase::Solve => &mut t.solve_ns,
+            Phase::Step => &mut t.step_ns,
+        } += ns;
+    }
+}
+
+/// What a device's cached evaluation may still be used for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cache {
+    /// Nothing usable: never evaluated, or `commit` moved its state.
+    Stale,
+    /// An exact evaluation at the cached voltages: reused when the
+    /// terminal voltages are bitwise equal to them.
+    Exact,
+    /// Also a base for tolerance bypass under the active policy (made in
+    /// the current solve for `Safe`, in the current regime for
+    /// `Aggressive`).
+    Bypassable,
+}
+
+/// "No value slot": the matrix pattern lacks the position.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Where each stamp of a known topology lands in the value array of the
+/// matrix the solver factors, derived once from the pattern a triplet
+/// assembly discovered.
+#[derive(Debug)]
+struct SlotBinding {
+    /// `(row, col, slot)` of every gmin and linear-element stamp, in
+    /// stamping order.
+    statics: Vec<(u32, u32, u32)>,
+    /// Slot of each device Jacobian position `(a, b)` (row-major per
+    /// device); [`NO_SLOT`] where the pattern lacks it or a terminal is
+    /// ground.
+    dev_slots: Vec<u32>,
+    /// Start of each device's `T × T` block in `dev_slots`.
+    dev_offsets: Vec<usize>,
+}
+
+/// Adds static stamps into their bound slots, checking that the stream
+/// is the one the binding recorded. Exact zeros are dropped, as
+/// [`Triplets::add`] drops them.
+struct StaticCursor<'a> {
+    stream: &'a [(u32, u32, u32)],
+    vals: &'a mut [f64],
+    pos: usize,
+    ok: bool,
+}
+
+impl StaticCursor<'_> {
+    fn complete(&self) -> bool {
+        self.ok && self.pos == self.stream.len()
+    }
+}
+
+impl Stamper for StaticCursor<'_> {
+    #[inline]
+    fn add(&mut self, row: usize, col: usize, v: f64) {
+        if v == 0.0 {
+            return;
+        }
+        match self.stream.get(self.pos) {
+            Some(&(r, c, slot)) if r as usize == row && c as usize == col => {
+                self.vals[slot as usize] += v;
+                self.pos += 1;
+            }
+            _ => self.ok = false,
+        }
+    }
+}
+
+/// Reusable Newton scratch: assembly buffers, per-device stamp caches,
+/// the slot binding and the pattern-cached linear solver.
 ///
 /// One workspace lives for a whole analysis (all Newton solves of a DC
 /// ladder, every timestep of a transient, every point of a sweep), so
-/// iteration 2 onwards reuses the scatter plan and LU pattern instead of
-/// re-sorting and re-pivoting from scratch.
+/// after the first assembly every iteration stamps straight into the
+/// value array the solver refactors.
 #[derive(Debug)]
 pub(crate) struct NewtonWorkspace {
     pub tri: Triplets,
     pub rhs: Vec<f64>,
     pub solver: CachedSolver,
-    /// Per-device stamp buffers. Doubles as the bypass cache: a device
-    /// whose `cache_valid` flag is set still holds the stamps from its
-    /// last evaluation (at the voltages in `vt_cache`).
+    /// Per-device stamp buffers. Doubles as the evaluation cache: each
+    /// holds the device's last evaluation, at the voltages in `vt_cache`,
+    /// usable as `cache` says.
     pub stamps: Vec<DeviceStamps>,
     /// Newton iterations run through this workspace.
     pub newton_iters: u64,
-    /// Flat terminal-voltage scratch, one slot per device terminal
-    /// (hoists the former per-iteration `Vec` allocation in assembly).
+    /// Flat terminal-voltage scratch, one slot per device terminal.
     vt: Vec<f64>,
     /// Terminal voltages each device's `stamps` were last evaluated at —
-    /// the linearisation point bypass restamps against.
+    /// the linearisation point bypass and reuse restamp against.
     vt_cache: Vec<f64>,
     /// Start of each device's slice in `vt`/`vt_cache` (len = ndev + 1).
     vt_offsets: Vec<usize>,
-    /// Whether `stamps[di]`/`vt_cache` hold a valid evaluation.
-    cache_valid: Vec<bool>,
-    /// Triplet entry range holding each device's matrix stamps; valid
-    /// for in-place restamping only while `ranges_valid` (one Newton
-    /// solve — the static prefix may change between solves).
-    dev_ranges: Vec<(usize, usize)>,
-    ranges_valid: bool,
+    cache: Vec<Cache>,
     /// `(gmin, source_scale)` the aggressive-mode cache was built under.
     bypass_key: Option<(f64, f64)>,
+    /// Set by the first triplet assembly; `None` until then.
+    binding: Option<SlotBinding>,
+    /// Matrix values of the gmin and linear-element stamps alone, per
+    /// slot, for the current solve.
+    static_vals: Vec<f64>,
+    /// Whether `static_vals` was built for the current solve (gmin and
+    /// the companion coefficient may change between solves).
+    static_current: bool,
     /// Device evaluations skipped thanks to the bypass cache.
     pub bypass_hits: u64,
-    /// Device evaluations performed.
+    /// Device evaluations performed by Newton iterations.
     pub bypass_misses: u64,
+    /// Newton-iteration evaluations replaced by an exact cached one.
+    pub reuses: u64,
+    pub clock: PhaseClock,
 }
 
 impl NewtonWorkspace {
@@ -173,20 +339,61 @@ impl NewtonWorkspace {
             vt: vec![0.0; total],
             vt_cache: vec![0.0; total],
             vt_offsets,
-            cache_valid: vec![false; devices.len()],
-            dev_ranges: vec![(0, 0); devices.len()],
-            ranges_valid: false,
+            cache: vec![Cache::Stale; devices.len()],
             bypass_key: None,
+            binding: None,
+            static_vals: Vec::new(),
+            static_current: false,
             bypass_hits: 0,
             bypass_misses: 0,
+            reuses: 0,
+            clock: PhaseClock::new(),
         }
     }
 
-    /// Drop every cached device operating point (and the aggressive-mode
-    /// validity key), forcing full evaluations on the next assembly.
+    /// Drop every tolerance-bypass base (and the aggressive-mode
+    /// validity key). Exact evaluations stay reusable: only `commit`
+    /// can make one wrong.
     pub fn invalidate_bypass(&mut self) {
-        self.cache_valid.fill(false);
+        for c in &mut self.cache {
+            if *c == Cache::Bypassable {
+                *c = Cache::Exact;
+            }
+        }
         self.bypass_key = None;
+    }
+
+    /// Make `stamps[di]` an evaluation of device `di` at the voltages
+    /// already loaded into `vt` — the cached one when those voltages are
+    /// bitwise equal to the cached ones and its state has not moved, a
+    /// fresh `eval` otherwise — and a bypass base. Returns whether it
+    /// evaluated.
+    pub fn refresh(&mut self, di: usize, dev: &dyn NonlinearDevice, ctx: &EvalCtx) -> bool {
+        let (off, end) = (self.vt_offsets[di], self.vt_offsets[di + 1]);
+        let vt = &self.vt[off..end];
+        let same = vt
+            .iter()
+            .zip(&self.vt_cache[off..end])
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+        let fresh = !same || self.cache[di] == Cache::Stale;
+        if fresh {
+            let st = &mut self.stamps[di];
+            st.clear();
+            dev.eval(vt, st, ctx);
+            self.vt_cache[off..end].copy_from_slice(vt);
+        }
+        self.cache[di] = Cache::Bypassable;
+        fresh
+    }
+
+    /// Terminal voltages last loaded for device `di`.
+    pub fn device_vt(&self, di: usize) -> &[f64] {
+        &self.vt[self.vt_offsets[di]..self.vt_offsets[di + 1]]
+    }
+
+    /// Drop device `di`'s cached evaluation: its state moved.
+    pub fn mark_stale(&mut self, di: usize) {
+        self.cache[di] = Cache::Stale;
     }
 
     /// Snapshot of the counters (step counts are the caller's concern).
@@ -201,17 +408,9 @@ impl NewtonWorkspace {
             rejected_steps: 0,
             bypass_hits: self.bypass_hits,
             bypass_misses: self.bypass_misses,
+            reuses: self.reuses,
         }
     }
-}
-
-/// Discards matrix stamps; used to replay a bypassed device's RHS
-/// contributions without rewriting its (already correct) matrix range.
-struct NullStamper;
-
-impl Stamper for NullStamper {
-    #[inline]
-    fn add(&mut self, _row: usize, _col: usize, _v: f64) {}
 }
 
 /// Companion-model state for charge storage during transient analysis.
@@ -305,62 +504,78 @@ impl<'a> System<'a> {
         }
     }
 
-    /// Assemble the linearised MNA system around operating point `x`,
-    /// evaluating every device (no bypass, no incremental reuse).
-    ///
-    /// `source_scale` scales all independent sources (source stepping);
-    /// `companion` enables charge storage (transient); `stamps` is a
-    /// per-device scratch buffer owned by the caller. The Newton loop
-    /// goes through [`System::assemble_newton`] instead; this entry is
-    /// for one-shot assemblies (AC linearisation, reference paths).
-    #[allow(clippy::too_many_arguments)]
-    pub fn assemble(
-        &self,
-        x: &[f64],
-        time: f64,
-        source_scale: f64,
-        ctx: &EvalCtx,
-        companion: Option<&Companion>,
-        tri: &mut Triplets,
-        rhs: &mut [f64],
-        stamps: &mut [DeviceStamps],
-    ) {
-        tri.clear();
-        rhs.fill(0.0);
-        // Shunt gmin keeps floating nodes solvable and aids convergence.
-        for v in 0..self.num_nodes - 1 {
-            tri.add(v, v, ctx.gmin);
-        }
-        self.stamp_elements(x, time, source_scale, companion, Some(tri), rhs);
-        for (di, dev) in self.ckt.devices().iter().enumerate() {
-            let terms = dev.terminals();
-            let st = &mut stamps[di];
-            st.clear();
-            let vt: Vec<f64> = terms.iter().map(|&nd| self.voltage(x, nd)).collect();
-            dev.eval(&vt, st, ctx);
-            self.stamp_device(terms, st, &vt, companion.map(|c| (c, di)), tri, rhs);
+    /// Load device `di`'s terminal voltages from `x` into `ws.vt`.
+    pub fn load_vt(&self, di: usize, terms: &[NodeId], x: &[f64], ws: &mut NewtonWorkspace) {
+        let off = ws.vt_offsets[di];
+        for (k, &nd) in terms.iter().enumerate() {
+            ws.vt[off + k] = self.voltage(x, nd);
         }
     }
 
-    /// Stamp every linear element. Matrix entries go to `tri` when
-    /// present; RHS contributions always go to `rhs`. The incremental
-    /// path passes `None`: within one Newton solve the linear matrix
-    /// entries (gmin, conductances, companion `geq`, source incidence)
-    /// are constant, only the RHS needs recomputing at the new `x`.
-    fn stamp_elements(
+    /// Bring every device's stamps up to date for operating point `x`.
+    /// Each device is, in order: bypassed when the policy permits and
+    /// its voltages are within tolerance of a bypass base; else reused
+    /// when they are bitwise equal to its exact cached evaluation; else
+    /// evaluated. Afterwards `ws.stamps`/`ws.vt_cache` hold each device's
+    /// linearisation, and every device counts as evaluated in this solve.
+    pub fn eval_devices(
+        &self,
+        x: &[f64],
+        ctx: &EvalCtx,
+        opts: &NewtonOpts,
+        ws: &mut NewtonWorkspace,
+    ) {
+        for (di, dev) in self.ckt.devices().iter().enumerate() {
+            self.load_vt(di, dev.terminals(), x, ws);
+            let (off, end) = (ws.vt_offsets[di], ws.vt_offsets[di + 1]);
+            let hit = opts.bypass.enabled()
+                && ws.cache[di] == Cache::Bypassable
+                && ws.vt[off..end]
+                    .iter()
+                    .zip(&ws.vt_cache[off..end])
+                    .all(|(&a, &b)| {
+                        (a - b).abs()
+                            <= opts.bypass_vntol + opts.bypass_reltol * a.abs().max(b.abs())
+                    });
+            if hit {
+                ws.bypass_hits += 1;
+                continue;
+            }
+            if ws.refresh(di, dev.as_ref(), ctx) {
+                ws.bypass_misses += 1;
+            } else {
+                ws.reuses += 1;
+            }
+        }
+    }
+
+    /// Stamp gmin and every linear element. Matrix entries go to `mat`
+    /// when present; RHS contributions always go to `rhs`. Within one
+    /// Newton solve the matrix entries (gmin, conductances, companion
+    /// `geq`, source incidence) are constant, so later iterations pass
+    /// `None` and recompute only the RHS at the new `x`.
+    #[allow(clippy::too_many_arguments)]
+    fn stamp_static<S: Stamper>(
         &self,
         x: &[f64],
         time: f64,
         source_scale: f64,
+        gmin: f64,
         companion: Option<&Companion>,
-        mut tri: Option<&mut Triplets>,
+        mut mat: Option<&mut S>,
         rhs: &mut [f64],
     ) {
+        // Shunt gmin keeps floating nodes solvable and aids convergence.
+        if let Some(t) = mat.as_deref_mut() {
+            for v in 0..self.num_nodes - 1 {
+                t.add(v, v, gmin);
+            }
+        }
         let mut cap_pos = 0usize;
         for elem in self.ckt.elements() {
             match elem {
                 Element::Resistor { p, n, ohms, .. } => {
-                    if let Some(t) = tri.as_deref_mut() {
+                    if let Some(t) = mat.as_deref_mut() {
                         self.stamp_conductance(t, *p, *n, 1.0 / ohms);
                     }
                 }
@@ -370,7 +585,7 @@ impl<'a> System<'a> {
                         let vn = self.voltage(x, *n);
                         let q0 = farads * (vp - vn);
                         let geq = comp.coeff * farads;
-                        if let Some(t) = tri.as_deref_mut() {
+                        if let Some(t) = mat.as_deref_mut() {
                             self.stamp_conductance(t, *p, *n, geq);
                         }
                         // i ≈ coeff·(q0 + C·Δv − q_prev) [− i_prev if trap]
@@ -388,7 +603,7 @@ impl<'a> System<'a> {
                     p, n, wave, branch, ..
                 } => {
                     let bv = self.branch_var(*branch);
-                    if let Some(t) = tri.as_deref_mut() {
+                    if let Some(t) = mat.as_deref_mut() {
                         if let Some(vp) = self.var_of(*p) {
                             t.add(vp, bv, 1.0);
                             t.add(bv, vp, 1.0);
@@ -418,7 +633,7 @@ impl<'a> System<'a> {
                     branch,
                     ..
                 } => {
-                    if let Some(t) = tri.as_deref_mut() {
+                    if let Some(t) = mat.as_deref_mut() {
                         let bv = self.branch_var(*branch);
                         if let Some(vp) = self.var_of(*p) {
                             t.add(vp, bv, 1.0);
@@ -443,7 +658,7 @@ impl<'a> System<'a> {
                 Element::Vccs {
                     p, n, cp, cn, gm, ..
                 } => {
-                    if let Some(t) = tri.as_deref_mut() {
+                    if let Some(t) = mat.as_deref_mut() {
                         self.stamp_transconductance(t, *p, *n, *cp, *cn, *gm);
                     }
                 }
@@ -451,18 +666,22 @@ impl<'a> System<'a> {
         }
     }
 
-    /// Stamp one evaluated device: Jacobians into `out`, Taylor-constant
-    /// currents into `rhs`. `vt` must be the linearisation point the
-    /// stamps in `st` were evaluated at (for a bypassed device, the
-    /// *cached* voltages — not the current iterate).
-    fn stamp_device<S: Stamper>(
+    /// Stamp one evaluated device: Taylor-constant currents into `rhs`,
+    /// each nonzero Jacobian entry through `mat(k, row, col, v)`, where
+    /// `k = a·T + b` indexes the device's `(a, b)` terminal pair. `vt`
+    /// must be the linearisation point the stamps in `st` were evaluated
+    /// at (for a bypassed device, the *cached* voltages — not the
+    /// current iterate). Within a device, all `gi` entries come before
+    /// all `cq` entries; slot-bound and triplet assembly both rely on
+    /// that order to sum each matrix slot identically.
+    fn stamp_device(
         &self,
         terms: &[NodeId],
         st: &DeviceStamps,
         vt: &[f64],
         companion: Option<(&Companion, usize)>,
-        out: &mut S,
         rhs: &mut [f64],
+        mut mat: impl FnMut(usize, usize, usize, f64),
     ) {
         let t = terms.len();
         // Static currents: stamp G and move the Taylor constant to RHS.
@@ -475,7 +694,7 @@ impl<'a> System<'a> {
                 let g = st.gi[a * t + b];
                 if g != 0.0 {
                     if let Some(cb) = self.var_of(terms[b]) {
-                        out.add(ra, cb, g);
+                        mat(a * t + b, ra, cb, g);
                     }
                     i_const -= g * vt[b];
                 }
@@ -498,7 +717,7 @@ impl<'a> System<'a> {
                     if c != 0.0 {
                         let geq = comp.coeff * c;
                         if let Some(cb) = self.var_of(terms[b]) {
-                            out.add(ra, cb, geq);
+                            mat(a * t + b, ra, cb, geq);
                         }
                         i_const -= geq * vt[b];
                     }
@@ -508,172 +727,187 @@ impl<'a> System<'a> {
         }
     }
 
-    /// Load device `di`'s terminal voltages from `x` into `ws.vt` and
-    /// decide whether its cached evaluation can be reused. On a miss the
-    /// device is evaluated and its cache refreshed, so after this call
-    /// `ws.stamps[di]` and `ws.vt_cache` always hold a consistent
-    /// linearisation. Returns `true` when the evaluation was bypassed.
-    fn bypass_or_eval(
-        &self,
-        di: usize,
-        dev: &dyn crate::nonlinear::NonlinearDevice,
-        x: &[f64],
-        ctx: &EvalCtx,
-        opts: &NewtonOpts,
-        ws: &mut NewtonWorkspace,
-    ) -> bool {
-        let terms = dev.terminals();
-        let off = ws.vt_offsets[di];
-        let t = terms.len();
-        for (k, &nd) in terms.iter().enumerate() {
-            ws.vt[off + k] = self.voltage(x, nd);
-        }
-        let hit = opts.bypass.enabled()
-            && ws.cache_valid[di]
-            && (0..t).all(|k| {
-                let a = ws.vt[off + k];
-                let b = ws.vt_cache[off + k];
-                (a - b).abs() <= opts.bypass_vntol + opts.bypass_reltol * a.abs().max(b.abs())
-            });
-        if hit {
-            ws.bypass_hits += 1;
-        } else {
-            ws.bypass_misses += 1;
-            let st = &mut ws.stamps[di];
-            st.clear();
-            dev.eval(&ws.vt[off..off + t], st, ctx);
-            ws.vt_cache[off..off + t].copy_from_slice(&ws.vt[off..off + t]);
-            ws.cache_valid[di] = true;
-        }
-        hit
-    }
-
-    /// Newton-loop assembly: full rebuild on the first iteration of a
-    /// solve (the static matrix prefix may have changed — new gmin rung,
-    /// new companion coefficient), incremental restamping afterwards.
-    /// Produces a `(ws.tri, ws.rhs)` pair bit-identical to
-    /// [`System::assemble`] modulo bypassed evaluations.
-    #[allow(clippy::too_many_arguments)]
-    fn assemble_newton(
+    /// Assemble the system around `x` from the devices' current stamps
+    /// (see [`System::eval_devices`]) into the matrix the solver factors
+    /// next, with the RHS in `ws.rhs`.
+    ///
+    /// Once a topology's pattern is known, each stamp is added straight
+    /// into its bound value slot: static part first, then devices in
+    /// order, `gi` before `cq` — the order of the triplet stream, so
+    /// every slot sums to the bits `ScatterMap::scatter` +
+    /// `PermutePlan::apply` would produce. The first assembly, and any
+    /// that stamps a nonzero at a position the pattern lacks, goes
+    /// through triplets instead and rebinds.
+    fn assemble(
         &self,
         x: &[f64],
         time: f64,
         source_scale: f64,
-        ctx: &EvalCtx,
+        gmin: f64,
         companion: Option<&Companion>,
-        opts: &NewtonOpts,
         ws: &mut NewtonWorkspace,
-        incremental: bool,
     ) {
-        if incremental
-            && ws.ranges_valid
-            && self.assemble_incremental(x, time, source_scale, ctx, companion, opts, ws)
-        {
+        if self.assemble_bound(x, time, source_scale, gmin, companion, ws) {
+            #[cfg(test)]
+            exactness::check_against_triplets(self, x, time, source_scale, gmin, companion, ws);
             return;
         }
-        self.assemble_full(x, time, source_scale, ctx, companion, opts, ws);
+        let n_static = self.stamp_triplets(x, time, source_scale, gmin, companion, ws);
+        ws.solver.load(&ws.tri);
+        self.bind(n_static, ws);
     }
 
-    /// Full Newton assembly with bypass: rebuilds the triplet list and
-    /// records each device's entry range for later in-place restamping.
-    #[allow(clippy::too_many_arguments)]
-    fn assemble_full(
+    /// Slot-bound assembly; `false` when the binding is missing or does
+    /// not cover this system.
+    fn assemble_bound(
         &self,
         x: &[f64],
         time: f64,
         source_scale: f64,
-        ctx: &EvalCtx,
+        gmin: f64,
         companion: Option<&Companion>,
-        opts: &NewtonOpts,
         ws: &mut NewtonWorkspace,
-    ) {
-        ws.tri.clear();
+    ) -> bool {
+        let Some(bind) = &ws.binding else {
+            return false;
+        };
         ws.rhs.fill(0.0);
-        for v in 0..self.num_nodes - 1 {
-            ws.tri.add(v, v, ctx.gmin);
+        if ws.static_current {
+            self.stamp_static(
+                x,
+                time,
+                source_scale,
+                gmin,
+                companion,
+                None::<&mut Triplets>,
+                &mut ws.rhs,
+            );
+        } else {
+            ws.static_vals.fill(0.0);
+            let mut cursor = StaticCursor {
+                stream: &bind.statics,
+                vals: &mut ws.static_vals,
+                pos: 0,
+                ok: true,
+            };
+            self.stamp_static(
+                x,
+                time,
+                source_scale,
+                gmin,
+                companion,
+                Some(&mut cursor),
+                &mut ws.rhs,
+            );
+            if !cursor.complete() {
+                return false;
+            }
+            ws.static_current = true;
         }
-        self.stamp_elements(
-            x,
-            time,
-            source_scale,
-            companion,
-            Some(&mut ws.tri),
-            &mut ws.rhs,
-        );
+        let vals = ws.solver.values_mut();
+        vals.copy_from_slice(&ws.static_vals);
         for (di, dev) in self.ckt.devices().iter().enumerate() {
-            self.bypass_or_eval(di, dev.as_ref(), x, ctx, opts, ws);
-            let off = ws.vt_offsets[di];
-            let end = ws.vt_offsets[di + 1];
-            let start = ws.tri.len();
+            let slots = &bind.dev_slots[bind.dev_offsets[di]..bind.dev_offsets[di + 1]];
+            let mut mapped = true;
             self.stamp_device(
                 dev.terminals(),
                 &ws.stamps[di],
-                &ws.vt_cache[off..end],
+                &ws.vt_cache[ws.vt_offsets[di]..ws.vt_offsets[di + 1]],
                 companion.map(|c| (c, di)),
-                &mut ws.tri,
                 &mut ws.rhs,
+                |k, _, _, v| {
+                    if v != 0.0 {
+                        match slots[k] {
+                            NO_SLOT => mapped = false,
+                            s => vals[s as usize] += v,
+                        }
+                    }
+                },
             );
-            ws.dev_ranges[di] = (start, ws.tri.len());
-        }
-        ws.ranges_valid = true;
-    }
-
-    /// Incremental Newton assembly: the linear matrix prefix is left
-    /// untouched, element RHS contributions are recomputed at `x`, and
-    /// only re-evaluated devices rewrite their matrix ranges (a bypassed
-    /// device costs just its RHS replay). Returns `false` — leaving the
-    /// workspace for [`System::assemble_full`] to rebuild — when a
-    /// device's stamp stream changed shape (a Jacobian entry crossed
-    /// exactly zero, altering the recorded coordinate pattern).
-    #[allow(clippy::too_many_arguments)]
-    fn assemble_incremental(
-        &self,
-        x: &[f64],
-        time: f64,
-        source_scale: f64,
-        ctx: &EvalCtx,
-        companion: Option<&Companion>,
-        opts: &NewtonOpts,
-        ws: &mut NewtonWorkspace,
-    ) -> bool {
-        ws.rhs.fill(0.0);
-        self.stamp_elements(x, time, source_scale, companion, None, &mut ws.rhs);
-        for (di, dev) in self.ckt.devices().iter().enumerate() {
-            let hit = self.bypass_or_eval(di, dev.as_ref(), x, ctx, opts, ws);
-            let off = ws.vt_offsets[di];
-            let end = ws.vt_offsets[di + 1];
-            if hit {
-                // The matrix range still holds this exact linearisation
-                // (every miss restamps it); only the RHS needs replaying.
-                self.stamp_device(
-                    dev.terminals(),
-                    &ws.stamps[di],
-                    &ws.vt_cache[off..end],
-                    companion.map(|c| (c, di)),
-                    &mut NullStamper,
-                    &mut ws.rhs,
-                );
-            } else {
-                let (start, stop) = ws.dev_ranges[di];
-                let mut w = ws.tri.range_writer(start, stop);
-                self.stamp_device(
-                    dev.terminals(),
-                    &ws.stamps[di],
-                    &ws.vt_cache[off..end],
-                    companion.map(|c| (c, di)),
-                    &mut w,
-                    &mut ws.rhs,
-                );
-                if !w.complete() {
-                    return false;
-                }
+            if !mapped {
+                return false;
             }
         }
         true
     }
 
+    /// Triplet assembly into `ws.tri`/`ws.rhs`; returns how many leading
+    /// entries are static (gmin and linear elements).
+    pub fn stamp_triplets(
+        &self,
+        x: &[f64],
+        time: f64,
+        source_scale: f64,
+        gmin: f64,
+        companion: Option<&Companion>,
+        ws: &mut NewtonWorkspace,
+    ) -> usize {
+        ws.tri.clear();
+        ws.rhs.fill(0.0);
+        self.stamp_static(
+            x,
+            time,
+            source_scale,
+            gmin,
+            companion,
+            Some(&mut ws.tri),
+            &mut ws.rhs,
+        );
+        let n_static = ws.tri.len();
+        for (di, dev) in self.ckt.devices().iter().enumerate() {
+            let tri = &mut ws.tri;
+            self.stamp_device(
+                dev.terminals(),
+                &ws.stamps[di],
+                &ws.vt_cache[ws.vt_offsets[di]..ws.vt_offsets[di + 1]],
+                companion.map(|c| (c, di)),
+                &mut ws.rhs,
+                |_, r, c, v| tri.add(r, c, v),
+            );
+        }
+        n_static
+    }
+
+    /// Derive the slot binding from the triplets just loaded into the
+    /// solver, whose first `n_static` entries are the static part.
+    fn bind(&self, n_static: usize, ws: &mut NewtonWorkspace) {
+        let solver = &ws.solver;
+        let slot = |r: usize, c: usize| solver.slot(r, c).map_or(NO_SLOT, |s| s as u32);
+        ws.static_vals.clear();
+        ws.static_vals.resize(solver.matrix().nnz(), 0.0);
+        let mut statics = Vec::with_capacity(n_static);
+        for (r, c, v) in ws.tri.iter().take(n_static) {
+            let s = slot(r, c);
+            debug_assert_ne!(s, NO_SLOT, "a loaded entry is in the pattern");
+            ws.static_vals[s as usize] += v;
+            statics.push((r as u32, c as u32, s));
+        }
+        let mut dev_slots = Vec::new();
+        let mut dev_offsets = Vec::with_capacity(self.ckt.devices().len() + 1);
+        for dev in self.ckt.devices() {
+            dev_offsets.push(dev_slots.len());
+            let vars: Vec<Option<usize>> =
+                dev.terminals().iter().map(|&n| self.var_of(n)).collect();
+            for &ra in &vars {
+                for &cb in &vars {
+                    dev_slots.push(match (ra, cb) {
+                        (Some(r), Some(c)) => slot(r, c),
+                        _ => NO_SLOT,
+                    });
+                }
+            }
+        }
+        dev_offsets.push(dev_slots.len());
+        ws.binding = Some(SlotBinding {
+            statics,
+            dev_slots,
+            dev_offsets,
+        });
+        ws.static_current = true;
+    }
+
     #[inline]
-    fn stamp_conductance(&self, tri: &mut Triplets, p: NodeId, n: NodeId, g: f64) {
+    fn stamp_conductance<S: Stamper>(&self, tri: &mut S, p: NodeId, n: NodeId, g: f64) {
         let vp = self.var_of(p);
         let vn = self.var_of(n);
         if let Some(a) = vp {
@@ -701,9 +935,9 @@ impl<'a> System<'a> {
     }
 
     #[inline]
-    fn stamp_transconductance(
+    fn stamp_transconductance<S: Stamper>(
         &self,
-        tri: &mut Triplets,
+        tri: &mut S,
         p: NodeId,
         n: NodeId,
         cp: NodeId,
@@ -723,12 +957,13 @@ impl<'a> System<'a> {
     /// Worst-residual attribution from the system last assembled into
     /// `ws` around operating point `x`.
     ///
-    /// Recomputes the Newton residual `r = b − A·x` from the raw stamp
-    /// buffer (no re-assembly, no factorisation) and blames the row with
-    /// the largest `|r|`. Node rows (KCL, amperes) are scanned before
-    /// branch rows (source constraints, volts) because the two carry
-    /// incomparable units. NaN residuals sort as +∞ so a poisoned row
-    /// always wins.
+    /// Recomputes the Newton residual `r = b − A·x` from the matrix the
+    /// solver holds — the one assembled, and factored if the solve got
+    /// that far (no re-assembly, no factorisation) — and blames the row
+    /// with the largest `|r|`. Node rows (KCL, amperes) are scanned
+    /// before branch rows (source constraints, volts) because the two
+    /// carry incomparable units. NaN residuals sort as +∞ so a poisoned
+    /// row always wins.
     pub(crate) fn forensics(
         &self,
         ws: &NewtonWorkspace,
@@ -736,10 +971,7 @@ impl<'a> System<'a> {
         dx_norm: f64,
     ) -> ConvergenceForensics {
         let key = |v: f64| if v.is_nan() { f64::INFINITY } else { v.abs() };
-        let mut r = ws.rhs.clone();
-        for (row, col, v) in ws.tri.iter() {
-            r[row] -= v * x[col];
-        }
+        let r = ws.solver.residual(&ws.rhs, x);
         let nnode_vars = self.num_nodes - 1;
         let scan = if nnode_vars > 0 {
             0..nnode_vars
@@ -813,11 +1045,12 @@ impl<'a> System<'a> {
 
     /// One damped Newton solve. Returns `(x, iterations)` on convergence.
     ///
-    /// The workspace carries the assembly buffers and the pattern-cached
-    /// solver across calls: iteration 2..N (and every later solve on the
-    /// same topology) skips symbolic analysis entirely, restamps only
-    /// re-evaluated devices in place, and — policy permitting — bypasses
-    /// evaluation of devices whose terminal voltages haven't moved.
+    /// The workspace carries the stamp caches, the slot binding and the
+    /// pattern-cached solver across calls: after the first assembly of a
+    /// topology every iteration stamps in place and refactors on the
+    /// known pattern, each device is evaluated at most once per
+    /// operating point, and — policy permitting — evaluation is bypassed
+    /// for devices whose terminal voltages haven't moved.
     ///
     /// `rhs_patch` adds `dv` to RHS row `var` after every assembly
     /// (sweep drivers override one source value without re-stamping).
@@ -834,16 +1067,17 @@ impl<'a> System<'a> {
         rhs_patch: Option<(usize, f64)>,
         analysis: &'static str,
     ) -> Result<(Vec<f64>, usize)> {
+        ws.clock.lap(Phase::Step);
         let mut x = x0.to_vec();
         let ctx = EvalCtx {
             temp: opts.temp,
             gmin,
             time,
         };
-        // Bypass-cache lifetime at solve entry: `Safe` (and `Off`) drop
-        // every cached operating point so iteration 1 fully evaluates;
-        // `Aggressive` keeps caches across solves but must drop them
-        // when the continuation regime (gmin rung, source scale) moved.
+        // Bypass-base lifetime at solve entry: `Safe` (and `Off`) drop
+        // every base so iteration 1 evaluates or exactly reuses;
+        // `Aggressive` keeps them across solves but must drop them when
+        // the continuation regime (gmin rung, source scale) moved.
         match opts.bypass {
             BypassPolicy::Aggressive => {
                 let key = (gmin, source_scale);
@@ -854,17 +1088,22 @@ impl<'a> System<'a> {
             }
             BypassPolicy::Off | BypassPolicy::Safe => ws.invalidate_bypass(),
         }
-        // The static matrix prefix (gmin shunts, companion geq) may have
-        // changed since the last solve: always rebuild on iteration 1.
-        ws.ranges_valid = false;
+        // The static matrix part (gmin shunts, companion geq) may have
+        // changed since the last solve: rebuild it on iteration 1.
+        ws.static_current = false;
         let mut last_dx = f64::INFINITY;
         for iter in 1..=opts.max_iters {
-            self.assemble_newton(&x, time, source_scale, &ctx, companion, opts, ws, iter > 1);
+            self.eval_devices(&x, &ctx, opts, ws);
+            ws.clock.lap(Phase::Eval);
+            self.assemble(&x, time, source_scale, gmin, companion, ws);
             if let Some((var, dv)) = rhs_patch {
                 ws.rhs[var] += dv;
             }
+            ws.clock.lap(Phase::Assembly);
             ws.newton_iters += 1;
-            let x_new = ws.solver.solve(&ws.tri, &ws.rhs)?;
+            ws.solver.refactor()?;
+            ws.clock.lap(Phase::Refactor);
+            let x_new = ws.solver.solve_factored(&ws.rhs);
 
             // Convergence check on the raw (undamped) update.
             let nnode_vars = self.num_nodes - 1;
@@ -886,9 +1125,9 @@ impl<'a> System<'a> {
                 }
                 max_dx = max_dx.max(d);
                 if !x_new[v].is_finite() {
-                    // The workspace still holds the system assembled
-                    // around `x`, so the residual attribution is
-                    // consistent with the failing solve.
+                    // The solver still holds the system assembled around
+                    // `x`, so the residual attribution is consistent
+                    // with the failing solve.
                     let fo = self.forensics(ws, &x, f64::INFINITY);
                     crate::trace::newton_failure(analysis, time, iter, &fo);
                     return Err(Error::NonConvergence {
@@ -901,6 +1140,7 @@ impl<'a> System<'a> {
             }
             last_dx = max_dx;
             if converged && iter > 1 {
+                ws.clock.lap(Phase::Solve);
                 return Ok((x_new, iter));
             }
             // Damped update.
@@ -912,15 +1152,16 @@ impl<'a> System<'a> {
             } else {
                 x = x_new;
             }
+            ws.clock.lap(Phase::Solve);
         }
         // Re-assemble around the final iterate so the residual matches
         // the point Newton was left at (the loop body updated `x` after
-        // the last assembly). Drop the bypass cache first: forensics
-        // must attribute blame from *fresh* device evaluations at `x`,
-        // not from cached linearisations.
+        // the last assembly). Drop the bypass bases first: forensics
+        // must attribute blame from exact device evaluations at `x`,
+        // not from linearisations within tolerance of it.
         ws.invalidate_bypass();
-        ws.ranges_valid = false;
-        self.assemble_newton(&x, time, source_scale, &ctx, companion, opts, ws, false);
+        self.eval_devices(&x, &ctx, opts, ws);
+        self.assemble(&x, time, source_scale, gmin, companion, ws);
         if let Some((var, dv)) = rhs_patch {
             ws.rhs[var] += dv;
         }

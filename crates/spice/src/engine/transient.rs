@@ -1,7 +1,7 @@
 //! Transient analysis with adaptive stepping and source breakpoints.
 
 use super::dc::{operating_point, DcOpts};
-use super::{NewtonOpts, NewtonWorkspace, SimStats, System};
+use super::{NewtonOpts, NewtonWorkspace, Phase, PhaseTimes, SimStats, System};
 use crate::erc::{self, ErcMode};
 use crate::error::{Error, Result};
 use crate::netlist::{Circuit, Element};
@@ -113,6 +113,7 @@ pub fn transient(ckt: &mut Circuit, opts: &TranOpts) -> Result<Trace> {
     let _span = crate::trace::span("transient");
     erc::preflight(ckt, opts.erc)?;
     let mut stats = SimStats::default();
+    let mut phases = PhaseTimes::default();
     // --- Initial solution ------------------------------------------------
     let mut x: Vec<f64> = if opts.uic {
         let sysdim = {
@@ -135,6 +136,7 @@ pub fn transient(ckt: &mut Circuit, opts: &TranOpts) -> Result<Trace> {
         };
         let sol = operating_point(ckt, &dc)?;
         stats.merge(sol.stats());
+        phases.merge(sol.phase_times());
         sol.as_vec().to_vec()
     };
 
@@ -315,8 +317,8 @@ pub fn transient(ckt: &mut Circuit, opts: &TranOpts) -> Result<Trace> {
             Err(e) => {
                 stats.rejected_steps += 1;
                 crate::trace::step_rejected("transient", t, dt_eff, &e);
-                // A rejected step leaves device caches pointing at the
-                // abandoned trajectory; the retry must re-evaluate.
+                // A rejected step leaves bypass bases on the abandoned
+                // trajectory; the retry must not bypass against them.
                 ws.invalidate_bypass();
                 // Cut the *pre-clamp* dt, not dt_eff: dt_eff may already
                 // be clamped to a tiny breakpoint gap, and quartering
@@ -329,17 +331,20 @@ pub fn transient(ckt: &mut Circuit, opts: &TranOpts) -> Result<Trace> {
             }
         }
     }
+    ws.clock.lap(Phase::Step);
     stats.merge(ws.stats());
+    phases.merge(ws.clock.times);
     trace.set_stats(stats);
+    trace.set_phase_times(phases);
     Ok(trace)
 }
 
 /// Evaluate charge state at `x` and store it as the companion history
 /// (used once at t = 0; charge currents start at zero).
 ///
-/// Uses the workspace voltage scratch instead of per-device allocations
-/// and leaves `ws.stamps`/`ws.vt_cache` holding a fresh evaluation at
-/// `x`, so an aggressive bypass policy may reuse it on the next step.
+/// Leaves `ws.stamps`/`ws.vt_cache` holding an evaluation at `x`, which
+/// the first Newton iteration reuses (and an aggressive bypass policy
+/// may bypass against).
 fn seed_charges(
     ckt: &Circuit,
     x: &[f64],
@@ -357,20 +362,11 @@ fn seed_charges(
         }
     }
     for (di, dev) in ckt.devices().iter().enumerate() {
-        let terms = dev.terminals();
-        let voff = ws.vt_offsets[di];
-        for (k, &nd) in terms.iter().enumerate() {
-            ws.vt[voff + k] = sys.voltage(x, nd);
-        }
-        let vt = &ws.vt[voff..voff + terms.len()];
-        let st = &mut ws.stamps[di];
-        st.clear();
-        dev.eval(vt, st, ctx);
-        ws.vt_cache[voff..voff + terms.len()].copy_from_slice(vt);
-        ws.cache_valid[di] = true;
+        sys.load_vt(di, dev.terminals(), x, ws);
+        ws.refresh(di, dev.as_ref(), ctx);
         let off = comp.dev_offsets[di];
-        for a in 0..terms.len() {
-            comp.dev_q_prev[off + a] = st.q[a];
+        for (a, &q) in ws.stamps[di].q.iter().enumerate() {
+            comp.dev_q_prev[off + a] = q;
             comp.dev_i_prev[off + a] = 0.0;
         }
     }
@@ -378,6 +374,10 @@ fn seed_charges(
 
 /// After an accepted step: update charge/current history and let devices
 /// commit internal state (ferroelectric polarisation etc.).
+///
+/// The device evaluations at `x` made here stay cached, so iteration 1
+/// of the next solve — which starts from the same `x` — reuses them for
+/// every device whose `commit` reported no state change.
 fn advance_state(
     ckt: &mut Circuit,
     x: &[f64],
@@ -403,20 +403,10 @@ fn advance_state(
             }
         }
         for (di, dev) in ckt.devices().iter().enumerate() {
-            let terms = dev.terminals();
-            let voff = ws.vt_offsets[di];
-            for (k, &nd) in terms.iter().enumerate() {
-                ws.vt[voff + k] = sys.voltage(x, nd);
-            }
-            let vt = &ws.vt[voff..voff + terms.len()];
-            let st = &mut ws.stamps[di];
-            st.clear();
-            dev.eval(vt, st, ctx);
-            ws.vt_cache[voff..voff + terms.len()].copy_from_slice(vt);
-            ws.cache_valid[di] = true;
+            sys.load_vt(di, dev.terminals(), x, ws);
+            ws.refresh(di, dev.as_ref(), ctx);
             let off = comp.dev_offsets[di];
-            for a in 0..terms.len() {
-                let q_new = st.q[a];
+            for (a, &q_new) in ws.stamps[di].q.iter().enumerate() {
                 let mut i_new = coeff * (q_new - comp.dev_q_prev[off + a]);
                 if trap {
                     i_new -= comp.dev_i_prev[off + a];
@@ -429,15 +419,10 @@ fn advance_state(
     // Device state commit needs &mut on the circuit; the terminal
     // voltages were already gathered into the workspace scratch above.
     for (di, dev) in ckt.devices_mut().iter_mut().enumerate() {
-        let voff = ws.vt_offsets[di];
-        let end = ws.vt_offsets[di + 1];
-        dev.commit(&ws.vt[voff..end], ctx);
-        // Committing can advance hysteretic state, which changes what a
-        // fresh eval would return at the *same* voltages — drop the
-        // cache for such devices so aggressive bypass never stamps a
-        // stale pre-commit linearisation.
-        if dev.has_history() {
-            ws.cache_valid[di] = false;
+        if dev.commit(ws.device_vt(di), ctx) {
+            // The state moved: a fresh eval at the *same* voltages would
+            // now differ, so the cached evaluation is stale.
+            ws.mark_stale(di);
         }
     }
 }

@@ -55,7 +55,7 @@ pub use engine::ac::{ac_analysis, logspace, AcResult, Phasor};
 pub use engine::dc::{operating_point, DcOpts, Solution};
 pub use engine::sweep::{dc_sweep, dc_sweep_par, linspace, transfer_curve, SweepResult};
 pub use engine::transient::{transient, Integrator, TranOpts};
-pub use engine::{NewtonOpts, SimStats};
+pub use engine::{NewtonOpts, PhaseTimes, SimStats};
 pub use erc::{ErcDiagnostic, ErcMode, ErcParam, ErcReport, ParamKind, Rule, Severity};
 pub use error::{ConvergenceForensics, Error, Result};
 pub use matrix::{CachedSolver, Ordering, SolverStats};
@@ -72,7 +72,7 @@ pub mod prelude {
     pub use crate::engine::dc::{operating_point, DcOpts, Solution};
     pub use crate::engine::sweep::{dc_sweep, dc_sweep_par, linspace, transfer_curve, SweepResult};
     pub use crate::engine::transient::{transient, Integrator, TranOpts};
-    pub use crate::engine::{NewtonOpts, SimStats};
+    pub use crate::engine::{NewtonOpts, PhaseTimes, SimStats};
     pub use crate::erc::{ErcMode, ErcReport, Rule, Severity};
     pub use crate::error::{Error, Result};
     pub use crate::matrix::Ordering;

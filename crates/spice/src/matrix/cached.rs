@@ -4,11 +4,15 @@
 //! same matrix *pattern* over and over with different values. This module
 //! ties [`ScatterMap`] (triplets → CSC without sorting), an optional
 //! fill-reducing pre-ordering ([`amd_order`] + [`PermutePlan`]) and
-//! [`SparseLu::refactor`] (numeric-only LU) into one reusable solver that
-//! engines call per iteration: the first solve pays for symbolic
-//! analysis and ordering, every following solve on the same topology is
-//! a linear-time scatter, a linear-time value permutation and a numeric
-//! refactorisation.
+//! [`SparseLu::refactor`] (numeric-only LU) into one reusable solver.
+//!
+//! [`CachedSolver::solve`] runs in three steps: load a triplet assembly
+//! (the first load pays for the scatter plan and ordering, later loads
+//! on the same stream are a linear-time scatter and value permutation),
+//! refactor, then the triangular solves. Once a pattern is loaded, the
+//! Newton engine skips the triplets altogether: it writes each next
+//! matrix straight into the loaded value array, at slots it looked up
+//! once, and refactors on the known pattern with no check.
 
 use super::sparse::{
     amd_order, CscMatrix, PermutePlan, Refactorization, ScatterMap, SparseLu, Triplets,
@@ -111,6 +115,9 @@ pub struct CachedSolver {
     perm_csc: CscMatrix,
     b_perm: Vec<f64>,
     lu: Option<SparseLu>,
+    /// Set when a load rebuilt the scatter plan: the loaded pattern may
+    /// differ from the factors', so the next refactor compares them.
+    pattern_changed: bool,
     stats: SolverStats,
 }
 
@@ -152,6 +159,15 @@ impl CachedSolver {
     /// # Panics
     /// Panics if `b.len()` does not match `tri.dim()`.
     pub fn solve(&mut self, tri: &Triplets, b: &[f64]) -> Result<Vec<f64>> {
+        self.load(tri);
+        self.refactor()?;
+        Ok(self.solve_factored(b))
+    }
+
+    /// Make `tri` the matrix the next [`Self::refactor`] factors,
+    /// rebuilding the scatter plan (and the ordering) when its coordinate
+    /// stream differs from the last one loaded.
+    pub(crate) fn load(&mut self, tri: &Triplets) {
         match &self.map {
             Some(map) if map.matches(tri) => map.scatter(tri, &mut self.csc),
             _ => {
@@ -161,46 +177,124 @@ impl CachedSolver {
                 self.stats.pattern_rebuilds += 1;
                 // The merged pattern may have changed with the stream;
                 // recompute the ordering from it. Factors are kept:
-                // `refactor` detects pattern changes itself and may still
-                // hit the numeric path when only the coordinate *stream*
+                // `refactor` compares patterns and may still hit the
+                // numeric path when only the coordinate *stream*
                 // changed, not the merged (permuted) pattern.
                 self.plan = None;
+                self.pattern_changed = true;
             }
         }
+        if self.ordering == Ordering::Amd {
+            let plan = self.plan.get_or_insert_with(|| {
+                let perm = amd_order(&self.csc);
+                PermutePlan::build(&self.csc, perm)
+            });
+            plan.apply(&self.csc, &mut self.perm_csc);
+        }
+    }
+
+    /// The loaded matrix in factor order (permuted under
+    /// [`Ordering::Amd`]).
+    pub(crate) fn matrix(&self) -> &CscMatrix {
+        match self.ordering {
+            Ordering::Natural => &self.csc,
+            Ordering::Amd => &self.perm_csc,
+        }
+    }
+
+    /// Value slot of the original-coordinate entry `(row, col)` in the
+    /// loaded matrix, or `None` when its pattern has no such entry.
+    pub(crate) fn slot(&self, row: usize, col: usize) -> Option<usize> {
+        match (&self.plan, self.ordering) {
+            (Some(plan), Ordering::Amd) => {
+                let pinv = plan.pinv();
+                self.perm_csc.slot(pinv[row], pinv[col])
+            }
+            _ => self.csc.slot(row, col),
+        }
+    }
+
+    /// Values of the loaded matrix, indexed by [`Self::slot`]. Writing
+    /// them replaces the matrix the next [`Self::refactor`] factors.
+    pub(crate) fn values_mut(&mut self) -> &mut [f64] {
+        match self.ordering {
+            Ordering::Natural => self.csc.vals_mut(),
+            Ordering::Amd => self.perm_csc.vals_mut(),
+        }
+    }
+
+    /// The symmetric permutation the loaded matrix is in (`perm[new] =
+    /// old`), or `None` under [`Ordering::Natural`].
+    pub(crate) fn perm(&self) -> Option<&[usize]> {
+        match (&self.plan, self.ordering) {
+            (Some(plan), Ordering::Amd) => Some(plan.perm()),
+            _ => None,
+        }
+    }
+
+    /// `b − A·x` for the loaded matrix `A`, in original coordinates.
+    pub(crate) fn residual(&self, b: &[f64], x: &[f64]) -> Vec<f64> {
+        let mut r = b.to_vec();
+        let perm = self.perm();
+        for (row, col, v) in self.matrix().entries() {
+            let (row, col) = perm.map_or((row, col), |p| (p[row], p[col]));
+            r[row] -= v * x[col];
+        }
+        r
+    }
+
+    /// Factor the loaded matrix: a numeric refactorisation on the cached
+    /// pattern when possible. Compares patterns only after a load
+    /// rebuilt the scatter plan.
+    ///
+    /// # Errors
+    /// Returns [`crate::error::Error::SingularMatrix`] when the matrix
+    /// cannot be factored.
+    pub(crate) fn refactor(&mut self) -> Result<()> {
         let a = match self.ordering {
             Ordering::Natural => &self.csc,
-            Ordering::Amd => {
-                if self.plan.is_none() {
-                    let perm = amd_order(&self.csc);
-                    self.plan = Some(PermutePlan::build(&self.csc, perm));
-                }
-                let plan = self.plan.as_ref().expect("built above");
-                plan.apply(&self.csc, &mut self.perm_csc);
-                &self.perm_csc
-            }
+            Ordering::Amd => &self.perm_csc,
         };
         match &mut self.lu {
-            Some(lu) => match lu.refactor(a)? {
-                Refactorization::Numeric => self.stats.refactors += 1,
-                Refactorization::Full => self.stats.full_factors += 1,
-            },
+            Some(lu) => {
+                let how = if self.pattern_changed {
+                    lu.refactor(a)?
+                } else {
+                    lu.refactor_same_pattern(a)?
+                };
+                match how {
+                    Refactorization::Numeric => self.stats.refactors += 1,
+                    Refactorization::Full => self.stats.full_factors += 1,
+                }
+            }
             None => {
                 self.lu = Some(SparseLu::factor(a)?);
                 self.stats.full_factors += 1;
             }
         }
+        self.pattern_changed = false;
         let lu = self.lu.as_ref().expect("factored above");
         self.stats.lu_nnz = lu.lu_nnz() as u64;
         self.stats.a_nnz = a.nnz() as u64;
+        Ok(())
+    }
+
+    /// Solve `A x = b` with the factors of the last [`Self::refactor`].
+    ///
+    /// # Panics
+    /// Panics when nothing has been factored yet, or if `b.len()` does
+    /// not match the factored dimension.
+    pub(crate) fn solve_factored(&mut self, b: &[f64]) -> Vec<f64> {
+        let lu = self.lu.as_ref().expect("solve_factored before refactor");
         match (&self.plan, self.ordering) {
             (Some(plan), Ordering::Amd) => {
                 plan.permute_vec(b, &mut self.b_perm);
                 let xp = lu.solve(&self.b_perm);
                 let mut x = Vec::new();
                 plan.unpermute_vec(&xp, &mut x);
-                Ok(x)
+                x
             }
-            _ => Ok(lu.solve(b)),
+            _ => lu.solve(b),
         }
     }
 }
@@ -238,6 +332,27 @@ mod tests {
         assert_eq!(s.full_factors, 1);
         assert_eq!(s.refactors, 4);
         assert_eq!(s.pattern_rebuilds, 1);
+    }
+
+    #[test]
+    fn values_written_at_slots_solve_like_a_load() {
+        let b = [1.0, 0.5, -0.25, 2.0, 0.0];
+        for ordering in [Ordering::Natural, Ordering::Amd] {
+            let mut solver = CachedSolver::with_ordering(ordering);
+            solver.solve(&stamp(5, 1.0), &b).unwrap();
+            let t = stamp(5, 3.0);
+            solver.values_mut().fill(0.0);
+            for (r, c, v) in t.iter() {
+                let slot = solver.slot(r, c).expect("same pattern");
+                solver.values_mut()[slot] += v;
+            }
+            solver.refactor().unwrap();
+            let x = solver.solve_factored(&b);
+            let reference = CachedSolver::with_ordering(ordering).solve(&t, &b).unwrap();
+            assert_eq!(x, reference, "{ordering:?}");
+            assert_eq!(solver.stats().refactors, 1);
+            assert_eq!(solver.slot(0, 4), None);
+        }
     }
 
     #[test]

@@ -49,8 +49,8 @@ impl Triplets {
     }
 
     /// Iterate the raw (pre-merge, duplicate-carrying) `(row, col, value)`
-    /// stamps in insertion order. Used to recompute `b − A·x` residuals
-    /// for convergence forensics without re-assembling.
+    /// stamps in insertion order (the engine reads the static prefix of
+    /// a stream to bind its value slots).
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         self.entries
             .iter()
@@ -93,27 +93,12 @@ impl Triplets {
         compress_ordered(self.n, &self.entries, &order, out);
         self.order = order;
     }
-
-    /// Borrow a [`RangeWriter`] over `entries[start..end]` for in-place
-    /// restamping of a previously recorded coordinate range.
-    ///
-    /// # Panics
-    /// Panics if `start..end` is not a valid entry range.
-    pub fn range_writer(&mut self, start: usize, end: usize) -> RangeWriter<'_> {
-        RangeWriter {
-            n: self.n,
-            entries: &mut self.entries[start..end],
-            pos: 0,
-            ok: true,
-        }
-    }
 }
 
-/// Sink for MNA stamps. Shared by [`Triplets`] (append) and
-/// [`RangeWriter`] (overwrite-in-place), so the engine's stamping code
-/// emits exactly the same value stream to either destination — which is
-/// what keeps the incremental-assembly fast path bit-identical to a full
-/// rebuild.
+/// Sink for MNA stamps. [`Triplets`] appends; the engine's slot-bound
+/// assembly adds each stamp straight into a value slot of the matrix
+/// it factors, so one stamping routine serves both destinations and
+/// emits the same value stream to either.
 pub trait Stamper {
     /// Stamp `v` into `(row, col)`, accumulating with prior stamps.
     fn add(&mut self, row: usize, col: usize, v: f64);
@@ -123,48 +108,6 @@ impl Stamper for Triplets {
     #[inline]
     fn add(&mut self, row: usize, col: usize, v: f64) {
         Triplets::add(self, row, col, v);
-    }
-}
-
-/// Overwrites the values of an existing [`Triplets`] entry range,
-/// verifying that the replayed coordinate stream is identical to the
-/// recorded one. Because [`Triplets::add`] drops exact zeros, a device
-/// whose Jacobian entries cross zero emits a *different* stream; the
-/// writer detects the mismatch (count or coordinates) and the caller
-/// must fall back to a full reassembly for that iteration.
-#[derive(Debug)]
-pub struct RangeWriter<'a> {
-    n: usize,
-    entries: &'a mut [(u32, u32, f64)],
-    pos: usize,
-    ok: bool,
-}
-
-impl RangeWriter<'_> {
-    /// Whether every stamp so far matched the recorded coordinates and
-    /// the range was filled exactly. Call after replaying the stream.
-    #[must_use]
-    pub fn complete(&self) -> bool {
-        self.ok && self.pos == self.entries.len()
-    }
-}
-
-impl Stamper for RangeWriter<'_> {
-    #[inline]
-    fn add(&mut self, row: usize, col: usize, v: f64) {
-        debug_assert!(row < self.n && col < self.n, "stamp out of range");
-        if v == 0.0 {
-            return; // mirror Triplets::add's zero-dropping
-        }
-        if self.pos < self.entries.len() {
-            let e = &mut self.entries[self.pos];
-            if e.0 == row as u32 && e.1 == col as u32 {
-                e.2 = v;
-                self.pos += 1;
-                return;
-            }
-        }
-        self.ok = false;
     }
 }
 
@@ -334,6 +277,21 @@ impl CscMatrix {
         y
     }
 
+    /// Value slot of the stored entry `(row, col)`, if the pattern has
+    /// one (rows are sorted within each column).
+    #[must_use]
+    pub(crate) fn slot(&self, row: usize, col: usize) -> Option<usize> {
+        let start = self.col_ptr[col];
+        let rows = &self.row_idx[start..self.col_ptr[col + 1]];
+        rows.binary_search(&row).ok().map(|k| start + k)
+    }
+
+    /// Stored values in slot order, for in-place numeric updates on a
+    /// fixed pattern.
+    pub(crate) fn vals_mut(&mut self) -> &mut [f64] {
+        &mut self.vals
+    }
+
     /// Iterate over stored `(row, col, value)` entries in column order.
     pub fn entries(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         (0..self.n).flat_map(move |c| {
@@ -439,6 +397,8 @@ pub fn amd_order(a: &CscMatrix) -> Vec<usize> {
 pub struct PermutePlan {
     /// `perm[new] = old`.
     perm: Vec<usize>,
+    /// `pinv[old] = new`.
+    pinv: Vec<usize>,
     /// `permuted.vals[k] = a.vals[map[k]]`.
     map: Vec<usize>,
     col_ptr: Vec<usize>,
@@ -477,10 +437,23 @@ impl PermutePlan {
         }
         Self {
             perm,
+            pinv,
             map,
             col_ptr,
             row_idx,
         }
+    }
+
+    /// The permutation, `perm[new] = old`.
+    #[must_use]
+    pub(crate) fn perm(&self) -> &[usize] {
+        &self.perm
+    }
+
+    /// The inverse permutation, `pinv[old] = new`.
+    #[must_use]
+    pub(crate) fn pinv(&self) -> &[usize] {
+        &self.pinv
     }
 
     /// Whether this plan can permute `a` (dimension and nnz agree; the
@@ -690,6 +663,20 @@ impl SparseLu {
             *self = Self::factor(a)?;
             return Ok(Refactorization::Full);
         }
+        self.refactor_same_pattern(a)
+    }
+
+    /// [`SparseLu::refactor`] for a caller that knows `a` has the pattern
+    /// these factors were built from: skips the pattern comparison.
+    ///
+    /// # Errors
+    /// Returns [`Error::SingularMatrix`] when the fallback full
+    /// factorisation fails.
+    pub(crate) fn refactor_same_pattern(&mut self, a: &CscMatrix) -> Result<Refactorization> {
+        debug_assert!(
+            a.n == self.n && a.col_ptr == self.a_colptr && a.row_idx == self.a_rowidx,
+            "refactor_same_pattern on a changed pattern"
+        );
         if self.refactor_numeric(a) {
             Ok(Refactorization::Numeric)
         } else {
@@ -1104,57 +1091,6 @@ mod tests {
         for (yi, bi) in y.iter().zip(&b) {
             assert!((yi - bi).abs() < 1e-9, "residual {yi} vs {bi}");
         }
-    }
-
-    #[test]
-    fn range_writer_overwrites_in_place() {
-        let mut t = sample_triplets();
-        let reference = {
-            let mut r = sample_triplets();
-            r.clear();
-            r.add(0, 0, 9.0);
-            r.add(0, 0, 1.5);
-            r.add(1, 0, -2.0);
-            r.add(0, 1, -2.0);
-            r.add(1, 1, 5.0);
-            r.add(2, 2, 2.0);
-            r.add(3, 2, -0.5);
-            r.add(2, 3, -0.5);
-            r.add(3, 3, 1.5);
-            r.add(3, 0, 0.25);
-            r.to_csc()
-        };
-        // Rewrite only the first five entries (same coordinates).
-        let mut w = t.range_writer(0, 5);
-        w.add(0, 0, 9.0);
-        w.add(0, 0, 1.5);
-        w.add(1, 0, -2.0);
-        w.add(0, 1, -2.0);
-        w.add(1, 1, 5.0);
-        assert!(w.complete());
-        assert_eq!(t.to_csc(), reference);
-    }
-
-    #[test]
-    fn range_writer_rejects_changed_stream() {
-        let mut t = sample_triplets();
-        // Wrong coordinate mid-stream.
-        let mut w = t.range_writer(0, 2);
-        w.add(0, 0, 1.0);
-        w.add(1, 1, 2.0); // recorded stream has (0,0) here
-        assert!(!w.complete());
-        // Zero drop shortens the stream -> incomplete.
-        let mut t2 = sample_triplets();
-        let mut w2 = t2.range_writer(0, 2);
-        w2.add(0, 0, 1.0);
-        w2.add(0, 0, 0.0);
-        assert!(!w2.complete());
-        // Extra stamp overflows the range.
-        let mut t3 = sample_triplets();
-        let mut w3 = t3.range_writer(0, 1);
-        w3.add(0, 0, 1.0);
-        w3.add(0, 0, 2.0);
-        assert!(!w3.complete());
     }
 
     #[test]

@@ -16,6 +16,9 @@ use std::fmt;
 /// Bypassing only skips the *evaluation*; the device is always restamped
 /// from its cached linearisation, and hysteretic state is untouched
 /// because state only ever advances in [`NonlinearDevice::commit`].
+/// Exact reuse — skipping `eval` when the terminal voltages are bitwise
+/// equal to the cached ones — is not bypass: it runs under every policy,
+/// `Off` included, and changes no result.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum BypassPolicy {
     /// Never bypass: every device is evaluated at every iteration.
@@ -162,12 +165,13 @@ impl DeviceStamps {
 /// internal state which is only advanced in [`NonlinearDevice::commit`],
 /// called once per *accepted* time step.
 ///
-/// # Bypass safety
+/// # Bypass and reuse safety
 ///
-/// The Newton loop may *skip* [`NonlinearDevice::eval`] for devices
-/// whose terminal voltages are within tolerance of a cached operating
-/// point (see [`BypassPolicy`]), reusing the cached [`DeviceStamps`].
-/// Two properties make this sound, and implementations must preserve
+/// The engine evaluates each device at most once per operating point:
+/// it reuses the cached [`DeviceStamps`] when the terminal voltages are
+/// bitwise equal to the cached ones, and — policy permitting (see
+/// [`BypassPolicy`]) — also when they are merely within tolerance.
+/// Three properties make this sound, and implementations must preserve
 /// them:
 ///
 /// 1. `eval` takes `&self` and must be a *pure function* of
@@ -180,6 +184,9 @@ impl DeviceStamps {
 ///    freshly evaluated operating point — never from a bypassed
 ///    iteration. A skipped `eval` therefore can never advance or skip
 ///    ferroelectric state.
+/// 3. `commit` returns `true` whenever it changed what a later `eval`
+///    returns at the same voltages; the engine then drops the device's
+///    cache, so no stale pre-commit linearisation is ever stamped.
 pub trait NonlinearDevice: fmt::Debug + Send + Sync {
     /// Instance name (unique within a circuit by convention).
     fn name(&self) -> &str;
@@ -192,17 +199,14 @@ pub trait NonlinearDevice: fmt::Debug + Send + Sync {
     /// Must be pure — see the trait-level *Bypass safety* notes.
     fn eval(&self, v: &[f64], out: &mut DeviceStamps, ctx: &EvalCtx);
 
-    /// Accept the state at the end of a converged time step. Default: no-op.
-    fn commit(&mut self, v: &[f64], ctx: &EvalCtx) {
+    /// Accept the state at the end of a converged time step and report
+    /// whether it moved: `true` when a later `eval` at the *same*
+    /// voltages may return something else (e.g. a ferroelectric domain
+    /// flipped). A `true` drops the device's cached evaluation; a device
+    /// that returns `false` after changing state gets stamped from a
+    /// stale linearisation. Default: stateless no-op (`false`).
+    fn commit(&mut self, v: &[f64], ctx: &EvalCtx) -> bool {
         let _ = (v, ctx);
-    }
-
-    /// Whether [`Self::commit`] can change what a later `eval` returns at
-    /// the *same* voltages (the device holds history). State-holding
-    /// devices **must** return `true`; the engine drops their bypass
-    /// caches across commits so an aggressive policy never stamps a
-    /// stale pre-commit linearisation. Default: stateless (`false`).
-    fn has_history(&self) -> bool {
         false
     }
 

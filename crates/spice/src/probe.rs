@@ -29,6 +29,7 @@ pub struct Trace {
     names: Vec<String>,
     index: HashMap<String, usize>,
     stats: crate::engine::SimStats,
+    phase_times: crate::engine::PhaseTimes,
 }
 
 impl Trace {
@@ -47,6 +48,7 @@ impl Trace {
             names,
             index,
             stats: crate::engine::SimStats::default(),
+            phase_times: crate::engine::PhaseTimes::default(),
         }
     }
 
@@ -59,6 +61,17 @@ impl Trace {
 
     pub(crate) fn set_stats(&mut self, stats: crate::engine::SimStats) {
         self.stats = stats;
+    }
+
+    /// Wall time the run spent per Newton phase. All zero unless tracing
+    /// was on (`FERROTCAM_TRACE=summary` or above) when it started.
+    #[must_use]
+    pub fn phase_times(&self) -> crate::engine::PhaseTimes {
+        self.phase_times
+    }
+
+    pub(crate) fn set_phase_times(&mut self, phase_times: crate::engine::PhaseTimes) {
+        self.phase_times = phase_times;
     }
 
     /// Append one time point. `values` must match the signal count.
