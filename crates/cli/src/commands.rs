@@ -53,6 +53,10 @@ USAGE:
       counters (--summary, default), or the per-step event stream as
       newline-delimited JSON (--ndjson; --full adds per-step events).
       Defaults to a 4-bit 2DG row with a one-bit mismatch.
+  ferrotcam trace --serve
+      Trace a 2-shard service answering exact searches paced 50 us
+      apart: batch and queue-wait timings, the length of each
+      dispatcher park, and dispatcher parks and wake-ups.
   ferrotcam bench [--smoke] [--bits N] [--reps N] [--design <d>]
       Benchmark the Newton hot path: one Fig. 7 search transient
       (default 64-bit 1.5T1DG row) timed under bypass=off/natural,

@@ -9,6 +9,7 @@
 //! ferrotcam designs
 //! ferrotcam analyze [--deny] [--json] [--root <dir>]
 //! ferrotcam trace [<design> <stored-word> <query-bits>] [--ndjson]
+//! ferrotcam trace --serve
 //! ferrotcam bench [--smoke] [--bits N] [--reps N] [--design <d>]
 //! ferrotcam serve-bench [--smoke] [--workload exact|approx|mixed|both] [--shards 1,2,4]
 //! ```

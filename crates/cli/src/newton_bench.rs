@@ -334,6 +334,9 @@ mod tests {
 
     #[test]
     fn smoke_run_small_word() {
+        let _trace = crate::trace_cmd::tests::TRACE_STATE
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let dir = std::env::temp_dir().join("ferrotcam-newton-bench-test");
         std::env::set_var("FERROTCAM_RESULTS", dir.to_str().unwrap());
         run_args(&["--smoke", "--bits", "4"]).unwrap();

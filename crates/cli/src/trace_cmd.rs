@@ -1,9 +1,13 @@
 //! `ferrotcam trace` — run one instrumented row search and render the
-//! observability output (human summary or NDJSON event stream).
+//! observability output (human summary or NDJSON event stream), or,
+//! with `--serve`, trace a small service under paced load.
 
+use ferrotcam::{PackedQuery, TernaryWord};
+use ferrotcam_serve::{Request, RequestKind, Route, ServiceConfig, ShardedTcam, TcamService};
 use ferrotcam_spice::trace::{self, TraceLevel};
 use ferrotcam_spice::PhaseTimes;
 use std::fmt::Write as _;
+use std::time::{Duration, Instant};
 
 /// Render per-phase wall time as a table: milliseconds and share of
 /// `span_ns` (the analysis span the phases tile), plus their coverage
@@ -30,12 +34,86 @@ pub(crate) fn render_phases(p: &PhaseTimes, span_ns: f64) -> String {
     out
 }
 
+/// Queries `--serve` submits.
+const SERVE_QUERIES: u32 = 2000;
+
+/// The arrival gap `--serve` paces its queries at.
+const SERVE_GAP: Duration = Duration::from_micros(50);
+
+/// The 8-bit query for `v`, most significant bit first.
+fn bits8(v: u64) -> PackedQuery {
+    let bits: Vec<bool> = (0..8).rev().map(|b| (v >> b) & 1 == 1).collect();
+    PackedQuery::from_bits(&bits)
+}
+
+/// `trace --serve`: a 2-shard service over 256 8-bit words answers
+/// [`SERVE_QUERIES`] home-routed exact searches paced [`SERVE_GAP`]
+/// apart, under summary tracing. Prints the trace summary (batch span,
+/// queue wait, `serve.park_ns`) and the dispatcher counters, so an
+/// operator can see how often a request at that arrival gap finds its
+/// dispatcher parked and pays a wake-up.
+fn serve() -> Result<(), String> {
+    let mut table = ShardedTcam::new(8, 2);
+    for v in 0..256u64 {
+        let shard = table.route_packed(&bits8(v));
+        table.store_in(shard, TernaryWord::from_u64(v, 8));
+    }
+    trace::set_level(TraceLevel::Summary);
+    trace::reset();
+    // Rings deep enough for every query at once: a short gap measures
+    // dispatch, not shedding.
+    let config = ServiceConfig {
+        jobs: 1,
+        queue_capacity: 2 * SERVE_QUERIES as usize,
+        ..ServiceConfig::default()
+    };
+    let svc = TcamService::start(table, &config);
+    let client = svc.client();
+    let start = Instant::now();
+    let mut tickets = Vec::new();
+    for i in 0..SERVE_QUERIES {
+        let due = start + SERVE_GAP * i;
+        // Yield while pacing: a spinning client would take a core from
+        // the dispatchers it is measuring.
+        while Instant::now() < due {
+            std::thread::yield_now();
+        }
+        let req = Request::search(
+            RequestKind::Exact,
+            bits8(u64::from(i) * 37 % 256),
+            Route::Home,
+        );
+        tickets.push(client.submit(0, req).map_err(|e| e.to_string())?);
+    }
+    for t in tickets {
+        t.wait().ok_or("a query went unanswered")?;
+    }
+    let m = svc.drain();
+    println!(
+        "serve: {} exact queries, {} us apart, 2 shards",
+        m.completed,
+        SERVE_GAP.as_micros()
+    );
+    print!("{}", trace::summary().render());
+    println!(
+        "dispatchers: {} batches, {} parks, {} wake-ups ({:.1} % of submissions); \
+         wall latency p50 {:.1} us",
+        m.batch.batches,
+        m.dispatcher_parks,
+        m.dispatcher_wakeups,
+        100.0 * m.dispatcher_wakeups as f64 / m.submitted.max(1) as f64,
+        m.wall_latency_ns.p50.unwrap_or(0.0) / 1e3
+    );
+    Ok(())
+}
+
 /// Run the `trace` subcommand.
 ///
 /// Accepts optional `<design> <stored-word> <query-bits>` positionals
 /// (default: a 4-bit 2DG row with a one-bit mismatch) plus `--summary`
 /// (default) or `--full` to pick the trace level, `--ndjson` to emit
 /// the raw event stream, and `--out FILE` to write it to a file.
+/// `--serve` traces the serving layer instead (see [`serve`]).
 ///
 /// # Errors
 /// Human-readable messages for bad arguments, simulation failures, or
@@ -45,9 +123,11 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let mut ndjson = false;
     let mut level_flag = None;
     let mut out_path: Option<String> = None;
+    let mut serve_mode = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
+            "--serve" => serve_mode = true,
             "--ndjson" => ndjson = true,
             "--full" => level_flag = Some(TraceLevel::Full),
             "--summary" => level_flag = Some(TraceLevel::Summary),
@@ -63,6 +143,12 @@ pub fn run(args: &[String]) -> Result<(), String> {
             }
             other => positional.push(other.to_string()),
         }
+    }
+    if serve_mode {
+        if !positional.is_empty() || ndjson || out_path.is_some() || level_flag.is_some() {
+            return Err("--serve takes no other argument".into());
+        }
+        return serve();
     }
 
     let (design, stored, query) = match positional.len() {
@@ -152,8 +238,13 @@ pub fn run(args: &[String]) -> Result<(), String> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Held by every test that sets the process-wide trace level or
+    /// resets the collector, so parallel tests do not clear each
+    /// other's events.
+    pub(crate) static TRACE_STATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn run_args(args: &[&str]) -> Result<(), String> {
         let v: Vec<String> = args.iter().map(|s| s.to_string()).collect();
@@ -162,6 +253,9 @@ mod tests {
 
     #[test]
     fn summary_and_ndjson_paths_work() {
+        let _trace = TRACE_STATE
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         run_args(&[]).unwrap();
         let dir = std::env::temp_dir().join("ferrotcam-trace-cmd-test");
         let path = dir.join("t.ndjson");
@@ -173,6 +267,16 @@ mod tests {
             assert!(v.get("kind").is_some(), "line missing kind: {line}");
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn serve_mode_runs_and_rejects_row_arguments() {
+        let _trace = TRACE_STATE
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        run_args(&["--serve"]).unwrap();
+        assert!(run_args(&["--serve", "2dg", "01", "01"]).is_err());
+        assert!(run_args(&["--serve", "--full"]).is_err());
     }
 
     #[test]

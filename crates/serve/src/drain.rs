@@ -80,8 +80,11 @@ impl DrainGate {
     #[must_use]
     pub fn quiescent(&self) -> bool {
         let state = self.state.load(Ordering::Acquire); // ordering: drain-quiescent-acquire
-                                                        // ordering: drain-quiescent-acquire
-        state & DRAIN_BIT != 0 && state & !DRAIN_BIT == self.completed.load(Ordering::Acquire)
+        if state & DRAIN_BIT == 0 {
+            return false;
+        }
+        let completed = self.completed.load(Ordering::Acquire); // ordering: drain-quiescent-acquire
+        state & !DRAIN_BIT == completed
     }
 }
 

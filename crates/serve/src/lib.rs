@@ -10,7 +10,8 @@
 //! from many clients, pass per-tenant admission control
 //! ([`admission`]), queue in per-shard bounded lock-free rings
 //! ([`queue`]), get coalesced into per-bank batches ([`batch`]) by
-//! per-shard work-stealing dispatchers, execute on copy-on-write shard
+//! per-shard work-stealing dispatchers (which park on per-shard
+//! [`doorbell`]s when idle), execute on copy-on-write shard
 //! snapshots ([`shard`]) through one bit-parallel serving kernel
 //! ([`backend`]) over the `spice::parallel` worker pool — with a
 //! sampled audit lane replaying answers through the scalar reference
@@ -70,6 +71,7 @@
 pub mod admission;
 pub mod backend;
 pub mod batch;
+pub mod doorbell;
 pub mod drain;
 pub mod metrics;
 pub mod queue;
@@ -81,6 +83,7 @@ pub(crate) mod sync;
 
 pub use admission::{Admission, Overloaded, RatePolicy, TenantId, TokenBucket};
 pub use backend::{BackendKind, BatchSpec, BehaviouralBackend, ExecBackend, ExecResult};
+pub use doorbell::Doorbells;
 pub use drain::DrainGate;
 pub use metrics::{
     Histogram, KindBreakdown, LatencySummary, MetricsCollector, ResponseSample, ServiceMetrics,

@@ -212,6 +212,17 @@ pub struct ServiceMetrics {
     /// Audit divergences (match or energy), split by request kind.
     #[serde(default)]
     pub audit_divergences_by_kind: KindBreakdown,
+    /// Times a dispatcher found every queue empty, parked, and woke
+    /// again, by a ring or, inside its poll window, a timeout (a park
+    /// still in progress is not yet counted). Against `batch.batches`
+    /// it says how often the arrival gaps outlast a batch.
+    #[serde(default)]
+    pub dispatcher_parks: u64,
+    /// Times a submitter or the drain unparked a sleeping dispatcher:
+    /// each one is a wake syscall on that caller's path and a thread
+    /// wake-up on the request's latency.
+    #[serde(default)]
+    pub dispatcher_wakeups: u64,
 }
 
 impl ServiceMetrics {
@@ -289,6 +300,8 @@ pub struct MetricsCollector {
     /// atomics because shedding happens on the submit hot path.
     shed_by_kind: [AtomicU64; KIND_COUNT],
     max_queue_depth: AtomicUsize,
+    dispatcher_parks: AtomicU64,
+    dispatcher_wakeups: AtomicU64,
     inner: Mutex<Inner>,
 }
 
@@ -304,6 +317,8 @@ impl Default for MetricsCollector {
             shed_deadline: AtomicU64::new(0),
             shed_by_kind: std::array::from_fn(|_| AtomicU64::new(0)),
             max_queue_depth: AtomicUsize::new(0),
+            dispatcher_parks: AtomicU64::new(0),
+            dispatcher_wakeups: AtomicU64::new(0),
             inner: Mutex::new("serve.metrics.inner", Inner::default()),
         }
     }
@@ -339,6 +354,17 @@ impl MetricsCollector {
     pub fn on_deadline_shed(&self, kind: RequestKind) {
         self.shed_deadline.fetch_add(1, Ordering::Relaxed); // ordering: stat-relaxed
         self.shed_by_kind[kind.index()].fetch_add(1, Ordering::Relaxed); // ordering: stat-relaxed
+    }
+
+    /// A dispatcher parked. Lock-free: the dispatcher's idle path.
+    pub fn on_park(&self) {
+        self.dispatcher_parks.fetch_add(1, Ordering::Relaxed); // ordering: stat-relaxed
+    }
+
+    /// `n` parked dispatchers were unparked. Lock-free: the submit path.
+    pub fn on_wakeups(&self, n: usize) {
+        self.dispatcher_wakeups
+            .fetch_add(n as u64, Ordering::Relaxed); // ordering: stat-relaxed
     }
 
     /// The dispatcher pulled and scheduled a batch of `size` queries.
@@ -469,6 +495,8 @@ impl MetricsCollector {
             },
             audit_sampled_by_kind: m.audit_sampled_by_kind,
             audit_divergences_by_kind: m.audit_divergences_by_kind,
+            dispatcher_parks: self.dispatcher_parks.load(Ordering::Relaxed), // ordering: stat-relaxed
+            dispatcher_wakeups: self.dispatcher_wakeups.load(Ordering::Relaxed), // ordering: stat-relaxed
         }
     }
 }
@@ -693,6 +721,28 @@ mod tests {
         assert_eq!(snap.audit_match_divergences, 1);
         assert_eq!(snap.audit_energy_divergences, 0);
         assert!((snap.audit_worst_energy_rel - 1e-12).abs() < 1e-24);
+    }
+
+    #[test]
+    fn dispatcher_counters_export_and_default_when_absent() {
+        let c = MetricsCollector::new();
+        c.on_park();
+        c.on_wakeups(2);
+        let snap = c.snapshot(0);
+        assert_eq!(snap.dispatcher_parks, 1);
+        assert_eq!(snap.dispatcher_wakeups, 2);
+        let json = snap.to_json();
+        assert!(json.contains("\"dispatcher_wakeups\": 2"), "{json}");
+        // Snapshots written before the doorbell still deserialise.
+        let old: String = json
+            .lines()
+            .filter(|l| !l.contains("dispatcher_"))
+            .collect::<Vec<_>>()
+            .join("\n")
+            .replace(",\n}", "\n}");
+        let back: ServiceMetrics = serde_json::from_str(&old).unwrap();
+        assert_eq!(back.dispatcher_parks, 0);
+        assert_eq!(back.dispatcher_wakeups, 0);
     }
 
     #[test]

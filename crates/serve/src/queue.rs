@@ -82,6 +82,29 @@ impl<T> BoundedQueue<T> {
         self.len() == 0
     }
 
+    /// Whether [`Self::pop`] would find a value right now (racy
+    /// snapshot): `pop`'s scan without the claim. Unlike `!is_empty()`,
+    /// a ticket whose producer has reserved it but not yet published
+    /// the value reads as not ready, so a dispatcher re-checking before
+    /// it parks does not spin on a half-finished push; that producer
+    /// rings the doorbell once its push returns.
+    #[must_use]
+    pub fn has_ready(&self) -> bool {
+        let cap = self.slots.len();
+        let mut head = self.head.load(Ordering::Relaxed); // ordering: ticket-relaxed
+        loop {
+            let seq = self.slots[head % cap].seq.load(Ordering::Acquire); // ordering: queue-seq-acquire
+            if seq == head + 1 {
+                return true;
+            }
+            if seq <= head {
+                return false;
+            }
+            // Another consumer freed this slot: our head is stale.
+            head = self.head.load(Ordering::Relaxed); // ordering: ticket-relaxed
+        }
+    }
+
     /// Non-blocking push. On a full ring the value is handed back so
     /// the caller can shed it.
     ///
@@ -245,6 +268,18 @@ mod tests {
         }
         assert_eq!(q.pop(), None);
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn has_ready_tracks_poppable_values_across_laps() {
+        let q = BoundedQueue::new(2);
+        assert!(!q.has_ready());
+        for i in 0..5 {
+            q.push(i).unwrap();
+            assert!(q.has_ready());
+            assert_eq!(q.pop(), Some(i));
+            assert!(!q.has_ready());
+        }
     }
 
     #[test]

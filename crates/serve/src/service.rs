@@ -29,13 +29,23 @@
 //! Dispatch is **per-shard**: one bounded queue and one dispatcher
 //! thread per shard. Pinned (key-routed) queries and row-addressed
 //! writes land on their shard's queue; fan-out queries round-robin.
-//! An idle dispatcher **steals** from its peers' queues before
-//! sleeping, so a hot shard's backlog spreads over the whole pool. A
-//! dispatcher pulls up to `max_batch` requests, applies the batch's
-//! writes through [`crate::shard::LiveTable`] (publishing one fresh
-//! epoch per touched shard), then captures a [`crate::shard::SnapView`]
-//! and executes every search of the batch against that immutable view
-//! — a search can observe the table before or after any write, never a
+//! A dispatcher whose own queue is empty **steals** from its peers'
+//! queues, so a hot shard's backlog spreads over the whole pool. With
+//! every queue empty it parks on its [`crate::doorbell`] bell: it
+//! publishes `sleeping`, fences, re-checks every queue and the drain
+//! gate, and parks only if they are still idle. A submitter fences
+//! after its push and unparks the owner only if that flag is set, or,
+//! while the owner is busy, the first sleeping peer, which steals the
+//! job. While no dispatcher sleeps a push costs no wake syscall. For a
+//! short window after its last batch a parked dispatcher also re-polls
+//! on a timeout, so a ring whose thread the scheduler is slow to run
+//! does not hold the job up; past that window it parks until rung, and
+//! an idle service burns no CPU. A dispatcher pulls up to `max_batch`
+//! requests, applies the batch's writes through
+//! [`crate::shard::LiveTable`] (publishing one fresh epoch per touched
+//! shard), then captures a [`crate::shard::SnapView`] and executes
+//! every search of the batch against that immutable view — a search
+//! can observe the table before or after any write, never a
 //! torn word. Writes are priced by the calibrated 3-step program
 //! ([`ferrotcam::RowWriteMetrics`]); searches charge their modelled
 //! bank wait (from `arch::sched`) and silicon energy (from the
@@ -66,13 +76,14 @@
 
 use crate::admission::{Admission, Overloaded, RatePolicy, TenantId};
 use crate::backend::{BackendKind, BatchSpec, BehaviouralBackend, ExecBackend, ExecResult};
+use crate::doorbell::Doorbells;
 use crate::drain::DrainGate;
 use crate::metrics::{MetricsCollector, ResponseSample, ServiceMetrics};
 use crate::queue::BoundedQueue;
 use crate::reference::{audit_compare, reference_walk};
 use crate::request::{AdmissionClass, Body, Rejected, Request, RequestKind, Route, Search};
 use crate::shard::{hash_packed, LiveTable, ShardedTcam, SnapView, WriteAck, WriteOp};
-use crate::sync::{self, AtomicUsize, Ordering};
+use crate::sync::{AtomicUsize, Ordering};
 use ferrotcam::{program_duration, ApproxHit, PackedQuery, SearchOutcome, SenseModel, TernaryWord};
 use ferrotcam_spice::parallel::default_jobs;
 use ferrotcam_spice::trace::{self, TraceLevel};
@@ -241,6 +252,8 @@ struct Inner {
     /// Drain flag + accepted/completed request accounting, global
     /// across every queue and dispatcher.
     gate: DrainGate,
+    /// One doorbell per dispatcher: how a parked dispatcher is woken.
+    bells: Doorbells,
     max_batch: usize,
     jobs: usize,
     t_bank: f64,
@@ -397,10 +410,16 @@ impl ServiceClient {
             tx,
         };
         if inner.queues[qi].push(job).is_err() {
-            // Give the acceptance back before reporting the shed.
+            // Give the acceptance back before reporting the shed. During
+            // a drain that can complete quiescence, which a parked
+            // dispatcher waits for.
             inner.gate.retract();
+            inner.metrics.on_wakeups(inner.bells.ring_all());
             inner.metrics.on_shed(Overloaded::QueueFull, kind);
             return Err(Overloaded::QueueFull.into());
+        }
+        if inner.bells.ring(qi) {
+            inner.metrics.on_wakeups(1);
         }
         inner.metrics.on_submit(inner.queues[qi].len());
         Ok(())
@@ -487,6 +506,7 @@ impl TcamService {
             ),
             metrics: MetricsCollector::new(),
             gate: DrainGate::new(),
+            bells: Doorbells::new(shards),
             max_batch: max_batch.max(1),
             jobs,
             t_bank,
@@ -499,10 +519,16 @@ impl TcamService {
         let workers = (0..shards)
             .map(|me| {
                 let worker_inner = Arc::clone(&inner);
-                std::thread::Builder::new()
+                let worker = std::thread::Builder::new()
                     .name(format!("ferrotcam-serve-{me}"))
                     .spawn(move || dispatch_loop(&worker_inner, me))
-                    .expect("spawn dispatcher")
+                    .expect("spawn dispatcher");
+                // Before any client exists: no ring can miss the handle.
+                // (Under loom the bells take model threads; the service's
+                // OS threads are never run there.)
+                #[cfg(not(loom))]
+                inner.bells.register(me, worker.thread().clone());
+                worker
             })
             .collect();
         Self { inner, workers }
@@ -526,6 +552,7 @@ impl TcamService {
 
     fn begin_drain_and_join(&mut self) {
         self.inner.gate.begin_drain();
+        self.inner.metrics.on_wakeups(self.inner.bells.ring_all());
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -538,10 +565,28 @@ impl Drop for TcamService {
     }
 }
 
+/// How long after its last batch an idle dispatcher keeps re-polling
+/// on its own, besides waiting for a ring. A ring wakes one dispatcher,
+/// and when the scheduler leaves that one waiting for a core (behind
+/// the submitter or the busy peer, or on a preempted vCPU), a peer
+/// that re-polls steals the job instead. Past the window an idle
+/// dispatcher parks until rung, so an idle service uses no CPU.
+const POLL_WINDOW: Duration = Duration::from_millis(2);
+
+/// The timeout of each park inside [`POLL_WINDOW`].
+const POLL_PERIOD: Duration = Duration::from_micros(50);
+
 /// Dispatcher `me`'s main loop: drain the own queue first; when it is
 /// empty, steal a batch from a peer's queue (cyclic scan starting at
-/// the next shard, so thieves spread instead of convoying); execute;
-/// exit only when draining and every accepted request has resolved.
+/// the next shard, so thieves spread instead of convoying); execute.
+/// With every queue empty, park on bell `me` through
+/// [`Doorbells::wait`], whose publish, fence and re-check pair with the
+/// fence in [`Doorbells::ring`] after every push. Exit only when
+/// draining and every accepted request has resolved, and wake the
+/// parked peers on the way out so they see it too.
+///
+/// For [`POLL_WINDOW`] after its last batch, a dispatcher parks for at
+/// most [`POLL_PERIOD`] at a time; after that, until rung.
 fn dispatch_loop(inner: &Inner, me: usize) {
     // The audit sampler's per-dispatcher monotone counter: advancing it
     // per answered search makes the 1-in-`period` sample deterministic
@@ -553,6 +598,7 @@ fn dispatch_loop(inner: &Inner, me: usize) {
     // iteration (the analyzer's hot-path-alloc rule keeps it that way).
     let mut batch: Vec<Job> = Vec::with_capacity(inner.max_batch);
     let n = inner.queues.len();
+    let mut last_batch = Instant::now();
     loop {
         inner.queues[me].drain_into(&mut batch, inner.max_batch);
         if batch.is_empty() {
@@ -566,15 +612,24 @@ fn dispatch_loop(inner: &Inner, me: usize) {
                 }
             }
         }
-        if batch.is_empty() {
-            if inner.gate.quiescent() && inner.queues.iter().all(BoundedQueue::is_empty) {
-                break;
-            }
-            sync::idle_wait();
+        if !batch.is_empty() {
+            execute_batch(inner, me, &mut batch, &mut audit_counter);
+            last_batch = Instant::now();
             continue;
         }
-        execute_batch(inner, me, &mut batch, &mut audit_counter);
+        if inner.gate.quiescent() && inner.queues.iter().all(BoundedQueue::is_empty) {
+            break;
+        }
+        let parked_at = (trace::level() != TraceLevel::Off).then(Instant::now);
+        let timeout = (last_batch.elapsed() < POLL_WINDOW).then_some(POLL_PERIOD);
+        if inner.bells.wait(me, &inner.queues, &inner.gate, timeout) {
+            inner.metrics.on_park();
+            if let Some(t0) = parked_at {
+                trace::sample("serve.park_ns", nanos_since(t0, Instant::now()));
+            }
+        }
     }
+    inner.metrics.on_wakeups(inner.bells.ring_all());
 }
 
 /// Per-kind bank-occupancy multiplier for the batch planner. With a

@@ -2,12 +2,13 @@
 //! model checker's shimmed equivalents under `RUSTFLAGS="--cfg loom"`.
 //!
 //! Every concurrency primitive the crate touches is imported from here
-//! — [`crate::queue`], [`crate::drain`], [`crate::admission`] and
-//! [`crate::metrics`] alike — so the exact same algorithm source is
-//! compiled against both substrates: the real one in production and the
-//! exhaustively-scheduled one in the `tests/loom.rs` models. The
-//! `ferrotcam analyze` façade pass (`facade-bypass` rule) denies any
-//! direct `std::sync` atomic or lock import elsewhere in this crate, so
+//! — [`crate::queue`], [`crate::drain`], [`crate::doorbell`],
+//! [`crate::admission`] and [`crate::metrics`] alike — so the exact
+//! same algorithm source is compiled against both substrates: the real
+//! one in production and the exhaustively-scheduled one in the
+//! `tests/loom.rs` models. The `ferrotcam analyze` façade pass
+//! (`facade-bypass` rule) denies any direct `std::sync` atomic or lock
+//! import elsewhere in this crate, so
 //! the "loom-modelable by construction" property is machine-checked,
 //! not a convention.
 //!
@@ -38,10 +39,32 @@
 //! analyzer rule).
 
 #[cfg(loom)]
-pub(crate) use loom::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+pub(crate) use loom::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 #[cfg(not(loom))]
-pub(crate) use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+pub(crate) use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+
+/// Park/unpark, for [`crate::doorbell`]: the model checker's versions
+/// under loom, where a lost wakeup leaves a parked thread that nothing
+/// can unpark and is reported as a deadlock.
+#[cfg(loom)]
+pub(crate) use loom::thread::{park, Thread};
+
+#[cfg(not(loom))]
+pub(crate) use std::thread::{park, park_timeout, Thread};
+
+/// A timed park is an untimed one under loom: the model checker owns
+/// time, and a protocol that needed the timeout to make progress would
+/// then deadlock instead of passing.
+#[cfg(loom)]
+pub(crate) fn park_timeout(_: std::time::Duration) {
+    loom::thread::park();
+}
+
+/// The doorbells' set-once thread handles. The std cell under loom too:
+/// each is set before any other thread reads it, so the model checker
+/// has no interleaving to explore there.
+pub(crate) use std::sync::OnceLock;
 
 #[cfg(loom)]
 use loom::sync::Mutex as RawMutex;
@@ -129,19 +152,6 @@ impl<T> Drop for MutexGuard<'_, T> {
     fn drop(&mut self) {
         order::on_release(self.name);
     }
-}
-
-/// One idle beat of a dispatcher that found every queue empty: a short
-/// real sleep in production, a scheduler yield under loom (where
-/// sleeping has no meaning and the model checker owns time).
-#[cfg(not(loom))]
-pub(crate) fn idle_wait() {
-    std::thread::sleep(std::time::Duration::from_micros(20));
-}
-
-#[cfg(loom)]
-pub(crate) fn idle_wait() {
-    loom::thread::yield_now();
 }
 
 /// The lock-order shadow. Compiled to no-ops in release builds and

@@ -27,10 +27,18 @@
 //!   on one dispatcher's ring is executed exactly once even when the
 //!   idle peer steals it, and both dispatchers exit only after the
 //!   drained gate is quiescent with every ring empty.
+//! * [`Doorbells`] — parking never loses work: an enqueue racing the
+//!   dispatcher's publish/re-check/park is always run, a drain wakes
+//!   parked dispatchers and resolves every accepted request, and a job
+//!   pushed to a busy owner's ring wakes a parked peer that steals it.
+//!   A lost wakeup leaves a parked thread nothing can unpark, which the
+//!   model checker reports as a deadlock. Orderings are all `SeqCst`
+//!   here, so these models check the protocol's logic; the fence
+//!   pairing it needs on real hardware is argued in `doorbell.rs`.
 #![cfg(loom)]
 
 use ferrotcam_serve::queue::BoundedQueue;
-use ferrotcam_serve::{Admission, AdmissionClass, DrainGate, EpochCell, RatePolicy};
+use ferrotcam_serve::{Admission, AdmissionClass, Doorbells, DrainGate, EpochCell, RatePolicy};
 use loom::sync::atomic::{AtomicUsize, Ordering};
 use loom::sync::Arc;
 use loom::thread;
@@ -282,8 +290,9 @@ fn epoch_cell_racing_updates_both_land() {
 /// whether its owner or the stealing peer gets it — and neither
 /// dispatcher may exit while it is still queued or in flight.
 ///
-/// The service's idle loop spins (`yield_now` is a free scheduling
-/// point), and an unbounded spin under DFS admits infinitely long
+/// This model's idle loop polls instead of parking (`yield_now` is a
+/// free scheduling point; the doorbell models below park), and an
+/// unbounded poll under DFS admits infinitely long
 /// executions — the scheduler may lawfully starve the peer forever, so
 /// the naive model diverges (observed past 30 GiB of schedule state).
 /// Each dispatcher therefore gets a *round budget*: enough scan rounds
@@ -362,5 +371,191 @@ fn drain_quiescence_counts_every_accept() {
         assert!(accepted <= 2);
         assert!(gate.quiescent(), "{accepted} accepts, gate not quiescent");
         assert!(!gate.try_accept(), "drained gate accepted new work");
+    });
+}
+
+/// The service's dispatcher loop over `u32` jobs, minus batching: pop
+/// the own ring, else steal from the peers; run a job by counting it in
+/// `done` and completing it at the gate; exit once the gate is
+/// quiescent with every ring empty, waking the parked peers; otherwise
+/// park on bell `me` through the real [`Doorbells::wait`] (untimed: a
+/// timed park is untimed under loom anyway). With `stop_after`, return
+/// after that many jobs (for models without a drain). Returns the jobs
+/// this dispatcher ran.
+fn dispatcher(
+    me: usize,
+    queues: &[BoundedQueue<u32>],
+    gate: &DrainGate,
+    bells: &Doorbells,
+    done: &AtomicUsize,
+    stop_after: Option<usize>,
+) -> usize {
+    let n = queues.len();
+    let mut ran = 0;
+    loop {
+        if let Some(v) = (0..n).find_map(|off| queues[(me + off) % n].pop()) {
+            assert_eq!(v, 7, "ring handed back a corrupted job");
+            done.fetch_add(1, Ordering::SeqCst);
+            gate.complete();
+            ran += 1;
+            if stop_after == Some(ran) {
+                return ran;
+            }
+        } else if gate.quiescent() && queues.iter().all(BoundedQueue::is_empty) {
+            bells.ring_all();
+            return ran;
+        } else {
+            bells.wait(me, queues, gate, None);
+        }
+    }
+}
+
+/// The submit path: accept at the gate, push onto `owner`'s ring and
+/// ring its bell; a full ring retracts the accept and rings every bell.
+/// Returns whether the job was accepted and queued.
+fn submit(queues: &[BoundedQueue<u32>], gate: &DrainGate, bells: &Doorbells, owner: usize) -> bool {
+    if !gate.try_accept() {
+        return false;
+    }
+    if queues[owner].push(7).is_err() {
+        gate.retract();
+        bells.ring_all();
+        return false;
+    }
+    bells.ring(owner);
+    true
+}
+
+/// An enqueue racing the dispatcher's publish / re-check / park: in
+/// every interleaving the job runs. If the submitter's ring missed a
+/// dispatcher that then parked, nothing else would wake it (there is no
+/// drain here) and the final join would deadlock.
+#[test]
+fn doorbell_enqueue_racing_park_never_strands_a_job() {
+    loom::model(|| {
+        let queues = Arc::new([BoundedQueue::new(2)]);
+        let gate = Arc::new(DrainGate::new());
+        let bells = Arc::new(Doorbells::new(1));
+        let done = Arc::new(AtomicUsize::new(0));
+        let d = {
+            let (q, g, b, n) = (
+                Arc::clone(&queues),
+                Arc::clone(&gate),
+                Arc::clone(&bells),
+                Arc::clone(&done),
+            );
+            thread::spawn(move || dispatcher(0, &*q, &g, &b, &n, Some(1)))
+        };
+        bells.register(0, d.thread().clone());
+        assert!(submit(&*queues, &gate, &bells, 0), "open gate, empty ring");
+        assert_eq!(d.join().unwrap(), 1, "the dispatcher ran the job");
+        assert_eq!(done.load(Ordering::SeqCst), 1);
+        assert!(queues[0].is_empty());
+    });
+}
+
+/// `begin_drain` with parked dispatchers: a client races the drain
+/// while both dispatchers run the full loop, parking whenever they are
+/// idle. The drain must still terminate (every dispatcher exits, or the
+/// joins deadlock) and every accepted request must have run exactly
+/// once.
+#[test]
+fn doorbell_drain_with_parked_dispatchers_resolves_every_ticket() {
+    loom::model(|| {
+        let queues = Arc::new([BoundedQueue::new(2), BoundedQueue::new(2)]);
+        let gate = Arc::new(DrainGate::new());
+        let bells = Arc::new(Doorbells::new(2));
+        let done = Arc::new(AtomicUsize::new(0));
+        let dispatchers: Vec<_> = (0..2usize)
+            .map(|me| {
+                let (q, g, b, n) = (
+                    Arc::clone(&queues),
+                    Arc::clone(&gate),
+                    Arc::clone(&bells),
+                    Arc::clone(&done),
+                );
+                let d = thread::spawn(move || dispatcher(me, &*q, &g, &b, &n, None));
+                bells.register(me, d.thread().clone());
+                d
+            })
+            .collect();
+        let client = {
+            let (q, g, b) = (Arc::clone(&queues), Arc::clone(&gate), Arc::clone(&bells));
+            thread::spawn(move || submit(&*q, &g, &b, 0))
+        };
+        gate.begin_drain();
+        bells.ring_all();
+        let accepted = usize::from(client.join().unwrap());
+        let ran: usize = dispatchers.into_iter().map(|h| h.join().unwrap()).sum();
+        assert_eq!(ran, accepted, "every accepted request ran exactly once");
+        assert_eq!(done.load(Ordering::SeqCst), accepted);
+        assert!(gate.quiescent());
+        assert!(queues.iter().all(BoundedQueue::is_empty));
+    });
+}
+
+/// A retracted accept during a drain: the client was accepted before
+/// the drain, but the ring is full, so it hands the accept back. That
+/// retraction can be what makes the gate quiescent, so it must wake a
+/// dispatcher that parked waiting for it, or the drain never ends.
+#[test]
+fn doorbell_retract_during_drain_wakes_the_parked_dispatcher() {
+    loom::model(|| {
+        let queues = Arc::new([BoundedQueue::new(2)]);
+        let gate = Arc::new(DrainGate::new());
+        let bells = Arc::new(Doorbells::new(1));
+        let done = Arc::new(AtomicUsize::new(0));
+        for _ in 0..2 {
+            assert!(submit(&*queues, &gate, &bells, 0), "fills the ring");
+        }
+        let d = {
+            let (q, g, b, n) = (
+                Arc::clone(&queues),
+                Arc::clone(&gate),
+                Arc::clone(&bells),
+                Arc::clone(&done),
+            );
+            thread::spawn(move || dispatcher(0, &*q, &g, &b, &n, None))
+        };
+        bells.register(0, d.thread().clone());
+        let client = {
+            let (q, g, b) = (Arc::clone(&queues), Arc::clone(&gate), Arc::clone(&bells));
+            thread::spawn(move || submit(&*q, &g, &b, 0))
+        };
+        gate.begin_drain();
+        bells.ring_all();
+        let accepted = 2 + usize::from(client.join().unwrap());
+        assert_eq!(d.join().unwrap(), accepted, "every accepted request ran");
+        assert!(gate.quiescent());
+    });
+}
+
+/// A job pushed to a busy owner's ring wakes a parked peer. Here the
+/// main thread is dispatcher 0, busy for the whole model (it never
+/// parks, so its bell never reads `sleeping`); dispatcher 1 idles and
+/// parks. The ring for queue 0 must reach dispatcher 1, which steals
+/// and runs the job exactly once; a ring that only tried the owner
+/// would leave dispatcher 1 parked and the join deadlocked.
+#[test]
+fn doorbell_busy_owner_wakes_a_parked_peer_to_steal() {
+    loom::model(|| {
+        let queues = Arc::new([BoundedQueue::new(2), BoundedQueue::new(2)]);
+        let gate = Arc::new(DrainGate::new());
+        let bells = Arc::new(Doorbells::new(2));
+        let done = Arc::new(AtomicUsize::new(0));
+        let peer = {
+            let (q, g, b, n) = (
+                Arc::clone(&queues),
+                Arc::clone(&gate),
+                Arc::clone(&bells),
+                Arc::clone(&done),
+            );
+            thread::spawn(move || dispatcher(1, &*q, &g, &b, &n, Some(1)))
+        };
+        bells.register(1, peer.thread().clone());
+        assert!(submit(&*queues, &gate, &bells, 0), "open gate, empty ring");
+        assert_eq!(peer.join().unwrap(), 1, "the peer stole and ran the job");
+        assert_eq!(done.load(Ordering::SeqCst), 1, "ran exactly once");
+        assert!(queues.iter().all(BoundedQueue::is_empty));
     });
 }
