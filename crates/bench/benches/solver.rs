@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ferrotcam_spice::matrix::sparse::{Refactorization, ScatterMap, SparseLu, Triplets};
-use ferrotcam_spice::matrix::{CachedSolver, CscMatrix, Ordering};
+use ferrotcam_spice::matrix::{CachedSolver, CscMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -91,40 +91,34 @@ fn bench_scatter(c: &mut Criterion) {
     });
 }
 
-/// The production factor-then-refactor cycle through `CachedSolver`,
-/// with and without the AMD fill-reducing pre-ordering. One iteration =
-/// a fresh solver paying the symbolic factorisation plus 7 numeric
+/// The production factor-then-refactor cycle through `CachedSolver`
+/// (AMD fill-reducing pre-ordering). One iteration = a fresh solver
+/// paying the ordering and symbolic factorisation plus 7 numeric
 /// refactorisations on perturbed values (a short Newton solve).
-fn bench_cached_solver_ordering(c: &mut Criterion) {
+fn bench_cached_solver(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(23);
     let mut g = c.benchmark_group("cached_solver_factor_refactor");
     for n in [256usize, 1024] {
         let entries: Vec<(usize, usize, f64)> = mna_like(n, &mut rng).iter().collect();
         let b: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
-        for ordering in [Ordering::Natural, Ordering::Amd] {
-            g.bench_with_input(
-                BenchmarkId::new(format!("{ordering:?}").to_lowercase(), n),
-                &entries,
-                |bch, entries| {
-                    bch.iter(|| {
-                        let mut solver = CachedSolver::with_ordering(ordering);
-                        let mut tri = Triplets::new(n);
-                        for step in 0..8 {
-                            // Re-stamp with perturbed values, engine
-                            // style: the insertion pattern (and with it
-                            // the symbolic work) stays cached.
-                            tri.clear();
-                            let scale = 1.0 + 1e-3 * step as f64;
-                            for &(r, c, v) in entries.iter() {
-                                tri.add(r, c, v * scale);
-                            }
-                            black_box(solver.solve(black_box(&tri), black_box(&b)).expect("solve"));
-                        }
-                        assert_eq!(solver.stats().full_factors, 1);
-                    })
-                },
-            );
-        }
+        g.bench_with_input(BenchmarkId::new("amd", n), &entries, |bch, entries| {
+            bch.iter(|| {
+                let mut solver = CachedSolver::new();
+                let mut tri = Triplets::new(n);
+                for step in 0..8 {
+                    // Re-stamp with perturbed values, engine style: the
+                    // insertion pattern (and with it the symbolic work)
+                    // stays cached.
+                    tri.clear();
+                    let scale = 1.0 + 1e-3 * step as f64;
+                    for &(r, c, v) in entries.iter() {
+                        tri.add(r, c, v * scale);
+                    }
+                    black_box(solver.solve(black_box(&tri), black_box(&b)).expect("solve"));
+                }
+                assert_eq!(solver.stats().full_factors, 1);
+            })
+        });
     }
     g.finish();
 }
@@ -155,7 +149,7 @@ criterion_group!(
     bench_sparse_lu_full_factor,
     bench_sparse_lu_refactor,
     bench_scatter,
-    bench_cached_solver_ordering,
+    bench_cached_solver,
     bench_dense_lu,
     bench_assembly
 );

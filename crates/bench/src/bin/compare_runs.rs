@@ -10,19 +10,18 @@
 //! The default mode diffs `table4.json` FoM files; `--bench` diffs the
 //! machine-readable `BENCH_<target>.json` files written by the bench
 //! harness. Two bench shapes are understood: per-case `results`
-//! (criterion-style `ns_per_iter`; regressions = slowdowns, or a rise
-//! in `throughput` where both files carry it — for `BENCH_newton.json`
-//! that is Newton iterations per transient, work that does not depend
-//! on the host's clock) and
+//! (criterion-style `ns_per_iter`; regressions = slowdowns beyond the
+//! tolerance, or *any* rise in `throughput` where both files carry it —
+//! for `BENCH_newton.json` that is Newton iterations per transient,
+//! work that does not depend on the host's clock, so it is gated
+//! exactly) and
 //! throughput-latency `curves` as written by `ferrotcam serve-bench`
 //! (regressions = throughput drops, p99 latency rises, or — on
 //! `*_approx_*` points carrying a `miscls` field — calibrated
 //! misclassification-probability rises); points pair up by id.
 //! `--trace` diffs two `FERROTCAM_TRACE` NDJSON event streams (as written by
 //! `ferrotcam trace --ndjson`) on their per-analysis accepted and
-//! rejected step counts — a stepper-behaviour drift gate — and shows
-//! the device-evaluation bypass hit rate per analysis (informational,
-//! summed from the `step_accept` events). Exits
+//! rejected step counts — a stepper-behaviour drift gate. Exits
 //! non-zero when any metric moved more than the tolerance, making it
 //! usable as a CI gate on the measured artefacts.
 
@@ -76,8 +75,8 @@ fn load_bench(path: &str) -> Result<BenchFile, String> {
     serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Diff two bench result files. Only slowdowns (and, for `results`
-/// cases, more work) beyond `tol` percent count as regressions —
+/// Diff two bench result files. Only slowdowns beyond `tol` percent
+/// and, for `results` cases, any rise in work count as regressions —
 /// getting faster or doing less is never an error.
 fn compare_bench(old_path: &str, new_path: &str, tol: f64) -> ExitCode {
     let (old, new) = match (load_bench(old_path), load_bench(new_path)) {
@@ -103,14 +102,30 @@ fn compare_bench(old_path: &str, new_path: &str, tol: f64) -> ExitCode {
     );
     let mut regressions = 0usize;
     regressions += compare_curves(old_curves, new_curves, tol);
-    if !old_results.is_empty() || !new_results.is_empty() {
-        println!(
-            "{:<44} {:>14} {:>14} {:>8}",
-            "benchmark", "old ns/iter", "new ns/iter", "Δ%"
-        );
+    regressions += compare_results(old_results, new_results, tol);
+    if regressions > 0 {
+        eprintln!("\n{regressions} benchmark(s) regressed: slower beyond +{tol}% or more work");
+        ExitCode::FAILURE
+    } else {
+        println!("\nno benchmark slower beyond +{tol}% or doing more work");
+        ExitCode::SUCCESS
     }
-    for o in old_results {
-        let Some(n) = new_results.iter().find(|r| r.id == o.id) else {
+}
+
+/// Diff two sets of per-case `results`. A case regresses when its
+/// `ns_per_iter` rises beyond `tol` percent or its `throughput` (work
+/// per iteration) rises at all; a removed case is a regression too.
+fn compare_results(old: &[BenchEntry], new: &[BenchEntry], tol: f64) -> usize {
+    if old.is_empty() && new.is_empty() {
+        return 0;
+    }
+    let mut regressions = 0usize;
+    println!(
+        "{:<44} {:>14} {:>14} {:>8}",
+        "benchmark", "old ns/iter", "new ns/iter", "Δ%"
+    );
+    for o in old {
+        let Some(n) = new.iter().find(|r| r.id == o.id) else {
             println!("{:<44} case removed", o.id);
             regressions += 1;
             continue;
@@ -127,8 +142,7 @@ fn compare_bench(old_path: &str, new_path: &str, tol: f64) -> ExitCode {
             o.id, o.ns_per_iter, n.ns_per_iter, d
         );
         if let (Some(ot), Some(nt)) = (o.throughput, n.throughput) {
-            let dt = pct(ot as f64, nt as f64);
-            let flag = if dt > tol {
+            let flag = if nt > ot {
                 regressions += 1;
                 "  <-- more work"
             } else {
@@ -136,22 +150,19 @@ fn compare_bench(old_path: &str, new_path: &str, tol: f64) -> ExitCode {
             };
             println!(
                 "{:<44} {:>14} {:>14} {:>7.1}%{flag}",
-                "  throughput", ot, nt, dt
+                "  throughput",
+                ot,
+                nt,
+                pct(ot as f64, nt as f64)
             );
         }
     }
-    for n in new_results {
-        if !old_results.iter().any(|o| o.id == n.id) {
+    for n in new {
+        if !old.iter().any(|o| o.id == n.id) {
             println!("{:<44} new case ({:.1} ns/iter)", n.id, n.ns_per_iter);
         }
     }
-    if regressions > 0 {
-        eprintln!("\n{regressions} benchmark(s) regressed beyond +{tol}%");
-        ExitCode::FAILURE
-    } else {
-        println!("\nno benchmark regressed beyond +{tol}%");
-        ExitCode::SUCCESS
-    }
+    regressions
 }
 
 /// Diff two throughput-latency curves (serve-bench files). A point
@@ -218,23 +229,11 @@ fn compare_curves(old: &[CurveEntry], new: &[CurveEntry], tol: f64) -> usize {
 }
 
 /// Per-analysis accepted/rejected step counts extracted from one trace
-/// NDJSON stream, plus the device-evaluation bypass totals carried on
-/// `step_accept` events.
+/// NDJSON stream.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 struct TraceCounts {
     accepted: u64,
     rejected: u64,
-    bypass_hits: u64,
-    bypass_misses: u64,
-}
-
-impl TraceCounts {
-    /// Fraction of device evaluations skipped via the bypass cache, or
-    /// `None` when the stream predates the bypass fields.
-    fn bypass_rate(&self) -> Option<f64> {
-        let total = self.bypass_hits + self.bypass_misses;
-        (total > 0).then(|| self.bypass_hits as f64 / total as f64)
-    }
 }
 
 /// Parse a `FERROTCAM_TRACE` NDJSON file into per-analysis step counts.
@@ -263,16 +262,6 @@ fn load_trace(path: &str) -> Result<std::collections::BTreeMap<String, TraceCoun
             let c = by_analysis.entry(analysis).or_default();
             if kind == "step_accept" {
                 c.accepted += 1;
-                c.bypass_hits += v
-                    .get("bypass_hits")
-                    .and_then(|h| h.as_i64())
-                    .and_then(|h| u64::try_from(h).ok())
-                    .unwrap_or(0);
-                c.bypass_misses += v
-                    .get("bypass_misses")
-                    .and_then(|m| m.as_i64())
-                    .and_then(|m| u64::try_from(m).ok())
-                    .unwrap_or(0);
             } else {
                 c.rejected += 1;
             }
@@ -316,17 +305,6 @@ fn compare_trace(old_path: &str, new_path: &str, tol: f64) -> ExitCode {
             };
             println!("{analysis:<16} {label:<10} {ov:>10} {nv:>10} {d:>7.1}%{flag}");
         }
-        // Bypass rate is informational (timestep-dependent), not a gate.
-        let rate = |c: &TraceCounts| {
-            c.bypass_rate()
-                .map_or("n/a".to_string(), |r| format!("{:.1}%", r * 100.0))
-        };
-        println!(
-            "{analysis:<16} {:<10} {:>10} {:>10}",
-            "bypass",
-            rate(o),
-            rate(n)
-        );
     }
     for analysis in new.keys() {
         if !old.contains_key(analysis) {
@@ -425,5 +403,36 @@ fn main() -> ExitCode {
     } else {
         println!("\nall metrics within ±{tol}%");
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn newton_case(ns_per_iter: f64, iters: u64) -> BenchEntry {
+        BenchEntry {
+            id: "fig7_search64".into(),
+            ns_per_iter,
+            throughput: Some(iters),
+        }
+    }
+
+    #[test]
+    fn any_rise_in_newton_iterations_regresses() {
+        let old = [newton_case(63.55e6, 1246)];
+        let regressions = |iters| compare_results(&old, &[newton_case(63.55e6, iters)], 25.0);
+        assert_eq!(regressions(1247), 1);
+        assert_eq!(regressions(1246), 0);
+        assert_eq!(regressions(1245), 0);
+    }
+
+    #[test]
+    fn wall_time_regresses_only_beyond_the_tolerance() {
+        let old = [newton_case(100.0, 1246)];
+        let regressions = |ns| compare_results(&old, &[newton_case(ns, 1246)], 25.0);
+        assert_eq!(regressions(124.0), 0);
+        assert_eq!(regressions(126.0), 1);
+        assert_eq!(compare_results(&old, &[], 25.0), 1);
     }
 }

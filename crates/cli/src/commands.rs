@@ -59,11 +59,9 @@ USAGE:
       dispatcher park, and dispatcher parks and wake-ups.
   ferrotcam bench [--smoke] [--bits N] [--reps N] [--design <d>]
       Benchmark the Newton hot path: one Fig. 7 search transient
-      (default 64-bit 1.5T1DG row) timed under bypass=off/natural,
-      bypass=safe/amd and bypass=aggressive/amd. Writes
-      BENCH_newton.json to $FERROTCAM_RESULTS (default ./results).
-      With --smoke the invariants are hard failures: safe waveforms
-      within 1e-6 V of the baseline and a non-zero bypass-hit count.
+      (default 64-bit 1.5T1DG row), its median wall time, Newton
+      iterations and per-phase times. Writes BENCH_newton.json to
+      $FERROTCAM_RESULTS (default ./results). --smoke runs one rep.
   ferrotcam serve-bench [--smoke]
                         [--workload exact|approx|mixed|both]
                         [--shards 1,2,4] [--rows N] [--width N]
@@ -243,15 +241,6 @@ fn search(args: &[String]) -> CliResult {
         "  solver: {} Newton iters; {} full factor(s) + {} refactor(s); {} rejected step(s)",
         stats.newton_iters, stats.full_factors, stats.refactors, stats.rejected_steps
     );
-    let evals = stats.bypass_hits + stats.bypass_misses;
-    if evals > 0 {
-        println!(
-            "  bypass: {} hit(s) / {} device eval(s) ({:.0}% skipped)",
-            stats.bypass_hits,
-            evals,
-            100.0 * stats.bypass_hits as f64 / evals as f64
-        );
-    }
     // Sanity: the logic-level verdict must agree.
     let expect = stored.matches_query(&query);
     if matched != expect {

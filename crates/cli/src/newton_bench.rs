@@ -2,39 +2,26 @@
 //! engine.
 //!
 //! Runs the Fig. 7 search experiment (one 64-bit 1.5T1DG row, two-step
-//! search) under pinned solver configurations and reports wall-clock
-//! per transient:
-//!
-//! * `bypass=off, ordering=natural` — no fill-reducing ordering;
-//! * `bypass=off, ordering=amd` — the default every caller runs
-//!   ([`NewtonOpts::default`] with `FERROTCAM_BYPASS` and
-//!   `FERROTCAM_ORDERING` unset);
-//! * `bypass=safe, ordering=amd` — tolerance bypass within each solve;
-//! * `bypass=aggressive, ordering=amd` — bypass bases persisted across
-//!   steps.
-//!
-//! Each configuration runs `--reps` untraced transients, whose median
+//! search) with the engine's one Newton configuration and reports
+//! wall-clock per transient: `--reps` untraced transients, whose median
 //! is the reported time, then `--reps` traced ones whose per-phase wall
 //! times ([`ferrotcam_spice::PhaseTimes`]: device evaluation, assembly,
 //! refactor, triangular solve, step control) give the median breakdown.
+//! `--smoke` runs one repetition of each.
 //!
 //! Results land in `BENCH_newton.json` (results dir: `$FERROTCAM_RESULTS`
 //! or `./results`), in the criterion-style `results` format understood
-//! by `compare_runs --bench`. With `--smoke` the acceptance invariants
-//! become hard failures: the bypass waveforms must agree with the
-//! `bypass=off` baseline to 1e-6 V on every probed node, and
-//! `SimStats.bypass_hits` must be non-zero (a silent bypass regression
-//! fails CI, not just a slow one).
+//! by `compare_runs --bench`, which fails on any rise in the Newton
+//! iteration count.
 
 use ferrotcam::cell::DesignKind;
 use ferrotcam::SearchSim;
 use ferrotcam_spice::trace::{self, TraceLevel};
-use ferrotcam_spice::{BypassPolicy, NewtonOpts, Ordering, PhaseTimes, SimStats, Trace};
+use ferrotcam_spice::PhaseTimes;
 use serde::Serialize;
-use std::fmt::Write as _;
 use std::time::Instant;
 
-/// One timed configuration in the `BENCH_newton.json` artefact.
+/// The timed search in the `BENCH_newton.json` artefact.
 #[derive(Debug, Serialize)]
 struct BenchEntry {
     id: String,
@@ -110,36 +97,14 @@ fn parse_opts(
 /// Build the Fig. 7 search row: an alternating stored word with a
 /// single-bit mismatch in the query, so both the discharge path and the
 /// two-step machinery are exercised.
-fn build_sim(opts: &Opts, newton: NewtonOpts) -> Result<SearchSim, String> {
+fn build_sim(opts: &Opts) -> Result<SearchSim, String> {
     let stored: String = (0..opts.bits)
         .map(|i| if i % 2 == 0 { '0' } else { '1' })
         .collect();
     let stored = crate::commands::parse_word(&stored)?;
     let mut query: Vec<bool> = (0..opts.bits).map(|i| i % 2 != 0).collect();
     query[opts.bits - 1] = !query[opts.bits - 1];
-    let mut sim = crate::commands::build(opts.design, &stored, &query)?;
-    sim.newton = newton;
-    Ok(sim)
-}
-
-/// One pinned solver configuration.
-fn config(bypass: BypassPolicy, ordering: Ordering) -> NewtonOpts {
-    NewtonOpts {
-        bypass,
-        ordering,
-        ..NewtonOpts::default()
-    }
-}
-
-/// What [`time_config`] measured for one configuration.
-struct Timed {
-    /// Median untraced wall-clock ns per transient.
-    ns: f64,
-    /// Median phase times of the traced runs.
-    phases: PhaseTimes,
-    stats: SimStats,
-    /// The last untraced run's trace.
-    trace: Trace,
+    crate::commands::build(opts.design, &stored, &query)
 }
 
 /// Median of `values` (upper median for even counts).
@@ -148,17 +113,15 @@ fn median<T: Copy + PartialOrd>(mut values: Vec<T>) -> T {
     values[values.len() / 2]
 }
 
-/// Run `reps` fresh transients of one configuration untraced (timed),
-/// then `reps` traced ones for the phase breakdown.
-fn time_config(opts: &Opts, label: &str, newton: &NewtonOpts) -> Result<Timed, String> {
-    let run_once = || -> Result<(f64, Trace), String> {
+/// Run `reps` fresh transients untraced (timed), then `reps` traced
+/// ones for the phase breakdown.
+fn time_search(opts: &Opts) -> Result<BenchEntry, String> {
+    let run_once = || -> Result<(f64, ferrotcam_spice::Trace), String> {
         // Rebuild per repetition: `commit` advances FeFET polarisation,
         // so a reused circuit would simulate a different trajectory.
-        let mut sim = build_sim(opts, newton.clone())?;
+        let mut sim = build_sim(opts)?;
         let started = Instant::now();
-        let run = sim
-            .run()
-            .map_err(|e| format!("{label}: transient failed: {e}"))?;
+        let run = sim.run().map_err(|e| format!("transient failed: {e}"))?;
         Ok((started.elapsed().as_secs_f64() * 1e9, run.trace))
     };
     let level = trace::level();
@@ -188,42 +151,24 @@ fn time_config(opts: &Opts, label: &str, newton: &NewtonOpts) -> Result<Timed, S
         step_ns: median(phases.iter().map(|p| p.step_ns).collect()),
     };
     let ns = median(times);
-    let trace = last.expect("reps >= 1");
-    let stats = trace.stats();
+    let stats = last.expect("reps >= 1").stats();
     println!(
-        "  {label:<26} {:>9.2} ms/run   {:>6} iters   {:>6} evals / {} reuses / {} bypass hits",
+        "  {:>9.2} ms/run   {:>6} iters   {:>6} evals / {} reuses",
         ns / 1e6,
         stats.newton_iters,
         stats.bypass_misses,
-        stats.reuses,
-        stats.bypass_hits
+        stats.reuses
     );
     for line in crate::trace_cmd::render_phases(&phases, median(traced_ns)).lines() {
         println!("      {line}");
     }
-    Ok(Timed {
-        ns,
+    Ok(BenchEntry {
+        id: format!("fig7_search{}", opts.bits),
+        ns_per_iter: ns,
+        samples: opts.reps,
+        throughput: Some(stats.newton_iters),
         phases,
-        stats,
-        trace,
     })
-}
-
-/// Maximum absolute deviation between two traces over every signal of
-/// the baseline, sampled on the baseline time grid (the candidate is
-/// interpolated, so accepted-step grids need not coincide).
-fn max_waveform_deviation(base: &Trace, cand: &Trace) -> Result<f64, String> {
-    let mut worst = 0.0f64;
-    for name in base.signal_names() {
-        let ys = base.signal(name).map_err(|e| e.to_string())?;
-        for (&t, &y) in base.time().iter().zip(ys) {
-            let yc = cand
-                .value_at(name, t)
-                .map_err(|e| format!("candidate trace lacks {name}: {e}"))?;
-            worst = worst.max((y - yc).abs());
-        }
-    }
-    Ok(worst)
 }
 
 /// Entry point, called from the command dispatcher.
@@ -233,49 +178,16 @@ pub fn run(
 ) -> Result<(), String> {
     let opts = parse_opts(args, parse_design)?;
     println!(
-        "bench: {} search row, {} bits, {} rep(s) per config{}",
+        "bench: {} search row, {} bits, {} rep(s){}",
         opts.design.name(),
         opts.bits,
         opts.reps,
         if opts.smoke { " (smoke)" } else { "" }
     );
 
-    let configs = [
-        (
-            "bypass_off_natural",
-            config(BypassPolicy::Off, Ordering::Natural),
-        ),
-        ("bypass_off_amd", config(BypassPolicy::Off, Ordering::Amd)),
-        ("bypass_safe_amd", config(BypassPolicy::Safe, Ordering::Amd)),
-        (
-            "bypass_aggressive_amd",
-            config(BypassPolicy::Aggressive, Ordering::Amd),
-        ),
-    ];
-    let mut results = Vec::new();
-    let mut runs = Vec::new();
-    for (name, newton) in &configs {
-        let t = time_config(&opts, name, newton)?;
-        results.push(BenchEntry {
-            id: format!("fig7_search{}_{name}", opts.bits),
-            ns_per_iter: t.ns,
-            samples: opts.reps,
-            throughput: Some(t.stats.newton_iters),
-            phases: t.phases,
-        });
-        runs.push((name, t));
-    }
-    for (name, t) in &runs[2..] {
-        println!(
-            "  {name} over bypass_off_amd (the default): {:.2}x",
-            runs[1].1.ns / t.ns
-        );
-    }
-
-    // --- Artefact ----------------------------------------------------------
     let file = NewtonBenchFile {
         target: "newton",
-        results,
+        results: vec![time_search(&opts)?],
     };
     let dir = std::env::var("FERROTCAM_RESULTS").unwrap_or_else(|_| "results".into());
     std::fs::create_dir_all(&dir).map_err(|e| format!("create {dir}: {e}"))?;
@@ -283,44 +195,7 @@ pub fn run(
     let json = serde_json::to_string_pretty(&file).expect("serialise bench file");
     std::fs::write(&path, json).map_err(|e| format!("write {}: {e}", path.display()))?;
     println!("wrote {}", path.display());
-
-    // --- Acceptance invariants --------------------------------------------
-    let mut report = String::new();
-    for (name, t) in &runs[..2] {
-        if t.stats.bypass_hits != 0 {
-            let _ = writeln!(
-                report,
-                "{name}: bypass=off recorded {} hit(s)",
-                t.stats.bypass_hits
-            );
-        }
-    }
-    let off_trace = &runs[1].1.trace;
-    for (name, t) in &runs[2..] {
-        if t.stats.bypass_hits == 0 {
-            let _ = writeln!(
-                report,
-                "{name}: SimStats.bypass_hits == 0 (bypass never engaged)"
-            );
-        }
-        let dev = max_waveform_deviation(off_trace, &t.trace)?;
-        println!("  {name:<26} max |ΔV| vs baseline = {dev:.3e} V");
-        if dev > 1e-6 {
-            let _ = writeln!(
-                report,
-                "{name}: waveforms deviate {dev:.3e} V from bypass=off (> 1e-6)"
-            );
-        }
-    }
-    if report.is_empty() {
-        println!("bench invariants hold: bypass engaged, waveforms within 1e-6 V of baseline");
-        Ok(())
-    } else if opts.smoke {
-        Err(format!("bench smoke failed:\n{report}"))
-    } else {
-        println!("warning (non-smoke run, not fatal):\n{report}");
-        Ok(())
-    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -342,8 +217,7 @@ mod tests {
         run_args(&["--smoke", "--bits", "4"]).unwrap();
         let body = std::fs::read_to_string(dir.join("BENCH_newton.json")).unwrap();
         assert!(body.contains("\"target\": \"newton\""));
-        assert!(body.contains("fig7_search4_bypass_safe_amd"));
-        assert!(body.contains("fig7_search4_bypass_off_amd"));
+        assert!(body.contains("\"id\": \"fig7_search4\""));
         assert!(body.contains("\"eval_ns\""));
         std::env::remove_var("FERROTCAM_RESULTS");
         std::fs::remove_dir_all(&dir).ok();

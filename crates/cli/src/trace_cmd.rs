@@ -225,13 +225,12 @@ pub fn run(args: &[String]) -> Result<(), String> {
         }
         println!(
             "simstats cross-check: {} accepted / {} rejected step(s), {} newton iter(s), \
-             {} device eval(s), {} reuse(s), {} bypass hit(s)",
+             {} device eval(s), {} reuse(s)",
             stats.accepted_steps,
             stats.rejected_steps,
             stats.newton_iters,
             stats.bypass_misses,
-            stats.reuses,
-            stats.bypass_hits
+            stats.reuses
         );
     }
     Ok(())

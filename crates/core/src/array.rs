@@ -33,10 +33,9 @@ pub struct SearchSim {
     /// Number of back-to-back search cycles (1 for single searches;
     /// see [`build_burst_search`]).
     pub cycles: usize,
-    /// Newton-solver options for the transient (bypass policy, LU
-    /// ordering, damping). Defaults honour the `FERROTCAM_BYPASS` /
-    /// `FERROTCAM_ORDERING` environment knobs; benchmarks overwrite
-    /// this field to pin a configuration explicitly.
+    /// Newton-solver options for the transient: iteration limit,
+    /// damping, gmin and temperature (`NewtonOpts::default()` unless a
+    /// caller overrides it).
     pub newton: NewtonOpts,
 }
 

@@ -156,8 +156,8 @@ pub fn ac_analysis(ckt: &Circuit, source: &str, freqs: &[f64]) -> Result<AcResul
         gmin: 1e-12,
         time: 0.0,
     };
-    let mut ws = NewtonWorkspace::with_ordering(&sys, newton.ordering);
-    sys.eval_devices(x, &ctx, &newton, &mut ws);
+    let mut ws = NewtonWorkspace::new(&sys);
+    sys.eval_devices(x, &ctx, &mut ws);
     // Conductance assembly (sources at DC values; RHS unused here).
     sys.stamp_triplets(x, 0.0, 1.0, ctx.gmin, None, &mut ws);
 

@@ -103,7 +103,7 @@ pub fn operating_point(ckt: &Circuit, opts: &DcOpts) -> Result<Solution> {
     // One workspace for the whole ladder: the gmin/source-stepping rungs
     // all share the matrix pattern, so only the first solve pays for
     // symbolic analysis.
-    let mut ws = NewtonWorkspace::with_ordering(&sys, opts.newton.ordering);
+    let mut ws = NewtonWorkspace::new(&sys);
     let x0 = vec![0.0; sys.nvars];
 
     // 1. Plain Newton from zero.

@@ -12,7 +12,7 @@ use super::{Companion, NewtonWorkspace, System};
 use crate::engine::transient::{transient, TranOpts};
 use crate::matrix::sparse::{CscMatrix, PermutePlan, ScatterMap, Triplets};
 use crate::netlist::{Circuit, NodeId};
-use crate::nonlinear::{BypassPolicy, DeviceStamps, EvalCtx, NonlinearDevice};
+use crate::nonlinear::{DeviceStamps, EvalCtx, NonlinearDevice};
 use crate::waveform::Waveform;
 use proptest::prelude::*;
 use std::cell::Cell;
@@ -65,14 +65,8 @@ pub(super) fn check_against_triplets(
     }
     let mut csc = CscMatrix::default();
     ScatterMap::build(&tri).scatter(&tri, &mut csc);
-    let oracle = match ws.solver.perm() {
-        Some(perm) => {
-            let mut out = CscMatrix::default();
-            PermutePlan::build(&csc, perm.to_vec()).apply(&csc, &mut out);
-            out
-        }
-        None => csc,
-    };
+    let mut oracle = CscMatrix::default();
+    PermutePlan::build(&csc, ws.solver.perm().to_vec()).apply(&csc, &mut oracle);
     let nonzero = |m: &CscMatrix| -> Vec<(usize, usize, u64)> {
         m.entries()
             .filter(|&(_, _, v)| v != 0.0)
@@ -89,8 +83,7 @@ pub(super) fn check_against_triplets(
     CHECKS.with(|c| c.set(c.get() + 1));
 }
 
-/// Smooth cubic conductor with a voltage-dependent charge (the
-/// `prop_bypass.rs` device).
+/// Smooth cubic conductor with a voltage-dependent charge.
 #[derive(Debug)]
 struct CubicConductor {
     name: String,
@@ -247,10 +240,9 @@ fn build(l: &Ladder) -> (Circuit, Vec<NodeId>) {
     (ckt, nodes)
 }
 
-fn tran_opts(bypass: BypassPolicy) -> TranOpts {
+fn tran_opts() -> TranOpts {
     let mut opts = TranOpts::to_time(1e-9);
     opts.dt_max = 10e-12;
-    opts.newton.bypass = bypass;
     opts.uic = true;
     opts.erc = Some(crate::erc::ErcMode::Off);
     opts
@@ -259,25 +251,23 @@ fn tran_opts(bypass: BypassPolicy) -> TranOpts {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Every slot-bound iterate equals its triplet assembly, under every
-    /// bypass policy, while latches flip their state mid-run.
+    /// Every slot-bound iterate equals its triplet assembly while
+    /// latches flip their state mid-run.
     #[test]
     fn slot_bound_assembly_matches_triplets(l in ladder()) {
-        for bypass in [BypassPolicy::Off, BypassPolicy::Safe, BypassPolicy::Aggressive] {
-            let (mut ckt, _) = build(&l);
-            let before = checks();
-            let stats = transient(&mut ckt, &tran_opts(bypass)).expect("transient").stats();
-            // Only the first assembly of the run goes through triplets.
-            prop_assert_eq!(checks() - before, stats.newton_iters - 1);
-            prop_assert_eq!(stats.pattern_rebuilds, 1);
-        }
+        let (mut ckt, _) = build(&l);
+        let before = checks();
+        let stats = transient(&mut ckt, &tran_opts()).expect("transient").stats();
+        // Only the first assembly of the run goes through triplets.
+        prop_assert_eq!(checks() - before, stats.newton_iters - 1);
+        prop_assert_eq!(stats.pattern_rebuilds, 1);
     }
 
-    /// Under `bypass=off` each device is either evaluated or exactly
-    /// reused at every iteration, and a device whose `commit` reported a
-    /// state change is evaluated again, never reused.
+    /// Each device is either evaluated or exactly reused at every
+    /// iteration, and a device whose `commit` reported a state change is
+    /// evaluated again, never reused.
     #[test]
-    fn reuse_counts_under_bypass_off(l in ladder()) {
+    fn every_iteration_evaluates_or_reuses_each_device(l in ladder()) {
         let (mut ckt, nodes) = build(&l);
         // Twin latches on the first stage that never switch: both always
         // see the same voltages, but `reporter` claims a state change
@@ -290,7 +280,7 @@ proptest! {
         ckt.device(Box::new(reporter));
         ckt.device(Box::new(quiet));
         let ndev = ckt.devices().len() as u64;
-        let s = transient(&mut ckt, &tran_opts(BypassPolicy::Off)).expect("transient").stats();
+        let s = transient(&mut ckt, &tran_opts()).expect("transient").stats();
         prop_assert_eq!(s.bypass_hits, 0);
         prop_assert_eq!(s.bypass_misses + s.reuses, s.newton_iters * ndev);
         // At least the quiet twin reuses its accept-time evaluation in
@@ -366,7 +356,7 @@ fn new_jacobian_position_falls_back_to_triplets() {
         engaged: false,
     }));
     let before = checks();
-    let stats = transient(&mut ckt, &tran_opts(BypassPolicy::Off))
+    let stats = transient(&mut ckt, &tran_opts())
         .expect("transient")
         .stats();
     assert_eq!(stats.pattern_rebuilds, 2, "{stats:?}");

@@ -10,10 +10,10 @@ pub mod transient;
 mod exactness;
 
 use crate::error::{ConvergenceForensics, Error, Result};
-use crate::matrix::cached::{CachedSolver, Ordering};
+use crate::matrix::cached::CachedSolver;
 use crate::matrix::sparse::{Stamper, Triplets};
 use crate::netlist::{Circuit, Element, NodeId};
-use crate::nonlinear::{BypassPolicy, DeviceStamps, EvalCtx, NonlinearDevice};
+use crate::nonlinear::{DeviceStamps, EvalCtx, NonlinearDevice};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -37,19 +37,6 @@ pub struct NewtonOpts {
     pub gmin: f64,
     /// Simulation temperature (K).
     pub temp: f64,
-    /// Device-evaluation bypass policy. Defaults from `FERROTCAM_BYPASS`
-    /// (off when unset).
-    pub bypass: BypassPolicy,
-    /// Relative part of the bypass voltage-movement tolerance. A decade
-    /// tighter than the Newton `RELTOL` so bypassed solutions stay well
-    /// inside the convergence band (≤ 1e-6 V waveform deviation).
-    pub bypass_reltol: f64,
-    /// Absolute part (V) of the bypass tolerance; a decade under the
-    /// Newton `VNTOL` for the same reason.
-    pub bypass_vntol: f64,
-    /// Fill-reducing pre-ordering for the linear solver. Defaults from
-    /// `FERROTCAM_ORDERING` (AMD when unset).
-    pub ordering: Ordering,
 }
 
 impl Default for NewtonOpts {
@@ -59,10 +46,6 @@ impl Default for NewtonOpts {
             vlimit: 0.4,
             gmin: 1e-12,
             temp: crate::units::TEMP_NOMINAL,
-            bypass: BypassPolicy::from_env(),
-            bypass_reltol: RELTOL * 0.1,
-            bypass_vntol: VNTOL * 0.1,
-            ordering: Ordering::from_env(),
         }
     }
 }
@@ -87,15 +70,15 @@ pub struct SimStats {
     pub accepted_steps: u64,
     /// Rejected (re-tried with a smaller dt) transient timesteps.
     pub rejected_steps: u64,
-    /// Device evaluations skipped via the operating-point bypass cache
-    /// (see [`crate::nonlinear::BypassPolicy`]). Zero when bypass is off.
+    /// Always 0: the engine has no tolerance bypass. Kept, with its
+    /// name, for readers of the old counter until it is renamed.
     pub bypass_hits: u64,
     /// Device evaluations actually performed by Newton iterations.
     pub bypass_misses: u64,
     /// Newton-iteration device evaluations skipped because the terminal
     /// voltages were bitwise equal to those of the cached evaluation and
     /// the device's state had not moved since: the cached stamps are
-    /// what `eval` would return. Runs under every bypass policy.
+    /// what `eval` would return.
     pub reuses: u64,
 }
 
@@ -124,7 +107,7 @@ impl SimStats {
 /// to its end.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct PhaseTimes {
-    /// Device evaluation, including the bypass and reuse decisions (ns).
+    /// Device evaluation, including the reuse decisions (ns).
     pub eval_ns: u64,
     /// MNA assembly: stamping into the factored matrix, or the triplet
     /// path that discovers its pattern (ns).
@@ -208,10 +191,6 @@ enum Cache {
     /// An exact evaluation at the cached voltages: reused when the
     /// terminal voltages are bitwise equal to them.
     Exact,
-    /// Also a base for tolerance bypass under the active policy (made in
-    /// the current solve for `Safe`, in the current regime for
-    /// `Aggressive`).
-    Bypassable,
 }
 
 /// "No value slot": the matrix pattern lacks the position.
@@ -286,13 +265,11 @@ pub(crate) struct NewtonWorkspace {
     /// Flat terminal-voltage scratch, one slot per device terminal.
     vt: Vec<f64>,
     /// Terminal voltages each device's `stamps` were last evaluated at —
-    /// the linearisation point bypass and reuse restamp against.
+    /// the linearisation point reuse restamps against.
     vt_cache: Vec<f64>,
     /// Start of each device's slice in `vt`/`vt_cache` (len = ndev + 1).
     vt_offsets: Vec<usize>,
     cache: Vec<Cache>,
-    /// `(gmin, source_scale)` the aggressive-mode cache was built under.
-    bypass_key: Option<(f64, f64)>,
     /// Set by the first triplet assembly; `None` until then.
     binding: Option<SlotBinding>,
     /// Matrix values of the gmin and linear-element stamps alone, per
@@ -301,24 +278,15 @@ pub(crate) struct NewtonWorkspace {
     /// Whether `static_vals` was built for the current solve (gmin and
     /// the companion coefficient may change between solves).
     static_current: bool,
-    /// Device evaluations skipped thanks to the bypass cache.
-    pub bypass_hits: u64,
     /// Device evaluations performed by Newton iterations.
-    pub bypass_misses: u64,
+    pub evals: u64,
     /// Newton-iteration evaluations replaced by an exact cached one.
     pub reuses: u64,
     pub clock: PhaseClock,
 }
 
 impl NewtonWorkspace {
-    /// Workspace with the default pre-ordering. Engines pass their
-    /// resolved options through [`Self::with_ordering`] instead.
-    #[cfg(test)]
     pub fn new(sys: &System<'_>) -> Self {
-        Self::with_ordering(sys, Ordering::default())
-    }
-
-    pub fn with_ordering(sys: &System<'_>, ordering: Ordering) -> Self {
         let devices = sys.ckt.devices();
         let mut vt_offsets = Vec::with_capacity(devices.len() + 1);
         let mut total = 0usize;
@@ -330,7 +298,7 @@ impl NewtonWorkspace {
         Self {
             tri: Triplets::new(sys.nvars),
             rhs: vec![0.0; sys.nvars],
-            solver: CachedSolver::with_ordering(ordering),
+            solver: CachedSolver::new(),
             stamps: devices
                 .iter()
                 .map(|d| DeviceStamps::new(d.terminals().len()))
@@ -340,34 +308,19 @@ impl NewtonWorkspace {
             vt_cache: vec![0.0; total],
             vt_offsets,
             cache: vec![Cache::Stale; devices.len()],
-            bypass_key: None,
             binding: None,
             static_vals: Vec::new(),
             static_current: false,
-            bypass_hits: 0,
-            bypass_misses: 0,
+            evals: 0,
             reuses: 0,
             clock: PhaseClock::new(),
         }
     }
 
-    /// Drop every tolerance-bypass base (and the aggressive-mode
-    /// validity key). Exact evaluations stay reusable: only `commit`
-    /// can make one wrong.
-    pub fn invalidate_bypass(&mut self) {
-        for c in &mut self.cache {
-            if *c == Cache::Bypassable {
-                *c = Cache::Exact;
-            }
-        }
-        self.bypass_key = None;
-    }
-
     /// Make `stamps[di]` an evaluation of device `di` at the voltages
     /// already loaded into `vt` — the cached one when those voltages are
     /// bitwise equal to the cached ones and its state has not moved, a
-    /// fresh `eval` otherwise — and a bypass base. Returns whether it
-    /// evaluated.
+    /// fresh `eval` otherwise. Returns whether it evaluated.
     pub fn refresh(&mut self, di: usize, dev: &dyn NonlinearDevice, ctx: &EvalCtx) -> bool {
         let (off, end) = (self.vt_offsets[di], self.vt_offsets[di + 1]);
         let vt = &self.vt[off..end];
@@ -382,7 +335,7 @@ impl NewtonWorkspace {
             dev.eval(vt, st, ctx);
             self.vt_cache[off..end].copy_from_slice(vt);
         }
-        self.cache[di] = Cache::Bypassable;
+        self.cache[di] = Cache::Exact;
         fresh
     }
 
@@ -406,8 +359,8 @@ impl NewtonWorkspace {
             pattern_rebuilds: s.pattern_rebuilds,
             accepted_steps: 0,
             rejected_steps: 0,
-            bypass_hits: self.bypass_hits,
-            bypass_misses: self.bypass_misses,
+            bypass_hits: 0,
+            bypass_misses: self.evals,
             reuses: self.reuses,
         }
     }
@@ -513,36 +466,14 @@ impl<'a> System<'a> {
     }
 
     /// Bring every device's stamps up to date for operating point `x`.
-    /// Each device is, in order: bypassed when the policy permits and
-    /// its voltages are within tolerance of a bypass base; else reused
-    /// when they are bitwise equal to its exact cached evaluation; else
-    /// evaluated. Afterwards `ws.stamps`/`ws.vt_cache` hold each device's
-    /// linearisation, and every device counts as evaluated in this solve.
-    pub fn eval_devices(
-        &self,
-        x: &[f64],
-        ctx: &EvalCtx,
-        opts: &NewtonOpts,
-        ws: &mut NewtonWorkspace,
-    ) {
+    /// Each device is reused when its voltages are bitwise equal to its
+    /// exact cached evaluation, and evaluated otherwise. Afterwards
+    /// `ws.stamps`/`ws.vt_cache` hold each device's linearisation.
+    pub fn eval_devices(&self, x: &[f64], ctx: &EvalCtx, ws: &mut NewtonWorkspace) {
         for (di, dev) in self.ckt.devices().iter().enumerate() {
             self.load_vt(di, dev.terminals(), x, ws);
-            let (off, end) = (ws.vt_offsets[di], ws.vt_offsets[di + 1]);
-            let hit = opts.bypass.enabled()
-                && ws.cache[di] == Cache::Bypassable
-                && ws.vt[off..end]
-                    .iter()
-                    .zip(&ws.vt_cache[off..end])
-                    .all(|(&a, &b)| {
-                        (a - b).abs()
-                            <= opts.bypass_vntol + opts.bypass_reltol * a.abs().max(b.abs())
-                    });
-            if hit {
-                ws.bypass_hits += 1;
-                continue;
-            }
             if ws.refresh(di, dev.as_ref(), ctx) {
-                ws.bypass_misses += 1;
+                ws.evals += 1;
             } else {
                 ws.reuses += 1;
             }
@@ -670,10 +601,9 @@ impl<'a> System<'a> {
     /// each nonzero Jacobian entry through `mat(k, row, col, v)`, where
     /// `k = a·T + b` indexes the device's `(a, b)` terminal pair. `vt`
     /// must be the linearisation point the stamps in `st` were evaluated
-    /// at (for a bypassed device, the *cached* voltages — not the
-    /// current iterate). Within a device, all `gi` entries come before
-    /// all `cq` entries; slot-bound and triplet assembly both rely on
-    /// that order to sum each matrix slot identically.
+    /// at. Within a device, all `gi` entries come before all `cq`
+    /// entries; slot-bound and triplet assembly both rely on that order
+    /// to sum each matrix slot identically.
     fn stamp_device(
         &self,
         terms: &[NodeId],
@@ -1048,9 +978,8 @@ impl<'a> System<'a> {
     /// The workspace carries the stamp caches, the slot binding and the
     /// pattern-cached solver across calls: after the first assembly of a
     /// topology every iteration stamps in place and refactors on the
-    /// known pattern, each device is evaluated at most once per
-    /// operating point, and — policy permitting — evaluation is bypassed
-    /// for devices whose terminal voltages haven't moved.
+    /// known pattern, and each device is evaluated at most once per
+    /// operating point.
     ///
     /// `rhs_patch` adds `dv` to RHS row `var` after every assembly
     /// (sweep drivers override one source value without re-stamping).
@@ -1074,26 +1003,12 @@ impl<'a> System<'a> {
             gmin,
             time,
         };
-        // Bypass-base lifetime at solve entry: `Safe` (and `Off`) drop
-        // every base so iteration 1 evaluates or exactly reuses;
-        // `Aggressive` keeps them across solves but must drop them when
-        // the continuation regime (gmin rung, source scale) moved.
-        match opts.bypass {
-            BypassPolicy::Aggressive => {
-                let key = (gmin, source_scale);
-                if ws.bypass_key != Some(key) {
-                    ws.invalidate_bypass();
-                    ws.bypass_key = Some(key);
-                }
-            }
-            BypassPolicy::Off | BypassPolicy::Safe => ws.invalidate_bypass(),
-        }
         // The static matrix part (gmin shunts, companion geq) may have
         // changed since the last solve: rebuild it on iteration 1.
         ws.static_current = false;
         let mut last_dx = f64::INFINITY;
         for iter in 1..=opts.max_iters {
-            self.eval_devices(&x, &ctx, opts, ws);
+            self.eval_devices(&x, &ctx, ws);
             ws.clock.lap(Phase::Eval);
             self.assemble(&x, time, source_scale, gmin, companion, ws);
             if let Some((var, dv)) = rhs_patch {
@@ -1156,11 +1071,8 @@ impl<'a> System<'a> {
         }
         // Re-assemble around the final iterate so the residual matches
         // the point Newton was left at (the loop body updated `x` after
-        // the last assembly). Drop the bypass bases first: forensics
-        // must attribute blame from exact device evaluations at `x`,
-        // not from linearisations within tolerance of it.
-        ws.invalidate_bypass();
-        self.eval_devices(&x, &ctx, opts, ws);
+        // the last assembly).
+        self.eval_devices(&x, &ctx, ws);
         self.assemble(&x, time, source_scale, gmin, companion, ws);
         if let Some((var, dv)) = rhs_patch {
             ws.rhs[var] += dv;

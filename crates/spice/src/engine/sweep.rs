@@ -103,7 +103,7 @@ pub fn dc_sweep(
     let sys = System::new(ckt);
     // One workspace for the whole sweep: every point shares the matrix
     // pattern, so points 2..N only refactor numerically.
-    let mut ws = NewtonWorkspace::with_ordering(&sys, opts.ordering);
+    let mut ws = NewtonWorkspace::new(&sys);
 
     let mut solutions = Vec::with_capacity(values.len());
     let mut x = vec![0.0; sys.nvars];
@@ -181,8 +181,8 @@ struct SourceOverride {
 /// One Newton solve with the overridden source value: delegates to
 /// [`System::newton`] with an RHS patch on the source's branch row
 /// (`override − nominal`, replacing rather than adding to the stamped
-/// t = 0 value). The shared Newton loop brings the bypass cache and
-/// incremental-assembly fast paths to sweeps for free.
+/// t = 0 value). The shared Newton loop brings exact device reuse and
+/// slot-bound assembly to sweeps for free.
 fn solve_newton_override(
     sys: &System<'_>,
     ckt: &Circuit,

@@ -195,7 +195,7 @@ pub fn transient(ckt: &mut Circuit, opts: &TranOpts) -> Result<Trace> {
     let (mut comp, mut ws) = {
         let sys = System::new(ckt);
         let comp = sys.new_companion(0.0, trapezoidal);
-        let ws = NewtonWorkspace::with_ordering(&sys, opts.newton.ordering);
+        let ws = NewtonWorkspace::new(&sys);
         (comp, ws)
     };
     let ctx0 = EvalCtx {
@@ -248,7 +248,7 @@ pub fn transient(ckt: &mut Circuit, opts: &TranOpts) -> Result<Trace> {
             1.0 / dt_eff
         };
 
-        let (hits0, misses0) = (ws.bypass_hits, ws.bypass_misses);
+        let evals0 = ws.evals;
         let attempt = {
             let sys = System::new(ckt);
             sys.newton(
@@ -275,14 +275,7 @@ pub fn transient(ckt: &mut Circuit, opts: &TranOpts) -> Result<Trace> {
                 x = x_new;
                 t = t_new;
                 stats.accepted_steps += 1;
-                crate::trace::step_accepted(
-                    "transient",
-                    t,
-                    dt_eff,
-                    iters,
-                    ws.bypass_hits - hits0,
-                    ws.bypass_misses - misses0,
-                );
+                crate::trace::step_accepted("transient", t, dt_eff, iters, ws.evals - evals0);
                 record_point(
                     ckt,
                     &x,
@@ -317,9 +310,6 @@ pub fn transient(ckt: &mut Circuit, opts: &TranOpts) -> Result<Trace> {
             Err(e) => {
                 stats.rejected_steps += 1;
                 crate::trace::step_rejected("transient", t, dt_eff, &e);
-                // A rejected step leaves bypass bases on the abandoned
-                // trajectory; the retry must not bypass against them.
-                ws.invalidate_bypass();
                 // Cut the *pre-clamp* dt, not dt_eff: dt_eff may already
                 // be clamped to a tiny breakpoint gap, and quartering
                 // that would collapse the step size for the rest of the
@@ -343,8 +333,7 @@ pub fn transient(ckt: &mut Circuit, opts: &TranOpts) -> Result<Trace> {
 /// (used once at t = 0; charge currents start at zero).
 ///
 /// Leaves `ws.stamps`/`ws.vt_cache` holding an evaluation at `x`, which
-/// the first Newton iteration reuses (and an aggressive bypass policy
-/// may bypass against).
+/// the first Newton iteration reuses.
 fn seed_charges(
     ckt: &Circuit,
     x: &[f64],

@@ -58,9 +58,9 @@ pub use engine::transient::{transient, Integrator, TranOpts};
 pub use engine::{NewtonOpts, PhaseTimes, SimStats};
 pub use erc::{ErcDiagnostic, ErcMode, ErcParam, ErcReport, ParamKind, Rule, Severity};
 pub use error::{ConvergenceForensics, Error, Result};
-pub use matrix::{CachedSolver, Ordering, SolverStats};
+pub use matrix::{CachedSolver, SolverStats};
 pub use netlist::{Circuit, Element, NodeId};
-pub use nonlinear::{BypassPolicy, DeviceStamps, EvalCtx, NonlinearDevice};
+pub use nonlinear::{DeviceStamps, EvalCtx, NonlinearDevice};
 pub use parallel::{default_jobs, par_map};
 pub use probe::{Edge, Trace};
 pub use trace::{Histogram, TraceLevel, TraceSummary};
@@ -75,9 +75,8 @@ pub mod prelude {
     pub use crate::engine::{NewtonOpts, PhaseTimes, SimStats};
     pub use crate::erc::{ErcMode, ErcReport, Rule, Severity};
     pub use crate::error::{Error, Result};
-    pub use crate::matrix::Ordering;
     pub use crate::netlist::{Circuit, NodeId};
-    pub use crate::nonlinear::{BypassPolicy, DeviceStamps, EvalCtx, NonlinearDevice};
+    pub use crate::nonlinear::{DeviceStamps, EvalCtx, NonlinearDevice};
     pub use crate::parallel::{default_jobs, par_map};
     pub use crate::probe::{Edge, Trace};
     pub use crate::waveform::Waveform;

@@ -2,7 +2,7 @@
 //!
 //! Newton iterations and consecutive transient timesteps assemble the
 //! same matrix *pattern* over and over with different values. This module
-//! ties [`ScatterMap`] (triplets → CSC without sorting), an optional
+//! ties [`ScatterMap`] (triplets → CSC without sorting), a
 //! fill-reducing pre-ordering ([`amd_order`] + [`PermutePlan`]) and
 //! [`SparseLu::refactor`] (numeric-only LU) into one reusable solver.
 //!
@@ -18,42 +18,6 @@ use super::sparse::{
     amd_order, CscMatrix, PermutePlan, Refactorization, ScatterMap, SparseLu, Triplets,
 };
 use crate::error::Result;
-
-/// Which symmetric pre-ordering the solver applies before factoring.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Ordering {
-    /// Factor in assembly order (no permutation). Bit-identical to the
-    /// plain `SparseLu::factor(&tri.to_csc())` path.
-    Natural,
-    /// Minimum-degree fill-reducing permutation, computed once per
-    /// sparsity pattern. Default: MNA matrices from TCAM arrays have
-    /// hub nodes (matchlines, supply rails) that fill catastrophically
-    /// in natural order.
-    #[default]
-    Amd,
-}
-
-impl Ordering {
-    /// Parse a `natural|amd` option string.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "natural" => Some(Self::Natural),
-            "amd" => Some(Self::Amd),
-            _ => None,
-        }
-    }
-
-    /// Resolve the ordering from `FERROTCAM_ORDERING`, defaulting to
-    /// [`Ordering::Amd`] when unset or unrecognised.
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var("FERROTCAM_ORDERING") {
-            Ok(v) => Self::parse(&v).unwrap_or_default(),
-            Err(_) => Self::default(),
-        }
-    }
-}
 
 /// Counters describing how much work the cached pipeline avoided.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -101,16 +65,19 @@ impl SolverStats {
 }
 
 /// A linear solver that caches the assembly plan, fill-reducing ordering
-/// and LU pattern across calls. With [`Ordering::Natural`] it produces
-/// bit-identical results to the uncached `SparseLu::factor(&tri.to_csc())`
-/// path; with [`Ordering::Amd`] results agree to solver precision
-/// (different elimination order → different rounding).
+/// and LU pattern across calls. It always factors in minimum-degree
+/// ([`amd_order`]) order, computed once per sparsity pattern: MNA
+/// matrices from TCAM arrays have hub nodes (matchlines, supply rails)
+/// that fill catastrophically in assembly order. Results agree with the
+/// unpermuted [`super::sparse::solve_triplets`] and the dense LU
+/// ([`super::DenseMatrix`]) to solver precision (a different elimination
+/// order rounds differently).
 #[derive(Debug, Default)]
 pub struct CachedSolver {
-    ordering: Ordering,
     map: Option<ScatterMap>,
     csc: CscMatrix,
-    /// Permutation plan + permuted matrix, populated for [`Ordering::Amd`].
+    /// Permutation plan + permuted matrix, built on the first load of
+    /// each pattern.
     plan: Option<PermutePlan>,
     perm_csc: CscMatrix,
     b_perm: Vec<f64>,
@@ -122,26 +89,10 @@ pub struct CachedSolver {
 }
 
 impl CachedSolver {
-    /// An empty solver with the default ([`Ordering::Amd`]) ordering;
-    /// caches fill in on first use.
+    /// An empty solver; caches fill in on first use.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty solver with an explicit pre-ordering.
-    #[must_use]
-    pub fn with_ordering(ordering: Ordering) -> Self {
-        Self {
-            ordering,
-            ..Self::default()
-        }
-    }
-
-    /// The pre-ordering this solver applies.
-    #[must_use]
-    pub fn ordering(&self) -> Ordering {
-        self.ordering
     }
 
     /// Work counters accumulated so far.
@@ -184,52 +135,43 @@ impl CachedSolver {
                 self.pattern_changed = true;
             }
         }
-        if self.ordering == Ordering::Amd {
-            let plan = self.plan.get_or_insert_with(|| {
-                let perm = amd_order(&self.csc);
-                PermutePlan::build(&self.csc, perm)
-            });
-            plan.apply(&self.csc, &mut self.perm_csc);
-        }
+        let plan = self.plan.get_or_insert_with(|| {
+            let perm = amd_order(&self.csc);
+            PermutePlan::build(&self.csc, perm)
+        });
+        plan.apply(&self.csc, &mut self.perm_csc);
     }
 
-    /// The loaded matrix in factor order (permuted under
-    /// [`Ordering::Amd`]).
+    /// The loaded pattern's permutation plan.
+    ///
+    /// # Panics
+    /// Panics when nothing has been loaded yet.
+    fn plan(&self) -> &PermutePlan {
+        self.plan.as_ref().expect("no matrix loaded")
+    }
+
+    /// The loaded matrix in factor (permuted) order.
     pub(crate) fn matrix(&self) -> &CscMatrix {
-        match self.ordering {
-            Ordering::Natural => &self.csc,
-            Ordering::Amd => &self.perm_csc,
-        }
+        &self.perm_csc
     }
 
     /// Value slot of the original-coordinate entry `(row, col)` in the
     /// loaded matrix, or `None` when its pattern has no such entry.
     pub(crate) fn slot(&self, row: usize, col: usize) -> Option<usize> {
-        match (&self.plan, self.ordering) {
-            (Some(plan), Ordering::Amd) => {
-                let pinv = plan.pinv();
-                self.perm_csc.slot(pinv[row], pinv[col])
-            }
-            _ => self.csc.slot(row, col),
-        }
+        let pinv = self.plan().pinv();
+        self.perm_csc.slot(pinv[row], pinv[col])
     }
 
     /// Values of the loaded matrix, indexed by [`Self::slot`]. Writing
     /// them replaces the matrix the next [`Self::refactor`] factors.
     pub(crate) fn values_mut(&mut self) -> &mut [f64] {
-        match self.ordering {
-            Ordering::Natural => self.csc.vals_mut(),
-            Ordering::Amd => self.perm_csc.vals_mut(),
-        }
+        self.perm_csc.vals_mut()
     }
 
     /// The symmetric permutation the loaded matrix is in (`perm[new] =
-    /// old`), or `None` under [`Ordering::Natural`].
-    pub(crate) fn perm(&self) -> Option<&[usize]> {
-        match (&self.plan, self.ordering) {
-            (Some(plan), Ordering::Amd) => Some(plan.perm()),
-            _ => None,
-        }
+    /// old`).
+    pub(crate) fn perm(&self) -> &[usize] {
+        self.plan().perm()
     }
 
     /// `b − A·x` for the loaded matrix `A`, in original coordinates.
@@ -237,8 +179,7 @@ impl CachedSolver {
         let mut r = b.to_vec();
         let perm = self.perm();
         for (row, col, v) in self.matrix().entries() {
-            let (row, col) = perm.map_or((row, col), |p| (p[row], p[col]));
-            r[row] -= v * x[col];
+            r[perm[row]] -= v * x[perm[col]];
         }
         r
     }
@@ -251,10 +192,7 @@ impl CachedSolver {
     /// Returns [`crate::error::Error::SingularMatrix`] when the matrix
     /// cannot be factored.
     pub(crate) fn refactor(&mut self) -> Result<()> {
-        let a = match self.ordering {
-            Ordering::Natural => &self.csc,
-            Ordering::Amd => &self.perm_csc,
-        };
+        let a = &self.perm_csc;
         match &mut self.lu {
             Some(lu) => {
                 let how = if self.pattern_changed {
@@ -286,16 +224,12 @@ impl CachedSolver {
     /// not match the factored dimension.
     pub(crate) fn solve_factored(&mut self, b: &[f64]) -> Vec<f64> {
         let lu = self.lu.as_ref().expect("solve_factored before refactor");
-        match (&self.plan, self.ordering) {
-            (Some(plan), Ordering::Amd) => {
-                plan.permute_vec(b, &mut self.b_perm);
-                let xp = lu.solve(&self.b_perm);
-                let mut x = Vec::new();
-                plan.unpermute_vec(&xp, &mut x);
-                x
-            }
-            _ => lu.solve(b),
-        }
+        let plan = self.plan.as_ref().expect("factored after a load");
+        plan.permute_vec(b, &mut self.b_perm);
+        let xp = lu.solve(&self.b_perm);
+        let mut x = Vec::new();
+        plan.unpermute_vec(&xp, &mut x);
+        x
     }
 }
 
@@ -317,62 +251,42 @@ mod tests {
     }
 
     #[test]
-    fn cached_matches_uncached_bitwise() {
-        // Natural ordering pins the bit-identity contract with the plain
-        // factor path; AMD agreement (to tolerance) is tested separately.
-        let mut solver = CachedSolver::with_ordering(Ordering::Natural);
+    fn cached_matches_uncached_to_tolerance() {
+        let mut solver = CachedSolver::new();
         let b = [1.0, 0.5, -0.25, 2.0, 0.0];
         for step in 1..6 {
             let t = stamp(5, f64::from(step));
             let fast = solver.solve(&t, &b).unwrap();
             let slow = solve_triplets(&t, &b).unwrap();
-            assert_eq!(fast, slow, "step {step} diverged");
+            for (a, n) in fast.iter().zip(&slow) {
+                assert!((a - n).abs() < 1e-12, "step {step}: {a} vs {n}");
+            }
         }
+        // Every solve after the first rides the numeric-refactor path.
         let s = solver.stats();
         assert_eq!(s.full_factors, 1);
         assert_eq!(s.refactors, 4);
         assert_eq!(s.pattern_rebuilds, 1);
+        assert!(s.fill_ratio().is_some());
     }
 
     #[test]
     fn values_written_at_slots_solve_like_a_load() {
         let b = [1.0, 0.5, -0.25, 2.0, 0.0];
-        for ordering in [Ordering::Natural, Ordering::Amd] {
-            let mut solver = CachedSolver::with_ordering(ordering);
-            solver.solve(&stamp(5, 1.0), &b).unwrap();
-            let t = stamp(5, 3.0);
-            solver.values_mut().fill(0.0);
-            for (r, c, v) in t.iter() {
-                let slot = solver.slot(r, c).expect("same pattern");
-                solver.values_mut()[slot] += v;
-            }
-            solver.refactor().unwrap();
-            let x = solver.solve_factored(&b);
-            let reference = CachedSolver::with_ordering(ordering).solve(&t, &b).unwrap();
-            assert_eq!(x, reference, "{ordering:?}");
-            assert_eq!(solver.stats().refactors, 1);
-            assert_eq!(solver.slot(0, 4), None);
+        let mut solver = CachedSolver::new();
+        solver.solve(&stamp(5, 1.0), &b).unwrap();
+        let t = stamp(5, 3.0);
+        solver.values_mut().fill(0.0);
+        for (r, c, v) in t.iter() {
+            let slot = solver.slot(r, c).expect("same pattern");
+            solver.values_mut()[slot] += v;
         }
-    }
-
-    #[test]
-    fn amd_matches_natural_to_tolerance() {
-        let mut amd = CachedSolver::new();
-        assert_eq!(amd.ordering(), Ordering::Amd);
-        let mut natural = CachedSolver::with_ordering(Ordering::Natural);
-        let b = [1.0, 0.5, -0.25, 2.0, 0.0];
-        for step in 1..6 {
-            let t = stamp(5, f64::from(step));
-            let xa = amd.solve(&t, &b).unwrap();
-            let xn = natural.solve(&t, &b).unwrap();
-            for (a, n) in xa.iter().zip(&xn) {
-                assert!((a - n).abs() < 1e-12, "step {step}: {a} vs {n}");
-            }
-        }
-        // AMD still rides the numeric-refactor fast path.
-        assert_eq!(amd.stats().full_factors, 1);
-        assert_eq!(amd.stats().refactors, 4);
-        assert!(amd.stats().fill_ratio().is_some());
+        solver.refactor().unwrap();
+        let x = solver.solve_factored(&b);
+        let reference = CachedSolver::new().solve(&t, &b).unwrap();
+        assert_eq!(x, reference);
+        assert_eq!(solver.stats().refactors, 1);
+        assert_eq!(solver.slot(0, 4), None);
     }
 
     #[test]

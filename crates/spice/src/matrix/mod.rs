@@ -11,7 +11,7 @@ pub mod cached;
 pub mod dense;
 pub mod sparse;
 
-pub use cached::{CachedSolver, Ordering, SolverStats};
+pub use cached::{CachedSolver, SolverStats};
 pub use dense::{DenseLu, DenseMatrix};
 pub use sparse::{
     amd_order, solve_triplets, CscMatrix, PermutePlan, Refactorization, ScatterMap, SparseLu,

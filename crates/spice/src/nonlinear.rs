@@ -9,65 +9,6 @@
 use crate::netlist::NodeId;
 use std::fmt;
 
-/// How aggressively the Newton loop may skip [`NonlinearDevice::eval`]
-/// calls for devices whose terminal voltages have not moved since their
-/// cached evaluation (the classic SPICE "bypass" optimisation).
-///
-/// Bypassing only skips the *evaluation*; the device is always restamped
-/// from its cached linearisation, and hysteretic state is untouched
-/// because state only ever advances in [`NonlinearDevice::commit`].
-/// Exact reuse — skipping `eval` when the terminal voltages are bitwise
-/// equal to the cached ones — is not bypass: it runs under every policy,
-/// `Off` included, and changes no result.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum BypassPolicy {
-    /// Never bypass: every device is evaluated at every iteration.
-    /// The default — bypass is strictly opt-in via `FERROTCAM_BYPASS`
-    /// or explicit solver options.
-    #[default]
-    Off,
-    /// Bypass within a Newton solve only. Every solve (every timestep,
-    /// every gmin/source-stepping stage) starts with a full evaluation
-    /// of all devices, so a device can only be bypassed against a cache
-    /// built earlier in the *same* solve.
-    Safe,
-    /// Let caches persist across accepted timesteps: a quiescent device
-    /// skips evaluation even on the first iteration of a step. Caches
-    /// are still dropped after rejected steps and whenever the gmin or
-    /// source-stepping stage changes.
-    Aggressive,
-}
-
-impl BypassPolicy {
-    /// Parse an `off|safe|aggressive` policy string.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "off" => Some(Self::Off),
-            "safe" => Some(Self::Safe),
-            "aggressive" => Some(Self::Aggressive),
-            _ => None,
-        }
-    }
-
-    /// Resolve the policy from `FERROTCAM_BYPASS`, defaulting to
-    /// [`BypassPolicy::Off`] when unset. Unknown values fall back to
-    /// `Off` too — a typo must never silently enable approximation.
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var("FERROTCAM_BYPASS") {
-            Ok(v) => Self::parse(&v).unwrap_or(Self::Off),
-            Err(_) => Self::Off,
-        }
-    }
-
-    /// Whether this policy permits any bypassing at all.
-    #[must_use]
-    pub fn enabled(self) -> bool {
-        !matches!(self, Self::Off)
-    }
-}
-
 /// Evaluation context shared by all devices.
 #[derive(Debug, Clone)]
 pub struct EvalCtx {
@@ -165,14 +106,12 @@ impl DeviceStamps {
 /// internal state which is only advanced in [`NonlinearDevice::commit`],
 /// called once per *accepted* time step.
 ///
-/// # Bypass and reuse safety
+/// # Reuse safety
 ///
 /// The engine evaluates each device at most once per operating point:
 /// it reuses the cached [`DeviceStamps`] when the terminal voltages are
-/// bitwise equal to the cached ones, and — policy permitting (see
-/// [`BypassPolicy`]) — also when they are merely within tolerance.
-/// Three properties make this sound, and implementations must preserve
-/// them:
+/// bitwise equal to the cached ones. Three properties make this sound,
+/// and implementations must preserve them:
 ///
 /// 1. `eval` takes `&self` and must be a *pure function* of
 ///    `(v, ctx.temp)` and committed state — deterministic, no interior
@@ -181,7 +120,7 @@ impl DeviceStamps {
 ///    reproduce the cached stamps bit for bit.
 /// 2. History (e.g. Preisach hysteresis) advances **only** in `commit`,
 ///    which the engine calls exactly once per accepted timestep with a
-///    freshly evaluated operating point — never from a bypassed
+///    freshly evaluated operating point — never from a reused
 ///    iteration. A skipped `eval` therefore can never advance or skip
 ///    ferroelectric state.
 /// 3. `commit` returns `true` whenever it changed what a later `eval`
@@ -196,7 +135,7 @@ pub trait NonlinearDevice: fmt::Debug + Send + Sync {
 
     /// Evaluate currents, charges and Jacobians at terminal voltages `v`
     /// (same order as [`Self::terminals`]). Buffers arrive zeroed.
-    /// Must be pure — see the trait-level *Bypass safety* notes.
+    /// Must be pure — see the trait-level *Reuse safety* notes.
     fn eval(&self, v: &[f64], out: &mut DeviceStamps, ctx: &EvalCtx);
 
     /// Accept the state at the end of a converged time step and report

@@ -121,12 +121,9 @@ pub enum Event {
         dt: f64,
         /// Newton iterations the step took.
         iters: usize,
-        /// Device evaluations skipped via the bypass cache during this
-        /// step's Newton solve (0 when `FERROTCAM_BYPASS=off`).
-        bypass_hits: u64,
-        /// Device evaluations actually performed during this step's
-        /// Newton solve.
-        bypass_misses: u64,
+        /// Device evaluations performed during this step's Newton solve
+        /// (the rest were exact reuses).
+        evals: u64,
     },
     /// A transient timestep was rejected and will be retried smaller.
     StepReject {
@@ -234,10 +231,9 @@ impl Event {
                 t,
                 dt,
                 iters,
-                bypass_hits,
-                bypass_misses,
+                evals,
             } => format!(
-                r#"{{"seq":{seq},"kind":"step_accept","analysis":{},"t":{},"dt":{},"iters":{iters},"bypass_hits":{bypass_hits},"bypass_misses":{bypass_misses}}}"#,
+                r#"{{"seq":{seq},"kind":"step_accept","analysis":{},"t":{},"dt":{},"iters":{iters},"evals":{evals}}}"#,
                 js(analysis),
                 jf(*t),
                 jf(*dt)
@@ -699,16 +695,9 @@ pub fn audit_divergence(lane: &'static str, query_hash: u64, rel: f64, detail: i
 }
 
 /// Record an accepted transient step (event only at `Full`).
-/// `bypass_hits`/`bypass_misses` are the device-bypass counter deltas
-/// accumulated while solving this step.
-pub fn step_accepted(
-    analysis: &'static str,
-    t: f64,
-    dt: f64,
-    iters: usize,
-    bypass_hits: u64,
-    bypass_misses: u64,
-) {
+/// `evals` counts the device evaluations performed while solving this
+/// step.
+pub fn step_accepted(analysis: &'static str, t: f64, dt: f64, iters: usize, evals: u64) {
     let l = level();
     if l == TraceLevel::Off {
         return;
@@ -723,8 +712,7 @@ pub fn step_accepted(
                 t,
                 dt,
                 iters,
-                bypass_hits,
-                bypass_misses,
+                evals,
             });
         }
     });

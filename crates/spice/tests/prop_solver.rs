@@ -98,32 +98,34 @@ proptest! {
     }
 
     #[test]
-    fn amd_ordered_solver_matches_natural((n, entries, rhs) in dd_system()) {
+    fn cached_solver_matches_dense((n, entries, rhs) in dd_system()) {
         // The fill-reducing permutation changes the elimination order,
         // not the answer: across refactorisations of the same pattern
-        // the AMD-ordered pipeline must track the natural-order one to
+        // the AMD-ordered cached pipeline must track the dense LU to
         // solver precision.
-        let mut amd = CachedSolver::with_ordering(Ordering::Amd);
-        let mut nat = CachedSolver::with_ordering(Ordering::Natural);
+        let mut cached = CachedSolver::new();
         for step in 0..3 {
             let scale = 1.0 + 0.5 * f64::from(step);
             let mut t = Triplets::new(n);
+            let mut d = DenseMatrix::zeros(n, n);
             for &(r, c, v) in &entries {
                 t.add(r, c, v * scale);
+                d.add(r, c, v * scale);
             }
             for i in 0..n {
                 t.add(i, i, 8.0 + scale);
+                d.add(i, i, 8.0 + scale);
             }
-            let xa = amd.solve(&t, &rhs).expect("amd solve");
-            let xn = nat.solve(&t, &rhs).expect("natural solve");
-            for (a, b) in xa.iter().zip(&xn) {
+            let xc = cached.solve(&t, &rhs).expect("cached solve");
+            let xd = d.solve(&rhs).expect("dense solve");
+            for (a, b) in xc.iter().zip(&xd) {
                 prop_assert!((a - b).abs() < 1e-12 * (1.0 + b.abs()), "{a} vs {b}");
             }
         }
-        // Both rode the numeric-refactor fast path after the first solve.
-        prop_assert_eq!(amd.stats().full_factors, 1);
-        prop_assert_eq!(amd.stats().refactors, 2);
-        prop_assert!(amd.stats().fill_ratio().expect("factored") >= 1.0 - 1e-12);
+        // It rode the numeric-refactor fast path after the first solve.
+        prop_assert_eq!(cached.stats().full_factors, 1);
+        prop_assert_eq!(cached.stats().refactors, 2);
+        prop_assert!(cached.stats().fill_ratio().expect("factored") >= 1.0 - 1e-12);
     }
 
     #[test]
