@@ -57,29 +57,6 @@ USAGE:
       Trace a 2-shard service answering exact searches paced 50 us
       apart: batch and queue-wait timings, the length of each
       dispatcher park, and dispatcher parks and wake-ups.
-  ferrotcam bench [--smoke] [--bits N] [--reps N] [--design <d>]
-      Benchmark the Newton hot path: one Fig. 7 search transient
-      (default 64-bit 1.5T1DG row), its median wall time, Newton
-      iterations and per-phase times. Writes BENCH_newton.json to
-      $FERROTCAM_RESULTS (default ./results). --smoke runs one rep.
-  ferrotcam serve-bench [--smoke]
-                        [--workload exact|approx|mixed|both]
-                        [--shards 1,2,4] [--rows N] [--width N]
-                        [--secs S] [--seed N] [--audit-period N]
-                        [--characterize <design>]
-      Load-test the serving layer: closed-loop shard sweep, open-loop
-      overload, energy audit, and the sampled reference-oracle audit
-      lane. --workload approx sweeps the approximate-match kinds
-      instead (threshold, top-k, range: one closed and one open-loop
-      point per kind); mixed runs a 90/8/1/1 search/update/insert/
-      delete open loop; both runs every sweep. Energy attribution is
-      calibrated from the SPICE datasheets in the results directory;
-      --characterize runs live SPICE instead. Writes BENCH_serve.json
-      (approximate points tagged _approx) to $FERROTCAM_RESULTS
-      (default ./results). With --smoke the run is bounded to a few
-      seconds, the workload defaults to both, and the invariants —
-      including a clean audit lane and the approximate kinds' 100k qps
-      open-loop floor — become hard failures.
 
 DESIGNS: 2sg | 2dg | 1.5t1sg | 1.5t1dg | cmos (aliases accepted)";
 
@@ -122,8 +99,6 @@ pub fn dispatch(args: &[String]) -> CliResult {
         Some("lint") => crate::lint::run(&args[1..]),
         Some("analyze") => crate::analyze::run(&args[1..]),
         Some("trace") => crate::trace_cmd::run(&args[1..]),
-        Some("bench") => crate::newton_bench::run(&args[1..], parse_design),
-        Some("serve-bench") => crate::serve_bench::run(&args[1..], parse_design),
         Some("help") | None => {
             println!("{USAGE}");
             Ok(())

@@ -10,8 +10,6 @@
 //! ferrotcam analyze [--deny] [--json] [--root <dir>]
 //! ferrotcam trace [<design> <stored-word> <query-bits>] [--ndjson]
 //! ferrotcam trace --serve
-//! ferrotcam bench [--smoke] [--bits N] [--reps N] [--design <d>]
-//! ferrotcam serve-bench [--smoke] [--workload exact|approx|mixed|both] [--shards 1,2,4]
 //! ```
 
 use std::process::ExitCode;
@@ -19,8 +17,6 @@ use std::process::ExitCode;
 mod analyze;
 mod commands;
 mod lint;
-mod newton_bench;
-mod serve_bench;
 mod trace_cmd;
 
 fn main() -> ExitCode {

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 /// Render per-phase wall time as a table: milliseconds and share of
 /// `span_ns` (the analysis span the phases tile), plus their coverage
 /// of it.
-pub(crate) fn render_phases(p: &PhaseTimes, span_ns: f64) -> String {
+fn render_phases(p: &PhaseTimes, span_ns: f64) -> String {
     let mut out = String::new();
     let share = |ns: u64| 100.0 * ns as f64 / span_ns.max(1.0);
     let _ = writeln!(out, "{:<24} {:>10} {:>8}", "phase", "ms", "% span");
@@ -237,13 +237,13 @@ pub fn run(args: &[String]) -> Result<(), String> {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
 
     /// Held by every test that sets the process-wide trace level or
     /// resets the collector, so parallel tests do not clear each
     /// other's events.
-    pub(crate) static TRACE_STATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    static TRACE_STATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn run_args(args: &[&str]) -> Result<(), String> {
         let v: Vec<String> = args.iter().map(|s| s.to_string()).collect();

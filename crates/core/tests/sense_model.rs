@@ -1,10 +1,12 @@
 //! Circuit grounding of the approximate-match sense model: ML
 //! discharge time must fall monotonically with the mismatch count
 //! (nominal and under V_TH Monte-Carlo), the fitted [`SenseModel`]
-//! must order thresholds accordingly, and the FeCAM range cell must
-//! DC-classify query levels against its programmed window.
+//! must order thresholds accordingly, the FeCAM range cell must
+//! DC-classify query levels against its programmed window, and the
+//! threshold misclassification probability the served threshold kind
+//! runs at must not rise.
 
-use ferrotcam::calib::SenseModel;
+use ferrotcam::calib::{Calibration, SenseModel};
 use ferrotcam::cell::{DesignKind, DesignParams};
 use ferrotcam::sense::{characterize_sense, range_cell_high, range_transition, render_sense_csv};
 
@@ -65,4 +67,26 @@ fn range_cell_classifies_queries_against_its_window() {
     let (dhi2, dlo2) = window(0.25 * vdd, 0.35 * vdd);
     assert!(!range_cell_high(&params, dhi2, dlo2, 0.50 * vdd).expect("dc solve"));
     assert!(range_cell_high(&params, dhi2, dlo2, 0.30 * vdd).expect("dc solve"));
+}
+
+/// Per-boundary-row misclassification probability of the `t = 2`
+/// threshold sense on the committed calibration, at the 64-digit width
+/// the service benchmarks run at. It may fall; any rise fails.
+const MAX_THRESHOLD2_MISCLS: f64 = 6.237_925_944_144_185e-5;
+
+#[test]
+fn committed_calibration_threshold_miscls_does_not_rise() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let cal = Calibration::load(&dir, DesignKind::T15Dg);
+    assert!(
+        cal.sources.iter().any(|s| s.ends_with("table4.json")),
+        "the committed Table IV must calibrate the model: {:?}",
+        cal.sources
+    );
+    let sense = SenseModel::analytic(cal.search_metrics(64).latency_1step);
+    let p = sense.misclassification(2).p_error();
+    assert!(
+        p <= MAX_THRESHOLD2_MISCLS,
+        "threshold t=2 misclassification rose to {p:e} (pinned at {MAX_THRESHOLD2_MISCLS:e})"
+    );
 }

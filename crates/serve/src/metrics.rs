@@ -24,9 +24,8 @@ pub use ferrotcam_spice::trace::Histogram;
 /// Percentile summary of a histogram, in the histogram's native unit.
 ///
 /// Percentiles are `None` (serialised as JSON `null`) when the window
-/// recorded no samples: an empty window has no p50/p95/p99, and the old
-/// `0.0` placeholder read as an impossibly good latency to
-/// `compare_runs --bench`.
+/// recorded no samples: an empty window has no p50/p95/p99, and a `0.0`
+/// placeholder would read as an impossibly good latency.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub struct LatencySummary {
     /// Samples recorded.

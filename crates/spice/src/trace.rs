@@ -21,7 +21,7 @@
 //!
 //! Events are drained with [`take_events`] and rendered either as a
 //! human summary ([`summary`]) or as newline-delimited JSON
-//! ([`render_ndjson`]) for `compare_runs --trace` and CI artifacts.
+//! ([`render_ndjson`]) for tools such as `jq` and CI artifacts.
 
 use crate::error::Error;
 use crate::netlist::{Circuit, Element};
