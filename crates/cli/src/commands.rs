@@ -56,7 +56,8 @@ USAGE:
   ferrotcam trace --serve
       Trace a 2-shard service answering exact searches paced 50 us
       apart: batch and queue-wait timings, the length of each
-      dispatcher park, and dispatcher parks and wake-ups.
+      dispatcher park, dispatcher parks and wake-ups, and the spinning
+      dispatcher's pick-ups and contention backoffs.
 
 DESIGNS: 2sg | 2dg | 1.5t1sg | 1.5t1dg | cmos (aliases accepted)";
 

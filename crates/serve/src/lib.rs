@@ -83,7 +83,7 @@ pub(crate) mod sync;
 
 pub use admission::{Admission, Overloaded, RatePolicy, TenantId, TokenBucket};
 pub use backend::{BackendKind, BatchSpec, BehaviouralBackend, ExecBackend, ExecResult};
-pub use doorbell::Doorbells;
+pub use doorbell::{Doorbells, SpinEnd};
 pub use drain::DrainGate;
 pub use metrics::{
     Histogram, KindBreakdown, LatencySummary, MetricsCollector, ResponseSample, ServiceMetrics,

@@ -211,10 +211,12 @@ pub struct ServiceMetrics {
     /// Audit divergences (match or energy), split by request kind.
     #[serde(default)]
     pub audit_divergences_by_kind: KindBreakdown,
-    /// Times a dispatcher found every queue empty, parked, and woke
-    /// again, by a ring or, inside its poll window, a timeout (a park
-    /// still in progress is not yet counted). Against `batch.batches`
-    /// it says how often the arrival gaps outlast a batch.
+    /// Times a dispatcher found every queue still empty after its
+    /// fenced re-check and called `park`, counted once it returned: on
+    /// a ring, inside its poll window on a timeout, or at once on an
+    /// unpark token a late ring left behind (a park still in progress
+    /// is not yet counted). Against `batch.batches` it says how often
+    /// the arrival gaps outlast a batch and the spinner's window.
     #[serde(default)]
     pub dispatcher_parks: u64,
     /// Times a submitter or the drain unparked a sleeping dispatcher:
@@ -222,6 +224,16 @@ pub struct ServiceMetrics {
     /// wake-up on the request's latency.
     #[serde(default)]
     pub dispatcher_wakeups: u64,
+    /// Times the service's one spinning dispatcher found a job by
+    /// polling: each one is a request that paid neither a wake syscall
+    /// nor a thread wake-up.
+    #[serde(default)]
+    pub dispatcher_spin_pickups: u64,
+    /// Times a spin ended because two polls lay far apart (the host's
+    /// CPUs were contended), so that dispatcher parked instead of
+    /// spinning for a backoff period.
+    #[serde(default)]
+    pub dispatcher_spin_backoffs: u64,
 }
 
 impl ServiceMetrics {
@@ -301,6 +313,8 @@ pub struct MetricsCollector {
     max_queue_depth: AtomicUsize,
     dispatcher_parks: AtomicU64,
     dispatcher_wakeups: AtomicU64,
+    dispatcher_spin_pickups: AtomicU64,
+    dispatcher_spin_backoffs: AtomicU64,
     inner: Mutex<Inner>,
 }
 
@@ -318,6 +332,8 @@ impl Default for MetricsCollector {
             max_queue_depth: AtomicUsize::new(0),
             dispatcher_parks: AtomicU64::new(0),
             dispatcher_wakeups: AtomicU64::new(0),
+            dispatcher_spin_pickups: AtomicU64::new(0),
+            dispatcher_spin_backoffs: AtomicU64::new(0),
             inner: Mutex::new("serve.metrics.inner", Inner::default()),
         }
     }
@@ -364,6 +380,17 @@ impl MetricsCollector {
     pub fn on_wakeups(&self, n: usize) {
         self.dispatcher_wakeups
             .fetch_add(n as u64, Ordering::Relaxed); // ordering: stat-relaxed
+    }
+
+    /// The spinning dispatcher found a job. Lock-free: the spin path.
+    pub fn on_spin_pickup(&self) {
+        self.dispatcher_spin_pickups.fetch_add(1, Ordering::Relaxed); // ordering: stat-relaxed
+    }
+
+    /// A contended spin started a backoff. Lock-free: the idle path.
+    pub fn on_spin_backoff(&self) {
+        self.dispatcher_spin_backoffs
+            .fetch_add(1, Ordering::Relaxed); // ordering: stat-relaxed
     }
 
     /// The dispatcher pulled and scheduled a batch of `size` queries.
@@ -496,6 +523,10 @@ impl MetricsCollector {
             audit_divergences_by_kind: m.audit_divergences_by_kind,
             dispatcher_parks: self.dispatcher_parks.load(Ordering::Relaxed), // ordering: stat-relaxed
             dispatcher_wakeups: self.dispatcher_wakeups.load(Ordering::Relaxed), // ordering: stat-relaxed
+            // ordering: stat-relaxed
+            dispatcher_spin_pickups: self.dispatcher_spin_pickups.load(Ordering::Relaxed),
+            // ordering: stat-relaxed
+            dispatcher_spin_backoffs: self.dispatcher_spin_backoffs.load(Ordering::Relaxed),
         }
     }
 }
@@ -727,12 +758,21 @@ mod tests {
         let c = MetricsCollector::new();
         c.on_park();
         c.on_wakeups(2);
+        for _ in 0..3 {
+            c.on_spin_pickup();
+        }
+        c.on_spin_backoff();
         let snap = c.snapshot(0);
         assert_eq!(snap.dispatcher_parks, 1);
         assert_eq!(snap.dispatcher_wakeups, 2);
+        assert_eq!(snap.dispatcher_spin_pickups, 3);
+        assert_eq!(snap.dispatcher_spin_backoffs, 1);
         let json = snap.to_json();
         assert!(json.contains("\"dispatcher_wakeups\": 2"), "{json}");
-        // Snapshots written before the doorbell still deserialise.
+        assert!(json.contains("\"dispatcher_spin_pickups\": 3"), "{json}");
+        assert!(json.contains("\"dispatcher_spin_backoffs\": 1"), "{json}");
+        // Snapshots written before the doorbell or the spinner still
+        // deserialise.
         let old: String = json
             .lines()
             .filter(|l| !l.contains("dispatcher_"))
@@ -742,6 +782,8 @@ mod tests {
         let back: ServiceMetrics = serde_json::from_str(&old).unwrap();
         assert_eq!(back.dispatcher_parks, 0);
         assert_eq!(back.dispatcher_wakeups, 0);
+        assert_eq!(back.dispatcher_spin_pickups, 0);
+        assert_eq!(back.dispatcher_spin_backoffs, 0);
     }
 
     #[test]

@@ -36,14 +36,18 @@
 //! gate, and parks only if they are still idle. A submitter fences
 //! after its push and unparks the owner only if that flag is set, or,
 //! while the owner is busy, the first sleeping peer, which steals the
-//! job. While no dispatcher sleeps a push costs no wake syscall. For a
-//! short window after its last batch a parked dispatcher also re-polls
-//! on a timeout, so a ring whose thread the scheduler is slow to run
-//! does not hold the job up; past that window it parks until rung, and
-//! an idle service burns no CPU. A dispatcher pulls up to `max_batch`
-//! requests, applies the batch's writes through
-//! [`crate::shard::LiveTable`] (publishing one fresh epoch per touched
-//! shard), then captures a [`crate::shard::SnapView`] and executes
+//! job. While no dispatcher sleeps a push costs no wake syscall. For
+//! 500 µs after its last batch an idle dispatcher first tries to be
+//! the service's one spinner: it polls every queue, yielding its CPU
+//! between polls, and while its heartbeat is fresh a push skips the
+//! unpark altogether; a spin that loses its CPU for long backs off to
+//! parking for a while. For a short window after its last batch a
+//! parked dispatcher also re-polls on a timeout, so a ring whose thread
+//! the scheduler is slow to run does not hold the job up; past that
+//! window it parks until rung, and an idle service burns no CPU. A
+//! dispatcher pulls up to `max_batch` requests, applies the batch's
+//! writes through [`crate::shard::LiveTable`] (publishing one fresh
+//! epoch per touched shard), then captures a [`crate::shard::SnapView`] and executes
 //! every search of the batch against that immutable view — a search
 //! can observe the table before or after any write, never a
 //! torn word. Writes are priced by the calibrated 3-step program
@@ -76,7 +80,7 @@
 
 use crate::admission::{Admission, Overloaded, RatePolicy, TenantId};
 use crate::backend::{BackendKind, BatchSpec, BehaviouralBackend, ExecBackend, ExecResult};
-use crate::doorbell::Doorbells;
+use crate::doorbell::{Doorbells, SpinEnd, SPIN_BACKOFF_NS};
 use crate::drain::DrainGate;
 use crate::metrics::{MetricsCollector, ResponseSample, ServiceMetrics};
 use crate::queue::BoundedQueue;
@@ -579,11 +583,14 @@ const POLL_PERIOD: Duration = Duration::from_micros(50);
 /// Dispatcher `me`'s main loop: drain the own queue first; when it is
 /// empty, steal a batch from a peer's queue (cyclic scan starting at
 /// the next shard, so thieves spread instead of convoying); execute.
-/// With every queue empty, park on bell `me` through
-/// [`Doorbells::wait`], whose publish, fence and re-check pair with the
-/// fence in [`Doorbells::ring`] after every push. Exit only when
-/// draining and every accepted request has resolved, and wake the
-/// parked peers on the way out so they see it too.
+/// With every queue empty, first try to be the service's one spinner
+/// ([`Doorbells::spin`], for [`crate::doorbell::SPIN_WINDOW_NS`] after
+/// the last batch), then park on bell `me` through [`Doorbells::wait`],
+/// whose publish, fence and re-check pair with the fence in
+/// [`Doorbells::ring`] after every push. A contended spin parks instead of spinning for
+/// [`SPIN_BACKOFF_NS`]. Exit only when draining and every accepted
+/// request has resolved, and wake the parked peers on the way out so
+/// they see it too.
 ///
 /// For [`POLL_WINDOW`] after its last batch, a dispatcher parks for at
 /// most [`POLL_PERIOD`] at a time; after that, until rung.
@@ -598,7 +605,9 @@ fn dispatch_loop(inner: &Inner, me: usize) {
     // iteration (the analyzer's hot-path-alloc rule keeps it that way).
     let mut batch: Vec<Job> = Vec::with_capacity(inner.max_batch);
     let n = inner.queues.len();
-    let mut last_batch = Instant::now();
+    let now = || inner.bells.now_ns();
+    let mut last_batch = now();
+    let mut backoff_until = 0;
     loop {
         inner.queues[me].drain_into(&mut batch, inner.max_batch);
         if batch.is_empty() {
@@ -614,14 +623,29 @@ fn dispatch_loop(inner: &Inner, me: usize) {
         }
         if !batch.is_empty() {
             execute_batch(inner, me, &mut batch, &mut audit_counter);
-            last_batch = Instant::now();
+            last_batch = now();
             continue;
         }
         if inner.gate.quiescent() && inner.queues.iter().all(BoundedQueue::is_empty) {
             break;
         }
+        match inner
+            .bells
+            .spin(&inner.queues, &inner.gate, last_batch, backoff_until, now)
+        {
+            SpinEnd::Work => {
+                inner.metrics.on_spin_pickup();
+                continue;
+            }
+            SpinEnd::Contended => {
+                inner.metrics.on_spin_backoff();
+                backoff_until = now().saturating_add(SPIN_BACKOFF_NS);
+            }
+            SpinEnd::Park => {}
+        }
         let parked_at = (trace::level() != TraceLevel::Off).then(Instant::now);
-        let timeout = (last_batch.elapsed() < POLL_WINDOW).then_some(POLL_PERIOD);
+        let idle = Duration::from_nanos(now().saturating_sub(last_batch));
+        let timeout = (idle < POLL_WINDOW).then_some(POLL_PERIOD);
         if inner.bells.wait(me, &inner.queues, &inner.gate, timeout) {
             inner.metrics.on_park();
             if let Some(t0) = parked_at {

@@ -44,14 +44,15 @@ pub(crate) use loom::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, O
 #[cfg(not(loom))]
 pub(crate) use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
-/// Park/unpark, for [`crate::doorbell`]: the model checker's versions
-/// under loom, where a lost wakeup leaves a parked thread that nothing
-/// can unpark and is reported as a deadlock.
+/// Park/unpark and the spinner's yield, for [`crate::doorbell`]: the
+/// model checker's versions under loom, where a lost wakeup leaves a
+/// parked thread that nothing can unpark and is reported as a deadlock,
+/// and a yield is a free scheduling point.
 #[cfg(loom)]
-pub(crate) use loom::thread::{park, Thread};
+pub(crate) use loom::thread::{park, yield_now, Thread};
 
 #[cfg(not(loom))]
-pub(crate) use std::thread::{park, park_timeout, Thread};
+pub(crate) use std::thread::{park, park_timeout, yield_now, Thread};
 
 /// A timed park is an untimed one under loom: the model checker owns
 /// time, and a protocol that needed the timeout to make progress would

@@ -31,14 +31,19 @@
 //!   dispatcher's publish/re-check/park is always run, a drain wakes
 //!   parked dispatchers and resolves every accepted request, and a job
 //!   pushed to a busy owner's ring wakes a parked peer that steals it.
-//!   A lost wakeup leaves a parked thread nothing can unpark, which the
-//!   model checker reports as a deadlock. Orderings are all `SeqCst`
-//!   here, so these models check the protocol's logic; the fence
-//!   pairing it needs on real hardware is argued in `doorbell.rs`.
+//!   A spinning dispatcher that gives up and parks never strands a job
+//!   whose ring it made the submitter skip. A lost wakeup leaves a
+//!   parked thread nothing can unpark, which the model checker reports
+//!   as a deadlock. Orderings are all `SeqCst` here, so these models
+//!   check the protocol's logic; the fence pairing it needs on real
+//!   hardware is argued in `doorbell.rs`.
 #![cfg(loom)]
 
+use ferrotcam_serve::doorbell::SPIN_WINDOW_NS;
 use ferrotcam_serve::queue::BoundedQueue;
-use ferrotcam_serve::{Admission, AdmissionClass, Doorbells, DrainGate, EpochCell, RatePolicy};
+use ferrotcam_serve::{
+    Admission, AdmissionClass, Doorbells, DrainGate, EpochCell, RatePolicy, SpinEnd,
+};
 use loom::sync::atomic::{AtomicUsize, Ordering};
 use loom::sync::Arc;
 use loom::thread;
@@ -374,30 +379,44 @@ fn drain_quiescence_counts_every_accept() {
     });
 }
 
+/// The fake clock's step per reading in the dispatcher models: a spin
+/// reads the clock once to start and once per poll, so it polls once
+/// and then its [`SPIN_WINDOW_NS`] has passed.
+const SPIN_TICK_NS: u64 = SPIN_WINDOW_NS / 3;
+
 /// The service's dispatcher loop over `u32` jobs, minus batching: pop
 /// the own ring, else steal from the peers; run a job by counting it in
 /// `done` and completing it at the gate; exit once the gate is
-/// quiescent with every ring empty, waking the parked peers; otherwise
-/// park on bell `me` through the real [`Doorbells::wait`] (untimed: a
-/// timed park is untimed under loom anyway). With `stop_after`, return
-/// after that many jobs (for models without a drain). Returns the jobs
-/// this dispatcher ran.
+/// quiescent with every ring empty, waking the parked peers; otherwise,
+/// with `spin`, spin through the real [`Doorbells::spin`], then park on
+/// bell `me` through the real [`Doorbells::wait`] (untimed: a timed
+/// park is untimed under loom anyway). The dispatcher's clock is fake
+/// and advances [`SPIN_TICK_NS`] per reading, so a spin gives up after
+/// one poll unless it finds work. The park models run without `spin`:
+/// they check the park protocol alone, and with it the racing-drain
+/// model outgrows loom's default execution cap. With `stop_after`,
+/// return after that many jobs (for models without a drain). Returns
+/// the jobs this dispatcher ran.
 fn dispatcher(
     me: usize,
     queues: &[BoundedQueue<u32>],
     gate: &DrainGate,
     bells: &Doorbells,
     done: &AtomicUsize,
+    spin: bool,
     stop_after: Option<usize>,
 ) -> usize {
     let n = queues.len();
     let mut ran = 0;
+    let mut clock = 0;
+    let mut last_batch = 0;
     loop {
         if let Some(v) = (0..n).find_map(|off| queues[(me + off) % n].pop()) {
             assert_eq!(v, 7, "ring handed back a corrupted job");
             done.fetch_add(1, Ordering::SeqCst);
             gate.complete();
             ran += 1;
+            last_batch = clock;
             if stop_after == Some(ran) {
                 return ran;
             }
@@ -405,7 +424,13 @@ fn dispatcher(
             bells.ring_all();
             return ran;
         } else {
-            bells.wait(me, queues, gate, None);
+            let tick = || {
+                clock += SPIN_TICK_NS;
+                clock
+            };
+            if !spin || bells.spin(queues, gate, last_batch, 0, tick) != SpinEnd::Work {
+                bells.wait(me, queues, gate, None);
+            }
         }
     }
 }
@@ -444,7 +469,7 @@ fn doorbell_enqueue_racing_park_never_strands_a_job() {
                 Arc::clone(&bells),
                 Arc::clone(&done),
             );
-            thread::spawn(move || dispatcher(0, &*q, &g, &b, &n, Some(1)))
+            thread::spawn(move || dispatcher(0, &*q, &g, &b, &n, false, Some(1)))
         };
         bells.register(0, d.thread().clone());
         assert!(submit(&*queues, &gate, &bells, 0), "open gate, empty ring");
@@ -474,7 +499,7 @@ fn doorbell_drain_with_parked_dispatchers_resolves_every_ticket() {
                     Arc::clone(&bells),
                     Arc::clone(&done),
                 );
-                let d = thread::spawn(move || dispatcher(me, &*q, &g, &b, &n, None));
+                let d = thread::spawn(move || dispatcher(me, &*q, &g, &b, &n, false, None));
                 bells.register(me, d.thread().clone());
                 d
             })
@@ -515,7 +540,7 @@ fn doorbell_retract_during_drain_wakes_the_parked_dispatcher() {
                 Arc::clone(&bells),
                 Arc::clone(&done),
             );
-            thread::spawn(move || dispatcher(0, &*q, &g, &b, &n, None))
+            thread::spawn(move || dispatcher(0, &*q, &g, &b, &n, false, None))
         };
         bells.register(0, d.thread().clone());
         let client = {
@@ -550,12 +575,55 @@ fn doorbell_busy_owner_wakes_a_parked_peer_to_steal() {
                 Arc::clone(&bells),
                 Arc::clone(&done),
             );
-            thread::spawn(move || dispatcher(1, &*q, &g, &b, &n, Some(1)))
+            thread::spawn(move || dispatcher(1, &*q, &g, &b, &n, false, Some(1)))
         };
         bells.register(1, peer.thread().clone());
         assert!(submit(&*queues, &gate, &bells, 0), "open gate, empty ring");
         assert_eq!(peer.join().unwrap(), 1, "the peer stole and ran the job");
         assert_eq!(done.load(Ordering::SeqCst), 1, "ran exactly once");
         assert!(queues.iter().all(BoundedQueue::is_empty));
+    });
+}
+
+/// The spinner hand-off. Both dispatchers run the full loop: one wins
+/// the spinner token, polls once, gives up and parks; the other loses
+/// the swap and parks, or spins in its turn. The job was accepted
+/// before the drain began and is pushed after it, onto dispatcher 1's
+/// ring, so a spinning dispatcher 0 finds it only by polling every
+/// ring, and its ring is skipped whenever it finds the token held
+/// (under loom the heartbeat always reads fresh). A skipped ring that
+/// the spinner's poll and its `wait` re-check both missed leaves every
+/// dispatcher parked and the joins deadlocked, which the model checker
+/// reports; otherwise the drain ends with the job run exactly once.
+/// Accepting before the drain keeps the model small enough to explore
+/// in full.
+#[test]
+fn doorbell_spinner_hand_off_never_strands_a_job() {
+    loom::model(|| {
+        let queues = Arc::new([BoundedQueue::new(2), BoundedQueue::new(2)]);
+        let gate = Arc::new(DrainGate::new());
+        let bells = Arc::new(Doorbells::new(2));
+        let done = Arc::new(AtomicUsize::new(0));
+        assert!(gate.try_accept(), "gate open before drain");
+        gate.begin_drain();
+        let dispatchers: Vec<_> = (0..2usize)
+            .map(|me| {
+                let (q, g, b, n) = (
+                    Arc::clone(&queues),
+                    Arc::clone(&gate),
+                    Arc::clone(&bells),
+                    Arc::clone(&done),
+                );
+                let d = thread::spawn(move || dispatcher(me, &*q, &g, &b, &n, true, None));
+                bells.register(me, d.thread().clone());
+                d
+            })
+            .collect();
+        queues[1].push(7).unwrap();
+        bells.ring(1);
+        let ran: usize = dispatchers.into_iter().map(|h| h.join().unwrap()).sum();
+        assert_eq!(ran, 1, "the job ran exactly once");
+        assert_eq!(done.load(Ordering::SeqCst), 1);
+        assert!(gate.quiescent());
     });
 }
