@@ -1,6 +1,7 @@
 //! Approximate-match kernels over the packed two-plane layout:
-//! masked-Hamming distance (threshold and top-k search) and the
-//! FeCAM-style per-cell range match.
+//! masked-Hamming distance (threshold and top-k search), and the
+//! FeCAM-style per-cell range match's level and window definitions
+//! with its scalar oracle.
 //!
 //! **Hamming.** A ternary row's mismatch count against a binary query
 //! is `popcount((q ^ value) & care)` per packed word — wildcard digits
@@ -20,16 +21,22 @@
 //! high bit and digit `2j+1` the low bit of level `j`, so a stored
 //! ternary row induces a window per cell (`X` widens the corresponding
 //! bit to both values) and a binary query induces a level per cell.
-//! [`RangeRows`] evaluates all 32 windows of a packed word at once
-//! with a SWAR borrow trick over 2-bit lanes. Range match is a
-//! genuinely different predicate from ternary match: stored `X1` gives
-//! the window `[1, 3]`, which admits query level `2` (`10`) — a query
-//! ternary match rejects.
+//! The serving kernel is [`BitSlices::range_search`]: it runs on the
+//! bit-sliced match planes exact search already holds, one plane
+//! expression per cell ([`RangePlan`]), with the same early exit once a
+//! 512-row block is dead. [`row_in_windows`] checks one row from the
+//! row-major words instead, independently of the planes; it is the
+//! audit lane's oracle. Range match is a genuinely different
+//! predicate from ternary match: stored `X1` gives the window
+//! `[1, 3]`, which admits query level `2` (`10`) — a query ternary
+//! match rejects.
 //!
+//! [`BitSlices::range_search`]: crate::packed::BitSlices::range_search
+//! [`RangePlan`]: crate::packed::RangePlan
 //! [`BehavioralTcam::nearest`]: crate::behav::BehavioralTcam::nearest
 //! [`TernaryWord::mismatch_count`]: crate::ternary::TernaryWord::mismatch_count
 
-use crate::packed::{PackedQuery, PackedRows, STEP1_MASK, STEP2_MASK};
+use crate::packed::{PackedQuery, PackedRows};
 use crate::ternary::{Ternary, TernaryWord};
 use std::collections::BinaryHeap;
 
@@ -315,193 +322,6 @@ where
     hits
 }
 
-/// Swap the two bits of every 2-bit lane of a packed word, converting
-/// between digit order (even digit at the lane's low bit) and level
-/// order (digit `2j` is the *high* bit of level `j`).
-#[inline]
-#[must_use]
-const fn lane_swap(w: u64) -> u64 {
-    ((w & STEP1_MASK) << 1) | ((w & STEP2_MASK) >> 1)
-}
-
-/// Per-4-bit-lane `a >= b` for lane values ≤ 7: the high bit of each
-/// nibble of the result is set iff that nibble of `a` is ≥ `b`'s.
-/// `a | H` seeds every nibble with +8, so a borrow (clearing the high
-/// bit) occurs exactly when `b > a`, and since `8 - 7 > 0` no borrow
-/// ever crosses a nibble boundary.
-#[inline]
-const fn nibble_ge(a: u64, b: u64) -> u64 {
-    const H: u64 = 0x8888_8888_8888_8888;
-    ((a | H) - b) & H
-}
-
-/// All 32 levels of a lane-ordered word inside their windows at once.
-/// Even and odd 2-bit lanes are spread into the low halves of 4-bit
-/// lanes so [`nibble_ge`] can compare 16 levels per subtraction.
-#[inline]
-fn word_in_window(q: u64, lo: u64, hi: u64) -> bool {
-    const M: u64 = 0x3333_3333_3333_3333;
-    const H: u64 = 0x8888_8888_8888_8888;
-    let (q0, q1) = (q & M, (q >> 2) & M);
-    nibble_ge(q0, lo & M) == H
-        && nibble_ge(q1, (lo >> 2) & M) == H
-        && nibble_ge(hi & M, q0) == H
-        && nibble_ge((hi >> 2) & M, q1) == H
-}
-
-/// FeCAM-style range table: per cell a stored `[lo, hi]` level window
-/// (levels 0–3), matched when every query level falls inside. Stored
-/// as two lane-ordered plane vectors (level `j` in bits `2j..=2j+1`);
-/// tail lanes beyond the cell count hold the full `[0, 3]` window so
-/// they never reject.
-#[derive(Debug, Clone, Default)]
-pub struct RangeRows {
-    cells: usize,
-    wpr: usize,
-    rows: usize,
-    lo: Vec<u64>,
-    hi: Vec<u64>,
-}
-
-impl RangeRows {
-    /// Empty range table of `cells` 4-level cells per row (row width
-    /// `2 * cells` digits).
-    #[must_use]
-    pub fn new(cells: usize) -> Self {
-        Self {
-            cells,
-            wpr: (2 * cells).div_ceil(64),
-            rows: 0,
-            lo: Vec::new(),
-            hi: Vec::new(),
-        }
-    }
-
-    /// Append one row of per-cell windows.
-    ///
-    /// # Panics
-    /// Panics on cell-count mismatch or any window with `lo > hi` or a
-    /// bound above level 3.
-    pub fn push(&mut self, windows: &[(u8, u8)]) {
-        assert_eq!(windows.len(), self.cells, "window count mismatch");
-        let base = self.lo.len();
-        self.lo.resize(base + self.wpr, 0);
-        // Tail lanes default to the full window.
-        self.hi.resize(base + self.wpr, !0);
-        for (j, &(lo, hi)) in windows.iter().enumerate() {
-            assert!(lo <= hi && hi <= 3, "bad window [{lo}, {hi}] at cell {j}");
-            let (w, sh) = (j / 32, 2 * (j % 32));
-            self.lo[base + w] |= u64::from(lo) << sh;
-            self.hi[base + w] &= !(0b11u64 << sh);
-            self.hi[base + w] |= u64::from(hi) << sh;
-        }
-        self.rows += 1;
-    }
-
-    /// Reinterpret a packed ternary table as range rows: each digit
-    /// pair is one cell, an `X` digit widens its bit of the window to
-    /// both values (`lo` from the value plane, `hi` from
-    /// `value | !care`).
-    ///
-    /// # Panics
-    /// Panics on odd row width (a trailing half-cell has no level).
-    #[must_use]
-    pub fn from_packed(p: &PackedRows) -> Self {
-        assert!(
-            p.width().is_multiple_of(2),
-            "range mode pairs digits into cells; width must be even"
-        );
-        let mut r = Self::new(p.width() / 2);
-        r.rows = p.rows();
-        r.lo = p.value.iter().map(|&w| lane_swap(w)).collect();
-        // `!care` is 1 beyond the row width too, so tail lanes get the
-        // always-match [0, 3] window for free.
-        r.hi = p
-            .value
-            .iter()
-            .zip(p.care.iter())
-            .map(|(&v, &c)| lane_swap(v | !c))
-            .collect();
-        r
-    }
-
-    /// Cells per row.
-    #[must_use]
-    pub fn cells(&self) -> usize {
-        self.cells
-    }
-
-    /// Stored row count.
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Whether the table is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0
-    }
-
-    /// Row width in digits (two per cell).
-    #[must_use]
-    pub fn width(&self) -> usize {
-        2 * self.cells
-    }
-
-    /// The stored window of one cell.
-    ///
-    /// # Panics
-    /// Panics if `row` or `cell` is out of range.
-    #[must_use]
-    pub fn window(&self, row: usize, cell: usize) -> (u8, u8) {
-        assert!(row < self.rows && cell < self.cells, "window out of range");
-        let (w, sh) = (row * self.wpr + cell / 32, 2 * (cell % 32));
-        (
-            ((self.lo[w] >> sh) & 0b11) as u8,
-            ((self.hi[w] >> sh) & 0b11) as u8,
-        )
-    }
-
-    /// Whether every query level of `row` falls inside its window.
-    ///
-    /// # Panics
-    /// Panics if `row` is out of range or the query width mismatches.
-    #[must_use]
-    pub fn in_window(&self, row: usize, q: &PackedQuery) -> bool {
-        assert_eq!(q.width(), self.width(), "query width mismatch");
-        assert!(row < self.rows, "row {row} out of range");
-        let base = row * self.wpr;
-        (0..self.wpr)
-            .all(|w| word_in_window(lane_swap(q.word(w)), self.lo[base + w], self.hi[base + w]))
-    }
-
-    /// Every in-window row for the query, ascending.
-    ///
-    /// # Panics
-    /// Panics on query-width mismatch.
-    #[must_use]
-    pub fn search(&self, q: &PackedQuery) -> Vec<usize> {
-        assert_eq!(q.width(), self.width(), "query width mismatch");
-        let mut hits = Vec::new();
-        if self.wpr == 1 {
-            let qw = lane_swap(q.word(0));
-            for (row, (&lo, &hi)) in self.lo.iter().zip(self.hi.iter()).enumerate() {
-                if word_in_window(qw, lo, hi) {
-                    hits.push(row);
-                }
-            }
-        } else {
-            for row in 0..self.rows {
-                if self.in_window(row, q) {
-                    hits.push(row);
-                }
-            }
-        }
-        hits
-    }
-}
-
 /// The 4-level cell levels a binary query drives: level `j` is
 /// `(digit 2j << 1) | digit 2j+1`.
 ///
@@ -531,8 +351,8 @@ pub fn levels_to_query(levels: &[u8]) -> PackedQuery {
     PackedQuery::from_bits(&bits)
 }
 
-/// The per-cell windows a stored ternary word induces (the naive
-/// mirror of [`RangeRows::from_packed`], used as the range oracle).
+/// The per-cell windows a stored ternary word induces, digit by digit
+/// (the range oracle the kernel's plane expressions are held to).
 ///
 /// # Panics
 /// Panics on odd word length.
@@ -556,9 +376,10 @@ pub fn word_windows(w: &TernaryWord) -> Vec<(u8, u8)> {
 }
 
 /// Whether one stored row's per-cell windows contain the query's
-/// levels — a digit-case evaluation over the packed planes, derived
-/// independently of [`RangeRows`]' SWAR borrow trick so the two stay
-/// separate witnesses of the same predicate. Containment splits by
+/// levels — a digit-case evaluation over the row-major packed words,
+/// derived independently of the bit-sliced kernel's per-level plane
+/// expressions so the two stay separate witnesses of the same
+/// predicate (this one is the audit lane's oracle). Containment splits by
 /// the cell's care pattern: a cared hi digit pins the level's high
 /// bit (and with the lo digit also cared the window is a point); a
 /// wildcard hi digit over a cared lo value `v` spans `[v, v + 2]`,
@@ -593,6 +414,7 @@ pub fn row_in_windows(rows: &PackedRows, row: usize, q: &PackedQuery) -> bool {
 mod tests {
     use super::*;
     use crate::behav::BehavioralTcam;
+    use crate::packed::BitSlices;
 
     fn table() -> (BehavioralTcam, PackedRows) {
         let mut t = BehavioralTcam::new(6);
@@ -664,53 +486,56 @@ mod tests {
     }
 
     #[test]
-    fn range_window_planes_agree_with_word_windows() {
-        let (t, p) = table();
-        let r = RangeRows::from_packed(&p);
-        for (i, row) in t.rows().iter().enumerate() {
-            let want = word_windows(row);
-            let got: Vec<(u8, u8)> = (0..r.cells()).map(|c| r.window(i, c)).collect();
-            assert_eq!(got, want, "row {i}");
-        }
-    }
-
-    #[test]
     fn range_admits_mid_window_levels_ternary_match_rejects() {
         // Stored "X1" = window [1, 3]: query level 2 ("10") is inside
         // the window but is not a ternary match of "X1".
         let mut t = BehavioralTcam::new(2);
         t.store("X1".parse().unwrap());
-        let p = PackedRows::from_tcam(&t);
-        let r = RangeRows::from_packed(&p);
+        let r = BitSlices::from_tcam(&t);
         let q = PackedQuery::from_bits(&[true, false]); // level 2
         assert!(t.search(&[true, false]).matches.is_empty());
-        assert_eq!(r.search(&q), vec![0]);
+        assert_eq!(r.range_search(&q), vec![0]);
         let q0 = PackedQuery::from_bits(&[false, false]); // level 0 < lo
-        assert!(r.search(&q0).is_empty());
+        assert!(r.range_search(&q0).is_empty());
     }
 
     #[test]
-    fn explicit_windows_round_trip_and_match() {
-        let mut r = RangeRows::new(3);
-        r.push(&[(0, 1), (2, 2), (0, 3)]);
-        r.push(&[(1, 3), (0, 0), (2, 3)]);
-        assert_eq!(r.window(0, 1), (2, 2));
-        assert_eq!(r.window(1, 2), (2, 3));
-        // Query levels [1, 2, 3] → inside row 0, outside row 1 (cell 1).
-        let q = PackedQuery::from_bits(&[false, true, true, false, true, true]);
-        assert_eq!(query_levels(&q), vec![1, 2, 3]);
-        assert_eq!(r.search(&q), vec![0]);
-    }
-
-    #[test]
-    fn range_tail_lanes_never_reject() {
-        // 33 cells → 66 digits → 2 words per row; the 31 tail lanes of
-        // word 1 must stay permissive.
+    fn range_spans_words_and_blocks() {
+        // 33 cells → 66 digits → 2 packed words per row, over 514 rows
+        // so a second block holds two rows and 510 rows of padding.
+        // Row r stores "X0" in cell r % 33 and "01" elsewhere: windows
+        // [0, 2] and [1, 1], so the all-level-1 query admits every row
+        // and setting cell c to level 2 keeps exactly the rows whose
+        // wildcard cell is c (cell 17 is row 512's, in the second block).
         let cells = 33;
-        let mut r = RangeRows::new(cells);
-        r.push(&vec![(1u8, 2u8); cells]);
-        let bits: Vec<bool> = (0..2 * cells).map(|i| i % 2 == 1).collect(); // all level 1
-        let q = PackedQuery::from_bits(&bits);
-        assert_eq!(r.search(&q), vec![0]);
+        let mut t = BehavioralTcam::new(2 * cells);
+        for r in 0..514 {
+            let s: String = (0..cells)
+                .map(|c| if c == r % cells { "X0" } else { "01" })
+                .collect();
+            t.store(s.parse().unwrap());
+        }
+        let r = BitSlices::from_tcam(&t);
+        let mut levels = vec![1u8; cells];
+        assert_eq!(
+            r.range_search(&levels_to_query(&levels)),
+            (0..514).collect::<Vec<_>>()
+        );
+        for c in [0usize, 17, 31, 32] {
+            levels[c] = 2;
+            let want: Vec<usize> = (0..514).filter(|row| row % cells == c).collect();
+            assert_eq!(r.range_search(&levels_to_query(&levels)), want, "cell {c}");
+            levels[c] = 1;
+        }
+    }
+
+    #[test]
+    fn zero_width_range_returns_every_row_and_no_padding() {
+        let mut t = BehavioralTcam::new(0);
+        for _ in 0..3 {
+            t.store(TernaryWord::from_bits(&[]));
+        }
+        let r = BitSlices::from_tcam(&t);
+        assert_eq!(r.range_search(&PackedQuery::from_bits(&[])), vec![0, 1, 2]);
     }
 }

@@ -44,7 +44,6 @@ pub mod write_array;
 
 pub use approx::{
     levels_to_query, merge_top_k, row_distance, row_in_windows, threshold_search, top_k, ApproxHit,
-    RangeRows,
 };
 pub use array::{build_search_row, SearchRun, SearchSim};
 pub use behav::{BehavioralTcam, SearchOutcome};
@@ -56,7 +55,9 @@ pub use full_array::{
     ArraySearchResult, FullArrayCircuit,
 };
 pub use margins::{nominal_margins, DividerLevels, SearchMargins};
-pub use packed::{BitSlices, PackedQuery, PackedRows, STEP1_MASK, STEP2_MASK};
+pub use packed::{
+    BitSlices, ExactPlan, PackedQuery, PackedRows, RangePlan, STEP1_MASK, STEP2_MASK,
+};
 pub use table_io::{load_table, parse_table, render_table, save_table};
 pub use ternary::{Ternary, TernaryWord};
 pub use write_array::{

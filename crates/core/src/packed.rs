@@ -21,7 +21,12 @@
 //!   in-software analogue of the paper's early-termination search.
 //!   Step-2 survivors (popcount of the accumulator) are verified
 //!   row-major, which is exact and cheap because the step-1 miss rate
-//!   of real workloads leaves few survivors.
+//!   of real workloads leaves few survivors. The same planes answer
+//!   the FeCAM range match ([`BitSlices::range_search`]): each 4-level
+//!   cell ANDs one expression over its two digits' planes into the
+//!   accumulator, with the same early exit. A query's plane offsets
+//!   ([`ExactPlan`], [`RangePlan`]) are built once and shared by every
+//!   block of its width.
 //!
 //! Both return the same [`SearchOutcome`] as [`BehavioralTcam::search`],
 //! bit-identically — including per-step miss counts, which is what the
@@ -372,8 +377,7 @@ impl BitSlices {
             for d in 0..width {
                 let care = (packed.care[rbase + d / 64] >> (d % 64)) & 1 == 1;
                 let val = (packed.value[rbase + d / 64] >> (d % 64)) & 1 == 1;
-                let slot = if d % 2 == 0 { d / 2 } else { evens + d / 2 };
-                let pbase = b * per_block + slot * 2 * WPB + w;
+                let pbase = b * per_block + plane_of(d, evens) + w;
                 if !care || !val {
                     planes[pbase] |= bit; // matches a searched 0
                 }
@@ -422,12 +426,7 @@ impl BitSlices {
         let w = (r / 64) % WPB;
         let bit = 1u64 << (r % 64);
         for d in 0..width {
-            let slot = if d % 2 == 0 {
-                d / 2
-            } else {
-                self.evens + d / 2
-            };
-            let pbase = b * per_block + slot * 2 * WPB + w;
+            let pbase = b * per_block + plane_of(d, self.evens) + w;
             self.planes[pbase] &= !bit;
             self.planes[pbase + WPB] &= !bit;
         }
@@ -445,12 +444,7 @@ impl BitSlices {
         for d in 0..width {
             let care = (self.packed.care[rbase + d / 64] >> (d % 64)) & 1 == 1;
             let val = (self.packed.value[rbase + d / 64] >> (d % 64)) & 1 == 1;
-            let slot = if d % 2 == 0 {
-                d / 2
-            } else {
-                self.evens + d / 2
-            };
-            let pbase = b * per_block + slot * 2 * WPB + w;
+            let pbase = b * per_block + plane_of(d, self.evens) + w;
             if !care || !val {
                 self.planes[pbase] |= bit;
             }
@@ -519,8 +513,19 @@ impl BitSlices {
     /// # Panics
     /// Panics on query-width mismatch.
     #[must_use]
-    #[allow(clippy::missing_panics_doc)]
     pub fn search(&self, q: &PackedQuery) -> SearchOutcome {
+        self.search_planned(&ExactPlan::new(q))
+    }
+
+    /// [`BitSlices::search`] with the query's plane offsets built once
+    /// by the caller, so a search over many blocks of one width plans
+    /// once, not once per block.
+    ///
+    /// # Panics
+    /// Panics on query-width mismatch.
+    #[must_use]
+    pub fn search_planned(&self, plan: &ExactPlan<'_>) -> SearchOutcome {
+        let q = plan.query;
         assert_eq!(q.width(), self.packed.width(), "query width mismatch");
         let mut out = SearchOutcome::empty();
         let rows = self.packed.rows();
@@ -529,45 +534,21 @@ impl BitSlices {
             out.matches.extend(0..rows);
             return out;
         }
-        let evens = self.evens;
         let per_block = self.packed.width() * 2 * WPB;
-        // Per-query plane offsets: the query bit of each even digit
-        // selects m0 or m1, shared by every block.
-        let mut sel_stack = [0usize; 64];
-        let mut sel_heap;
-        let sel: &mut [usize] = if evens <= 64 {
-            &mut sel_stack[..evens]
-        } else {
-            sel_heap = vec![0usize; evens];
-            &mut sel_heap[..]
-        };
-        for (i, s) in sel.iter_mut().enumerate() {
-            let d = 2 * i;
-            let qbit = (q.word(d / 64) >> (d % 64)) & 1;
-            *s = i * 2 * WPB + (qbit as usize) * WPB;
-        }
         let mut survivors = 0usize;
         for b in 0..self.blocks {
-            let bbase = b * per_block;
+            let block = &self.planes[b * per_block..(b + 1) * per_block];
             let mut acc = [!0u64; WPB];
-            let mut i = 0;
-            while i < evens {
-                let plane = &self.planes[bbase + sel[i]..bbase + sel[i] + WPB];
+            for (i, &s) in plan.sel.iter().enumerate() {
+                let plane = &block[s..s + WPB];
                 for w in 0..WPB {
                     acc[w] &= plane[w];
                 }
-                i += 1;
                 // Early termination: check the accumulator every four
                 // digits (the measured sweet spot — checking oftener
                 // costs more than it saves).
-                if i & 3 == 0 {
-                    let mut any = 0u64;
-                    for &a in &acc {
-                        any |= a;
-                    }
-                    if any == 0 {
-                        break;
-                    }
+                if (i + 1) & 3 == 0 && dead(&acc) {
+                    break;
                 }
             }
             // Step 2: verify the step-1 survivors row-major.
@@ -587,6 +568,150 @@ impl BitSlices {
         }
         out.step1_misses = rows - survivors;
         out
+    }
+
+    /// Every row whose per-cell windows hold the query's levels,
+    /// ascending — the FeCAM range match (see [`crate::approx`]) on the
+    /// same planes exact search reads. Each cell ANDs one plane
+    /// expression ([`RangePlan`]) into the accumulator, and a block
+    /// stops once every row in it is dead, as step 1 of
+    /// [`BitSlices::search`] does.
+    ///
+    /// # Panics
+    /// Panics on odd query width (range mode pairs digits into cells)
+    /// or a query-width mismatch.
+    #[must_use]
+    pub fn range_search(&self, q: &PackedQuery) -> Vec<usize> {
+        self.range_search_planned(&RangePlan::new(q))
+    }
+
+    /// [`BitSlices::range_search`] with the plan built once by the
+    /// caller for every block of the query's width.
+    ///
+    /// # Panics
+    /// Panics on query-width mismatch.
+    #[must_use]
+    pub fn range_search_planned(&self, plan: &RangePlan) -> Vec<usize> {
+        assert_eq!(plan.width, self.packed.width(), "query width mismatch");
+        let rows = self.packed.rows();
+        if plan.cells.is_empty() {
+            // No cells: every stored row is vacuously in-window. The
+            // all-ones accumulator would also admit the tail padding.
+            return (0..rows).collect();
+        }
+        let per_block = self.packed.width() * 2 * WPB;
+        let mut hits = Vec::new();
+        for b in 0..self.blocks {
+            let block = &self.planes[b * per_block..(b + 1) * per_block];
+            let mut acc = [!0u64; WPB];
+            for (i, &[x, y, z]) in plan.cells.iter().enumerate() {
+                let (px, py, pz) = (&block[x..x + WPB], &block[y..y + WPB], &block[z..z + WPB]);
+                for w in 0..WPB {
+                    acc[w] &= px[w] & (py[w] | pz[w]);
+                }
+                if (i + 1) & 3 == 0 && dead(&acc) {
+                    break;
+                }
+            }
+            for (w, &a) in acc.iter().enumerate() {
+                let mut bits = a;
+                while bits != 0 {
+                    hits.push(b * ROWS_PER_BLOCK + w * 64 + bits.trailing_zeros() as usize);
+                    bits &= bits - 1;
+                }
+            }
+        }
+        hits
+    }
+}
+
+/// Whether no row of a block's accumulator survives.
+#[inline]
+fn dead(acc: &[u64; WPB]) -> bool {
+    acc.iter().fold(0, |any, &a| any | a) == 0
+}
+
+/// Offset of digit `d`'s `m0` plane inside a block (`m1` follows it
+/// at `+ WPB`): even digits take the first `evens` slots, odd digits
+/// the rest.
+#[inline]
+fn plane_of(d: usize, evens: usize) -> usize {
+    let slot = if d.is_multiple_of(2) {
+        d / 2
+    } else {
+        evens + d / 2
+    };
+    slot * 2 * WPB
+}
+
+/// One exact query's step-1 plane offsets — the query bit of each even
+/// digit selects its `m0` or `m1` plane — shared by every block of the
+/// query's width.
+#[derive(Debug, Clone)]
+pub struct ExactPlan<'q> {
+    query: &'q PackedQuery,
+    sel: Vec<usize>,
+}
+
+impl<'q> ExactPlan<'q> {
+    /// Plan `q` for [`BitSlices::search_planned`].
+    #[must_use]
+    pub fn new(query: &'q PackedQuery) -> Self {
+        let evens = query.width().div_ceil(2);
+        let sel = (0..evens)
+            .map(|i| plane_of(2 * i, evens) + usize::from(query.bit(2 * i)) * WPB)
+            .collect();
+        Self { query, sel }
+    }
+}
+
+/// One range query's plane expressions, shared by every block of the
+/// query's width. Cell `j` is digit `2j` (the level's high bit, `h`)
+/// and digit `2j + 1` (the low bit, `l`); its level `L` keeps the rows
+/// `x & (y | z)` of three planes:
+///
+/// | `L` | rows kept |
+/// |---|---|
+/// | 0 | `m0[h] & m0[l]` |
+/// | 1 | `m0[h] & (m1[h] \| m1[l])` |
+/// | 2 | `m1[h] & (m0[h] \| m0[l])` |
+/// | 3 | `m1[h] & m1[l]` |
+///
+/// Each is exact for the windows [`crate::approx::word_windows`]
+/// derives: an `X` digit sets both of its planes, so it widens its bit
+/// of the window to both values.
+#[derive(Debug, Clone)]
+pub struct RangePlan {
+    width: usize,
+    cells: Vec<[usize; 3]>,
+}
+
+impl RangePlan {
+    /// Plan `q` for [`BitSlices::range_search_planned`].
+    ///
+    /// # Panics
+    /// Panics on odd query width (a trailing half-cell has no level).
+    #[must_use]
+    pub fn new(q: &PackedQuery) -> Self {
+        let width = q.width();
+        assert!(
+            width.is_multiple_of(2),
+            "range mode pairs digits into cells; width must be even"
+        );
+        let evens = width / 2;
+        let cells = (0..evens)
+            .map(|j| {
+                let (h, l) = (plane_of(2 * j, evens), plane_of(2 * j + 1, evens));
+                let level = (u8::from(q.bit(2 * j)) << 1) | u8::from(q.bit(2 * j + 1));
+                match level {
+                    0 => [h, l, l],
+                    1 => [h, l + WPB, h + WPB],
+                    2 => [h + WPB, l, h],
+                    _ => [h + WPB, l + WPB, l + WPB],
+                }
+            })
+            .collect();
+        Self { width, cells }
     }
 }
 

@@ -21,7 +21,7 @@
 //! window. [`build_range_cell`] builds that two-FeFET cell (threshold
 //! bounds programmed as V_TH offsets) and [`range_cell_high`]
 //! DC-solves it — the SPICE spot-check behind the behavioural
-//! [`crate::approx::RangeRows`] kernel.
+//! [`crate::BitSlices::range_search`] kernel.
 
 use crate::calib::SensePoint;
 use crate::cell::{DesignParams, RowParasitics, SearchTiming};

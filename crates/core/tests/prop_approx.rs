@@ -4,10 +4,10 @@
 //! all-wildcard rows and zero-care corpora), threshold search ≡ a
 //! `distance ≤ t` filter over the oracle, top-k ≡ the sorted prefix of
 //! [`BehavioralTcam::nearest`] with its `(distance, row)` tie-break,
-//! and the SWAR range kernel ≡ a per-cell window comparison.
+//! and the bit-sliced range kernel ≡ a per-cell window comparison.
 
-use ferrotcam::approx::{self, ApproxHit, RangeRows};
-use ferrotcam::{BehavioralTcam, PackedQuery, PackedRows, Ternary, TernaryWord};
+use ferrotcam::approx::{self, ApproxHit};
+use ferrotcam::{BehavioralTcam, BitSlices, PackedQuery, PackedRows, Ternary, TernaryWord};
 use proptest::prelude::*;
 
 fn ternary_digit() -> impl Strategy<Value = Ternary> {
@@ -30,9 +30,24 @@ fn width() -> impl Strategy<Value = usize> {
     ]
 }
 
-/// Even widths only (range mode pairs digits into 4-level cells).
+/// Even widths only (range mode pairs digits into 4-level cells),
+/// from no cells at all to cells spanning three packed words.
 fn even_width() -> impl Strategy<Value = usize> {
-    prop_oneof![Just(2usize), Just(8), Just(64), Just(66), Just(130)]
+    prop_oneof![
+        Just(0usize),
+        Just(2),
+        Just(8),
+        Just(64),
+        Just(66),
+        Just(130)
+    ]
+}
+
+/// Row counts for the range kernel: inside one 512-row plane block,
+/// and across the block boundary so the second block's tail padding
+/// is searched too.
+fn range_rows() -> impl Strategy<Value = usize> {
+    prop_oneof![0usize..30, 500usize..530]
 }
 
 fn corpus_and_query() -> impl Strategy<Value = (usize, Vec<Vec<Ternary>>, Vec<bool>)> {
@@ -218,15 +233,32 @@ proptest! {
     #[test]
     fn range_kernel_equals_per_cell_oracle(
         width in even_width(),
-        rows in proptest::collection::vec(
-            proptest::collection::vec(ternary_digit(), 130), 0..30),
-        query in proptest::collection::vec(any::<bool>(), 130),
+        n in range_rows(),
+        seed in any::<u64>(),
+        near in any::<bool>(),
     ) {
-        let rows: Vec<Vec<Ternary>> = rows.into_iter().map(|r| r[..width].to_vec()).collect();
-        let query = &query[..width];
+        // Rows are random ternary words (one digit in four a
+        // wildcard); the query is either random or a stored row's
+        // digits (wildcards read as 0), so hits occur at every width.
+        let mut state = seed;
+        let rows: Vec<Vec<Ternary>> = (0..n)
+            .map(|_| {
+                (0..width)
+                    .map(|_| match rand::split_mix64(&mut state) % 8 {
+                        0 | 1 => Ternary::X,
+                        2..=4 => Ternary::Zero,
+                        _ => Ternary::One,
+                    })
+                    .collect()
+            })
+            .collect();
+        let query: Vec<bool> = match rows.get(rand::split_mix64(&mut state) as usize % n.max(1)) {
+            Some(row) if near => row.iter().map(|&d| d == Ternary::One).collect(),
+            _ => (0..width).map(|_| rand::split_mix64(&mut state) & 1 == 1).collect(),
+        };
         let (reference, packed) = build(width, &rows);
-        let ranged = RangeRows::from_packed(&packed);
-        let q = PackedQuery::from_bits(query);
+        let ranged = BitSlices::build(packed.clone());
+        let q = PackedQuery::from_bits(&query);
         let levels = approx::query_levels(&q);
         let want: Vec<usize> = reference
             .rows()
@@ -240,7 +272,7 @@ proptest! {
             })
             .map(|(r, _)| r)
             .collect();
-        prop_assert_eq!(ranged.search(&q), want);
+        prop_assert_eq!(ranged.range_search(&q), want);
         // The scalar digit-case check (the audit lane's oracle) is a
         // third witness of the same predicate.
         let scalar: Vec<usize> = (0..packed.rows())
@@ -249,8 +281,11 @@ proptest! {
         prop_assert_eq!(scalar, want);
         // Range match is implied by ternary match: every exact match
         // is inside its own windows.
-        for m in reference.search(query).matches {
-            prop_assert!(ranged.in_window(m, &q), "exact match {} must be in-window", m);
+        for m in reference.search(&query).matches {
+            prop_assert!(
+                approx::row_in_windows(&packed, m, &q),
+                "exact match {} must be in-window", m
+            );
         }
     }
 

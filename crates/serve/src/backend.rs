@@ -4,11 +4,10 @@
 //! kernels over the [`SnapView`] a dispatcher captured for the batch,
 //! so online writes landing mid-batch can never tear a word under a
 //! running search. Each snapshot block already carries what the
-//! kernels read — bit-sliced match planes for exact search
-//! ([`ferrotcam::BitSlices`], 64 rows per machine word with
-//! `(query ^ value) & care`), the row-major packed words the popcount
-//! Hamming kernels scan, and the lane-packed range table — so nothing
-//! is rebuilt per batch.
+//! kernels read — bit-sliced match planes for exact and range search
+//! ([`ferrotcam::BitSlices`], 64 rows per machine word, with early
+//! exit once a block is dead) and the row-major packed words the
+//! popcount Hamming kernels scan — so nothing is rebuilt per batch.
 //!
 //! Energy and latency are attributed, not simulated: the kernel's
 //! per-step miss counters feed the SPICE-calibrated Table IV
@@ -114,11 +113,11 @@ fn finalize_job(kind: RequestKind, outcome: &mut SearchOutcome, hits: &mut Vec<A
 
 /// The serving kernel. Stateless: every snapshot block already holds
 /// its bit-sliced match planes (word-parallel step-1 rejection with a
-/// row-major step-2 verify of the survivors), the packed words the
-/// popcount Hamming kernel scans, and (for even widths) the
-/// lane-packed `[lo,hi]` window table — all maintained incrementally
-/// by the copy-on-write shard snapshots, so nothing is transposed per
-/// batch and writes never invalidate a kernel-side cache.
+/// row-major step-2 verify of the survivors, and the per-cell range
+/// expressions) and the packed words the popcount Hamming kernel
+/// scans — both maintained incrementally by the copy-on-write shard
+/// snapshots, so nothing is transposed per batch and writes never
+/// invalidate a kernel-side cache.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct BehaviouralBackend;
 
@@ -212,15 +211,11 @@ fn shard_answer(view: &SnapView, s: usize, kind: RequestKind, q: &PackedQuery) -
             }
         }
         RequestKind::Range => {
+            // Admission rejects odd widths (`Invalid::OddRangeWidth`).
             let mut outcome = SearchOutcome::empty();
-            for (base, blk) in snap.blocks() {
-                let ranges = blk.ranges().expect("range queries need an even word width");
-                outcome.matches.extend(
-                    ranges
-                        .search(q)
-                        .iter()
-                        .map(|&l| view.global_row(s, base + l)),
-                );
+            outcome.matches = snap.range_search(q);
+            for m in &mut outcome.matches {
+                *m = view.global_row(s, *m);
             }
             outcome.step1_misses = snap.rows() - outcome.matches.len();
             ShardAnswer {

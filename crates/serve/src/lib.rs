@@ -93,6 +93,6 @@ pub use reference::{audit_compare, reference_search, reference_walk, AuditVerdic
 pub use request::{AdmissionClass, Invalid, Rejected, Request, RequestKind, Route, KIND_COUNT};
 pub use service::{SearchResponse, ServiceClient, ServiceConfig, TcamService, Ticket};
 pub use shard::{
-    hash_packed, EpochCell, LiveTable, RowBlock, ShardSnap, ShardedTcam, SnapView, WriteAck,
-    WriteOp, BLOCK_ROWS,
+    hash_packed, EpochCell, LiveTable, ShardSnap, ShardedTcam, SnapView, WriteAck, WriteOp,
+    BLOCK_ROWS,
 };

@@ -2,8 +2,8 @@
 //! snapshot, shared by the service's audit lane and the tests.
 //!
 //! The serving kernel ([`crate::backend::BehaviouralBackend`]) answers
-//! from bit-sliced planes, block-masked popcount scans and lane-packed
-//! window tables. The oracle answers the same request row by row from
+//! from bit-sliced planes (exact and range) and block-masked popcount
+//! scans. The oracle answers the same request row by row from
 //! the row-major packed words of the very same [`SnapView`], with none
 //! of the kernel's pruning:
 //!

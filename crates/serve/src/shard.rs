@@ -32,9 +32,9 @@
 //!   shard's epoch, so an in-flight search can never observe a torn
 //!   word (half old row, half new row);
 //! * snapshots copy-on-write at [`BLOCK_ROWS`]-row granularity: the
-//!   successor shares every untouched [`RowBlock`] `Arc` with its
-//!   predecessor, so a write clones one block (and its sliced planes),
-//!   not the shard.
+//!   successor shares every untouched block's `Arc<`[`BitSlices`]`>`
+//!   with its predecessor, so a write clones one block's packed words
+//!   and sliced planes, not the shard.
 //!
 //! Cross-shard atomicity is deliberately *not* promised: a fan-out
 //! search sees each shard at its own epoch (the view records them).
@@ -43,10 +43,10 @@
 
 use crate::request::RequestKind;
 use crate::sync::{AtomicU64, Mutex, Ordering};
-use ferrotcam::approx::RangeRows;
 use ferrotcam::fom::SearchMetrics;
 use ferrotcam::{
-    BehavioralTcam, BitSlices, PackedQuery, PackedRows, RowWriteMetrics, SearchOutcome, TernaryWord,
+    BehavioralTcam, BitSlices, ExactPlan, PackedQuery, PackedRows, RangePlan, RowWriteMetrics,
+    SearchOutcome, TernaryWord,
 };
 use rand::split_mix64;
 use std::sync::Arc;
@@ -195,67 +195,19 @@ impl ShardedTcam {
 /// Rows per copy-on-write block of a [`ShardSnap`].
 pub const BLOCK_ROWS: usize = 512;
 
-/// One copy-on-write unit of a shard snapshot: up to [`BLOCK_ROWS`]
-/// rows as bit-sliced match planes (with the row-major packed words
-/// backing survivor verification and the reference oracle) plus,
-/// for even widths, the lane-packed `[lo, hi]` range table.
-#[derive(Debug, Clone)]
-pub struct RowBlock {
-    slices: BitSlices,
-    /// `None` for odd widths (range mode pairs digits into cells).
-    ranges: Option<RangeRows>,
-}
-
-impl RowBlock {
-    fn new(width: usize) -> Self {
-        Self {
-            slices: BitSlices::build(PackedRows::new(width)),
-            ranges: width.is_multiple_of(2).then(|| RangeRows::new(width / 2)),
-        }
-    }
-
-    /// Rows stored in this block.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.slices.rows()
-    }
-
-    /// Whether the block holds no rows.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The bit-sliced match planes (the serving kernel's exact search).
-    #[must_use]
-    pub fn slices(&self) -> &BitSlices {
-        &self.slices
-    }
-
-    /// The row-major packed words (the reference oracle's walk and the
-    /// popcount approximate kernels).
-    #[must_use]
-    pub fn packed(&self) -> &PackedRows {
-        self.slices.packed()
-    }
-
-    /// The lane-packed range table; `None` for odd widths.
-    #[must_use]
-    pub fn ranges(&self) -> Option<&RangeRows> {
-        self.ranges.as_ref()
-    }
-}
-
 /// An immutable snapshot of one shard's rows, chunked into
-/// [`BLOCK_ROWS`]-row [`RowBlock`]s behind `Arc`s. Successor snapshots
-/// (built by [`EpochCell::update`]) share every untouched block with
-/// their predecessor, so cloning a snapshot and patching a few rows is
-/// cheap regardless of the shard size.
+/// [`BLOCK_ROWS`]-row blocks behind `Arc`s. A block is one
+/// [`BitSlices`]: the bit-sliced match planes exact and range search
+/// read, with the row-major packed words behind survivor verification,
+/// the popcount Hamming kernels and the reference oracle. Successor
+/// snapshots (built by [`EpochCell::update`]) share every untouched
+/// block with their predecessor, so cloning a snapshot and patching a
+/// few rows is cheap regardless of the shard size.
 #[derive(Debug, Clone)]
 pub struct ShardSnap {
     width: usize,
     rows: usize,
-    blocks: Vec<Arc<RowBlock>>,
+    blocks: Vec<Arc<BitSlices>>,
 }
 
 /// One shard-local mutation inside a committed write batch.
@@ -288,7 +240,6 @@ impl ShardSnap {
         for row in tcam.rows() {
             snap.push(row);
         }
-        snap.rebuild_unique_ranges();
         snap
     }
 
@@ -311,7 +262,7 @@ impl ShardSnap {
     }
 
     /// The blocks with their base row offsets, in row order.
-    pub fn blocks(&self) -> impl Iterator<Item = (usize, &RowBlock)> {
+    pub fn blocks(&self) -> impl Iterator<Item = (usize, &BitSlices)> {
         self.blocks
             .iter()
             .enumerate()
@@ -332,15 +283,16 @@ impl ShardSnap {
 
     /// Exact two-step search over every block's sliced planes — the
     /// serving kernel's exact loop — with shard-local match ids,
-    /// ascending.
+    /// ascending. The query is planned once for every block.
     ///
     /// # Panics
     /// Panics on query-width mismatch.
     #[must_use]
     pub fn search(&self, q: &PackedQuery) -> SearchOutcome {
+        let plan = ExactPlan::new(q);
         let mut out = SearchOutcome::empty();
         for (base, blk) in self.blocks() {
-            let mut o = blk.slices().search(q);
+            let mut o = blk.search_planned(&plan);
             for m in &mut o.matches {
                 *m += base;
             }
@@ -349,7 +301,23 @@ impl ShardSnap {
         out
     }
 
-    fn block_mut(&mut self, b: usize) -> &mut RowBlock {
+    /// Range search over every block's sliced planes — the serving
+    /// kernel's range loop — returning the in-window shard-local rows,
+    /// ascending. The query is planned once for every block.
+    ///
+    /// # Panics
+    /// Panics on odd query width or a query-width mismatch.
+    #[must_use]
+    pub fn range_search(&self, q: &PackedQuery) -> Vec<usize> {
+        let plan = RangePlan::new(q);
+        let mut hits = Vec::new();
+        for (base, blk) in self.blocks() {
+            hits.extend(blk.range_search_planned(&plan).iter().map(|&l| base + l));
+        }
+        hits
+    }
+
+    fn block_mut(&mut self, b: usize) -> &mut BitSlices {
         Arc::make_mut(&mut self.blocks[b])
     }
 
@@ -357,9 +325,10 @@ impl ShardSnap {
         assert_eq!(word.len(), self.width, "row width mismatch");
         let b = self.rows / BLOCK_ROWS;
         if b == self.blocks.len() {
-            self.blocks.push(Arc::new(RowBlock::new(self.width)));
+            self.blocks
+                .push(Arc::new(BitSlices::build(PackedRows::new(self.width))));
         }
-        self.block_mut(b).slices.push_row(word);
+        self.block_mut(b).push_row(word);
         self.rows += 1;
     }
 
@@ -367,7 +336,6 @@ impl ShardSnap {
         assert!(row < self.rows, "row {row} out of range");
         assert_eq!(word.len(), self.width, "row width mismatch");
         self.block_mut(row / BLOCK_ROWS)
-            .slices
             .write_row(row % BLOCK_ROWS, word);
     }
 
@@ -376,35 +344,18 @@ impl ShardSnap {
         let last = self.rows - 1;
         let (rb, lb) = (row / BLOCK_ROWS, last / BLOCK_ROWS);
         if rb == lb {
-            self.block_mut(rb).slices.swap_remove_row(row % BLOCK_ROWS);
+            self.block_mut(rb).swap_remove_row(row % BLOCK_ROWS);
         } else {
             // The moved row crosses blocks: pop it off the tail block,
             // write it into the freed slot's block.
             let moved = self.blocks[lb].packed().row_word(last % BLOCK_ROWS);
-            self.block_mut(lb).slices.swap_remove_row(last % BLOCK_ROWS);
-            self.block_mut(rb)
-                .slices
-                .write_row(row % BLOCK_ROWS, &moved);
+            self.block_mut(lb).swap_remove_row(last % BLOCK_ROWS);
+            self.block_mut(rb).write_row(row % BLOCK_ROWS, &moved);
         }
-        if self.blocks.last().is_some_and(|blk| blk.is_empty()) {
+        if self.blocks.last().is_some_and(|blk| blk.rows() == 0) {
             self.blocks.pop();
         }
         self.rows -= 1;
-    }
-
-    /// Rebuild the range table of every uniquely-owned block. A block
-    /// is uniquely owned exactly when this batch mutated it (untouched
-    /// blocks still share their `Arc` with the predecessor snapshot),
-    /// so this re-derives `[lo, hi]` windows only where rows changed —
-    /// once per batch, not once per write.
-    fn rebuild_unique_ranges(&mut self) {
-        for blk in &mut self.blocks {
-            if let Some(b) = Arc::get_mut(blk) {
-                if b.ranges.is_some() {
-                    b.ranges = Some(RangeRows::from_packed(b.slices.packed()));
-                }
-            }
-        }
     }
 
     /// Apply one shard's slice of a write batch, in order.
@@ -416,7 +367,6 @@ impl ShardSnap {
                 LocalOp::SwapRemove(row) => self.swap_remove(*row),
             }
         }
-        self.rebuild_unique_ranges();
     }
 }
 
@@ -812,7 +762,7 @@ impl SnapView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ferrotcam::DesignKind;
+    use ferrotcam::{row_in_windows, DesignKind};
 
     /// The routing hash's specification over an unpacked query: the
     /// oracle [`hash_packed`] is held to.
@@ -1215,16 +1165,18 @@ mod tests {
                 assert_eq!(got.matches, want.matches, "round {round} shard {s}");
                 assert_eq!(got.step1_misses, want.step1_misses);
                 assert_eq!(got.step2_misses, want.step2_misses);
-                // Range tables stay current with the rows (even width).
-                for (_, blk) in snap.blocks() {
-                    let rebuilt = RangeRows::from_packed(blk.packed());
-                    let probe = PackedQuery::from_bits(&q);
-                    assert_eq!(
-                        blk.ranges().expect("even width has ranges").search(&probe),
-                        rebuilt.search(&probe),
-                        "round {round} shard {s}"
-                    );
-                }
+                // Range search on the written planes matches the
+                // digit-case oracle over the row-major words (even width).
+                let probe = PackedQuery::from_bits(&q);
+                let want: Vec<usize> = snap
+                    .blocks()
+                    .flat_map(|(base, blk)| {
+                        (0..blk.rows())
+                            .filter(|&l| row_in_windows(blk.packed(), l, &probe))
+                            .map(move |l| base + l)
+                    })
+                    .collect();
+                assert_eq!(snap.range_search(&probe), want, "round {round} shard {s}");
             }
         }
     }
