@@ -4,8 +4,6 @@
 //!
 //! * [`driver`] — the shared HV-driver planning of Sec. III-B4,
 //! * [`encoder`] — match-address priority encoding,
-//! * [`mat`] — subarray/mat roll-up with early-termination energy
-//!   accounting,
 //! * [`apps`] — router LPM, associative cache tags, and Hamming-
 //!   distance one-shot classification.
 //!
@@ -26,11 +24,9 @@ pub mod apps;
 pub mod density;
 pub mod driver;
 pub mod encoder;
-pub mod mat;
 pub mod sched;
 
 pub use density::{density_mbit_per_mm2, macro_area, MacroArea};
 pub use driver::{sharing_savings, DriverPlan, SubarrayDims};
 pub use encoder::{EncodeResult, PriorityEncoder};
-pub use mat::{Mat, SearchCost, TcamArray};
 pub use sched::{schedule, PipelineModel, Query, ScheduleOutcome};

@@ -12,21 +12,24 @@
 //! Two layouts share the packing:
 //!
 //! * [`PackedRows`] — row-major, the literal `(q ^ v) & care` scan.
-//!   Exact and simple; the reference the property tests pin against
-//!   and the verifier for step-2 survivors.
+//!   Exact and simple; the oracle the property tests and the serve
+//!   audit lane pin the sliced kernel against. No search kernel reads
+//!   it.
 //! * [`BitSlices`] — transposed (bit-sliced) match planes in blocks of
 //!   512 rows. Step 1 is an AND-chain over the even-digit planes with
 //!   early exit on an all-zero accumulator, so a query touches only as
 //!   many planes as it takes to kill every row in the block — the
 //!   in-software analogue of the paper's early-termination search.
-//!   Step-2 survivors (popcount of the accumulator) are verified
-//!   row-major, which is exact and cheap because the step-1 miss rate
-//!   of real workloads leaves few survivors. The same planes answer
-//!   the FeCAM range match ([`BitSlices::range_search`]): each 4-level
-//!   cell ANDs one expression over its two digits' planes into the
-//!   accumulator, with the same early exit. A query's plane offsets
-//!   ([`ExactPlan`], [`RangePlan`]) are built once and shared by every
-//!   block of its width.
+//!   Step 2 runs only on a block with step-1 survivors, as the
+//!   paper's second phase runs only on the match lines still high: it
+//!   continues the same AND chain over the odd-digit planes, so a
+//!   step-2 miss is a step-1 survivor bit that the odd planes clear.
+//!   The same planes answer the FeCAM range match
+//!   ([`BitSlices::range_search`]): each 4-level cell ANDs one
+//!   expression over its two digits' planes into the accumulator, with
+//!   the same early exit. A query's plane offsets ([`ExactPlan`],
+//!   [`RangePlan`]) are built once and shared by every block of its
+//!   width.
 //!
 //! Both return the same [`SearchOutcome`] as [`BehavioralTcam::search`],
 //! bit-identically — including per-step miss counts, which is what the
@@ -307,22 +310,9 @@ impl PackedRows {
         TernaryWord::new(digits)
     }
 
-    /// Step-classification of one row against a query:
-    /// `(step1_mismatch, step2_mismatch)`.
-    #[inline]
-    fn classify(&self, row: usize, q: &PackedQuery) -> (bool, bool) {
-        let base = row * self.wpr;
-        let (mut s1, mut s2) = (0u64, 0u64);
-        for w in 0..self.wpr {
-            let mis = (q.word(w) ^ self.value[base + w]) & self.care[base + w];
-            s1 |= mis & STEP1_MASK;
-            s2 |= mis & STEP2_MASK;
-        }
-        (s1 != 0, s2 != 0)
-    }
-
-    /// Word-parallel two-step search over every row — the reference
-    /// bit kernel, bit-identical to [`BehavioralTcam::search`].
+    /// Word-parallel two-step search over every row, bit-identical to
+    /// [`BehavioralTcam::search`]: the row-major oracle of
+    /// [`BitSlices::search`], which reads none of these words.
     ///
     /// # Panics
     /// Panics on query-width mismatch.
@@ -331,10 +321,16 @@ impl PackedRows {
         assert_eq!(q.width(), self.width, "query width mismatch");
         let mut out = SearchOutcome::empty();
         for r in 0..self.rows {
-            let (m1, m2) = self.classify(r, q);
-            if m1 {
+            let base = r * self.wpr;
+            let (mut s1, mut s2) = (0u64, 0u64);
+            for w in 0..self.wpr {
+                let mis = (q.word(w) ^ self.value[base + w]) & self.care[base + w];
+                s1 |= mis & STEP1_MASK;
+                s2 |= mis & STEP2_MASK;
+            }
+            if s1 != 0 {
                 out.step1_misses += 1;
-            } else if m2 {
+            } else if s2 != 0 {
                 out.step2_misses += 1;
             } else {
                 out.matches.push(r);
@@ -345,7 +341,8 @@ impl PackedRows {
 }
 
 /// Transposed (bit-sliced) match planes over blocks of 512 rows, plus
-/// the row-major planes for survivor verification.
+/// the row-major packed words the approximate kernels and the oracle
+/// read. Exact and range search read only the planes.
 ///
 /// Per block, per digit (even digits first, then odd), two row-bitmap
 /// planes of `WPB` (8) words each: `m0` (rows matching a searched `0`)
@@ -508,7 +505,9 @@ impl BitSlices {
 
     /// Early-terminating two-step search, bit-identical to
     /// [`BehavioralTcam::search`] (matches ascending, exact per-step
-    /// miss counts).
+    /// miss counts). Both steps are AND chains over this block's
+    /// planes: step 1 over the even digits, then, in a block where any
+    /// row survived it, step 2 over the odd digits.
     ///
     /// # Panics
     /// Panics on query-width mismatch.
@@ -524,9 +523,8 @@ impl BitSlices {
     /// # Panics
     /// Panics on query-width mismatch.
     #[must_use]
-    pub fn search_planned(&self, plan: &ExactPlan<'_>) -> SearchOutcome {
-        let q = plan.query;
-        assert_eq!(q.width(), self.packed.width(), "query width mismatch");
+    pub fn search_planned(&self, plan: &ExactPlan) -> SearchOutcome {
+        assert_eq!(plan.sel.len(), self.packed.width(), "query width mismatch");
         let mut out = SearchOutcome::empty();
         let rows = self.packed.rows();
         if self.packed.width() == 0 {
@@ -535,11 +533,12 @@ impl BitSlices {
             return out;
         }
         let per_block = self.packed.width() * 2 * WPB;
+        let (even, odd) = plan.sel.split_at(plan.evens);
         let mut survivors = 0usize;
         for b in 0..self.blocks {
             let block = &self.planes[b * per_block..(b + 1) * per_block];
             let mut acc = [!0u64; WPB];
-            for (i, &s) in plan.sel.iter().enumerate() {
+            for (i, &s) in even.iter().enumerate() {
                 let plane = &block[s..s + WPB];
                 for w in 0..WPB {
                     acc[w] &= plane[w];
@@ -551,20 +550,10 @@ impl BitSlices {
                     break;
                 }
             }
-            // Step 2: verify the step-1 survivors row-major.
-            for (w, &a) in acc.iter().enumerate() {
-                let mut bits = a;
-                while bits != 0 {
-                    let row = b * ROWS_PER_BLOCK + w * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    survivors += 1;
-                    if self.packed.classify(row, q).1 {
-                        out.step2_misses += 1;
-                    } else {
-                        out.matches.push(row);
-                    }
-                }
+            if dead(&acc) {
+                continue;
             }
+            survivors += step2(block, odd, &acc, b * ROWS_PER_BLOCK, &mut out);
         }
         out.step1_misses = rows - survivors;
         out
@@ -631,6 +620,48 @@ fn dead(acc: &[u64; WPB]) -> bool {
     acc.iter().fold(0, |any, &a| any | a) == 0
 }
 
+/// Step 2 of one block: continue step 1's AND chain over the odd-digit
+/// planes `odd`, starting from the step-1 survivors `s1`, with the same
+/// every-4-planes dead check. The rows still set at the end are
+/// matches (pushed onto `out` as `base + bit`); the rest of `s1` are
+/// step-2 misses. Returns the step-1 survivor count.
+///
+/// Out of line on purpose: with this loop inlined into
+/// [`BitSlices::search_planned`], its step-1 loop compiled slower, and
+/// all-miss queries (which never reach step 2) paid for it.
+#[inline(never)]
+fn step2(
+    block: &[u64],
+    odd: &[usize],
+    s1: &[u64; WPB],
+    base: usize,
+    out: &mut SearchOutcome,
+) -> usize {
+    let mut acc = *s1;
+    for (i, &s) in odd.iter().enumerate() {
+        let plane = &block[s..s + WPB];
+        for w in 0..WPB {
+            acc[w] &= plane[w];
+        }
+        if (i + 1) & 3 == 0 && dead(&acc) {
+            break;
+        }
+    }
+    let (mut survivors, mut matches) = (0, 0);
+    for (w, (&a, &s)) in acc.iter().zip(s1).enumerate() {
+        survivors += s.count_ones() as usize;
+        matches += a.count_ones() as usize;
+        let mut bits = a;
+        while bits != 0 {
+            out.matches
+                .push(base + w * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+    out.step2_misses += survivors - matches;
+    survivors
+}
+
 /// Offset of digit `d`'s `m0` plane inside a block (`m1` follows it
 /// at `+ WPB`): even digits take the first `evens` slots, odd digits
 /// the rest.
@@ -644,24 +675,29 @@ fn plane_of(d: usize, evens: usize) -> usize {
     slot * 2 * WPB
 }
 
-/// One exact query's step-1 plane offsets — the query bit of each even
-/// digit selects its `m0` or `m1` plane — shared by every block of the
-/// query's width.
+/// One exact query's plane offsets, shared by every block of the
+/// query's width: for each digit in the block's plane order (the even
+/// digits, then the odd ones), the query bit selects its `m0` or `m1`
+/// plane. The first `evens` offsets drive step 1, the rest step 2.
 #[derive(Debug, Clone)]
-pub struct ExactPlan<'q> {
-    query: &'q PackedQuery,
+pub struct ExactPlan {
     sel: Vec<usize>,
+    evens: usize,
 }
 
-impl<'q> ExactPlan<'q> {
-    /// Plan `q` for [`BitSlices::search_planned`].
+impl ExactPlan {
+    /// Plan `query` for [`BitSlices::search_planned`].
     #[must_use]
-    pub fn new(query: &'q PackedQuery) -> Self {
-        let evens = query.width().div_ceil(2);
-        let sel = (0..evens)
-            .map(|i| plane_of(2 * i, evens) + usize::from(query.bit(2 * i)) * WPB)
+    pub fn new(query: &PackedQuery) -> Self {
+        let width = query.width();
+        let evens = width.div_ceil(2);
+        let bit = |d: usize| ((query.word(d / 64) >> (d % 64)) & 1) as usize;
+        let sel = (0..width)
+            .step_by(2)
+            .chain((1..width).step_by(2))
+            .map(|d| plane_of(d, evens) + bit(d) * WPB)
             .collect();
-        Self { query, sel }
+        Self { sel, evens }
     }
 }
 
@@ -904,6 +940,58 @@ mod tests {
         }
         assert_eq!(live.rows(), ROWS_PER_BLOCK - 1);
         check(&live, &mirror);
+    }
+
+    #[test]
+    fn survivors_that_die_at_the_last_odd_digit() {
+        // Every row survives step 1 and matches every odd digit but the
+        // last, which a third of them mismatch: only the final odd plane
+        // (the one the every-4-planes dead check never reaches) tells a
+        // match from a step-2 miss. 600 rows span two blocks.
+        for width in [2usize, 3, 8, 9, 63, 64, 65, 130] {
+            let q = query_bits(width, 0x1a57 ^ width as u64);
+            let last_odd = (width - 2) | 1;
+            let mut t = BehavioralTcam::new(width);
+            for r in 0..600 {
+                let word: TernaryWord = q
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &b)| {
+                        let b = if i == last_odd && r % 3 == 0 { !b } else { b };
+                        if i != last_odd && (i + r) % 5 == 0 {
+                            Ternary::X
+                        } else if b {
+                            Ternary::One
+                        } else {
+                            Ternary::Zero
+                        }
+                    })
+                    .collect();
+                t.store(word);
+            }
+            let out = BitSlices::from_tcam(&t).search(&PackedQuery::from_bits(&q));
+            assert_eq!(out.step1_misses, 0, "width {width}");
+            assert_eq!(out.step2_misses, 200, "width {width}");
+            assert_eq!(out.matches.len(), 400, "width {width}");
+            assert_equivalent(&t, &q);
+        }
+    }
+
+    #[test]
+    fn width_one_table_has_no_step_two() {
+        // One digit: step 1 decides every row, and no odd plane exists.
+        let mut t = BehavioralTcam::new(1);
+        for r in 0..(ROWS_PER_BLOCK + 7) {
+            t.store(TernaryWord::new(vec![
+                [Ternary::Zero, Ternary::One, Ternary::X][r % 3],
+            ]));
+        }
+        for q in [[false], [true]] {
+            let out = BitSlices::from_tcam(&t).search(&PackedQuery::from_bits(&q));
+            assert_eq!(out.step2_misses, 0);
+            assert_eq!(out.step1_misses, t.len() / 3);
+            assert_equivalent(&t, &q);
+        }
     }
 
     #[test]

@@ -113,6 +113,90 @@ proptest! {
     }
 }
 
+/// A corpus in which step 2 does real work: about `survive_pct` % of the
+/// rows copy the query's even digits (an `X` now and then), so they
+/// survive step 1, and their odd digits agree with the query or are
+/// `X` except for 0–2 flipped digits at random odd positions, so a
+/// survivor is a match or a step-2 miss at any odd plane, the last
+/// ones included. The other rows are random ternary words.
+fn survival_corpus(width: usize, n: usize, survive_pct: u64, seed: u64) -> Vec<Vec<Ternary>> {
+    let mut state = seed;
+    let mut next = move |m: u64| rand::split_mix64(&mut state) % m;
+    let query_digit = |b: bool| if b { Ternary::One } else { Ternary::Zero };
+    let query = survival_query(width, seed);
+    let odds = width / 2;
+    (0..n)
+        .map(|_| {
+            if next(100) >= survive_pct {
+                return (0..width)
+                    .map(|_| match next(8) {
+                        0..=1 => Ternary::X,
+                        2..=4 => Ternary::Zero,
+                        _ => Ternary::One,
+                    })
+                    .collect();
+            }
+            let mut row: Vec<Ternary> = query
+                .iter()
+                .map(|&b| {
+                    if next(6) == 0 {
+                        Ternary::X
+                    } else {
+                        query_digit(b)
+                    }
+                })
+                .collect();
+            if odds > 0 {
+                for _ in 0..next(3) {
+                    let d = 2 * next(odds as u64) as usize + 1;
+                    row[d] = query_digit(!query[d]);
+                }
+            }
+            row
+        })
+        .collect()
+}
+
+/// The query [`survival_corpus`] keys its survivors on.
+fn survival_query(width: usize, seed: u64) -> Vec<bool> {
+    let mut state = seed ^ 0x5eed_0dd5;
+    (0..width)
+        .map(|_| rand::split_mix64(&mut state) & 1 == 1)
+        .collect()
+}
+
+/// Widths for the step-2 property: width 1 has no odd planes, widths
+/// 2, 3 and 8 have at most four (the dead check never cuts step 2
+/// short), and the rest straddle the 64-digit word boundary.
+fn step2_width() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(1usize),
+        Just(2),
+        Just(3),
+        Just(8),
+        Just(63),
+        Just(64),
+        Just(65),
+        Just(130)
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn step2_on_the_odd_planes_equals_boolean_search(
+        width in step2_width(),
+        n in prop_oneof![0usize..=40, 500usize..=1100],
+        survive_pct in 0u64..=100,
+        seed in any::<u64>(),
+    ) {
+        // Row counts 500–1100 cross the 512- and 1024-row block edges.
+        let rows = survival_corpus(width, n, survive_pct, seed);
+        check_equivalence(width, rows, &survival_query(width, seed));
+    }
+}
+
 #[test]
 fn zero_row_corpus_is_empty_outcome() {
     for width in [1usize, 64, 100] {

@@ -6,8 +6,9 @@
 //! running search. Each snapshot block already carries what the
 //! kernels read — bit-sliced match planes for exact and range search
 //! ([`ferrotcam::BitSlices`], 64 rows per machine word, with early
-//! exit once a block is dead) and the row-major packed words the
-//! popcount Hamming kernels scan — so nothing is rebuilt per batch.
+//! exit once a block is dead; exact search runs both of its steps on
+//! them) and the row-major packed words the popcount Hamming kernels
+//! scan — so nothing is rebuilt per batch.
 //!
 //! Energy and latency are attributed, not simulated: the kernel's
 //! per-step miss counters feed the SPICE-calibrated Table IV
@@ -112,12 +113,13 @@ fn finalize_job(kind: RequestKind, outcome: &mut SearchOutcome, hits: &mut Vec<A
 }
 
 /// The serving kernel. Stateless: every snapshot block already holds
-/// its bit-sliced match planes (word-parallel step-1 rejection with a
-/// row-major step-2 verify of the survivors, and the per-cell range
-/// expressions) and the packed words the popcount Hamming kernel
-/// scans — both maintained incrementally by the copy-on-write shard
-/// snapshots, so nothing is transposed per batch and writes never
-/// invalidate a kernel-side cache.
+/// its bit-sliced match planes (exact search's step 1 over the
+/// even-digit planes, step 2 over the odd-digit planes for a block's
+/// step-1 survivors, and the per-cell range expressions) and the packed
+/// words the popcount Hamming kernel scans — both maintained
+/// incrementally by the copy-on-write shard snapshots, so nothing is
+/// transposed per batch and writes never invalidate a kernel-side
+/// cache.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct BehaviouralBackend;
 

@@ -8,7 +8,8 @@
 //! of the kernel's pruning:
 //!
 //! * exact — [`ferrotcam::PackedRows::search`], the row-major two-step
-//!   classifier (independent of [`ferrotcam::BitSlices`]);
+//!   classifier; the kernel reads only the planes, so the two share no
+//!   data;
 //! * threshold and top-k — [`row_distance`] on every row;
 //! * range — [`row_in_windows`] on every row.
 //!

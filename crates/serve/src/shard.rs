@@ -197,9 +197,9 @@ pub const BLOCK_ROWS: usize = 512;
 
 /// An immutable snapshot of one shard's rows, chunked into
 /// [`BLOCK_ROWS`]-row blocks behind `Arc`s. A block is one
-/// [`BitSlices`]: the bit-sliced match planes exact and range search
-/// read, with the row-major packed words behind survivor verification,
-/// the popcount Hamming kernels and the reference oracle. Successor
+/// [`BitSlices`]: the bit-sliced match planes exact search (both steps)
+/// and range search read, with the row-major packed words behind the
+/// popcount Hamming kernels and the reference oracle. Successor
 /// snapshots (built by [`EpochCell::update`]) share every untouched
 /// block with their predecessor, so cloning a snapshot and patching a
 /// few rows is cheap regardless of the shard size.

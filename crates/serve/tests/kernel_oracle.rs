@@ -151,6 +151,35 @@ fn kernel_matches_reference_oracle_on_random_batches() {
 }
 
 #[test]
+fn kernel_matches_oracle_on_a_survival_keyed_table() {
+    // Every row is one of 10 pattern words with one to three odd digits
+    // redrawn, so a query near a stored row keeps about a tenth of each
+    // block alive through step 1, and step 2 tells those survivors
+    // apart at any odd plane. 62 digits leave 31 odd planes, three past
+    // the last multiple of four; each shard spans three blocks.
+    let (width, shards) = (62usize, 2usize);
+    let mut seed = 0x5a_u64;
+    let patterns: Vec<TernaryWord> = (0..10).map(|_| rand_word(&mut seed, width)).collect();
+    let mut built = ShardedTcam::new(width, shards);
+    for _ in 0..shards * (2 * BLOCK_ROWS + 100) {
+        let key = &patterns[(split_mix64(&mut seed) % 10) as usize];
+        let mut digits = key.digits().to_vec();
+        let redraw = rand_word(&mut seed, width);
+        for _ in 0..1 + split_mix64(&mut seed) % 3 {
+            let i = 2 * (split_mix64(&mut seed) % (width as u64 / 2)) as usize + 1;
+            digits[i] = redraw.digits()[i];
+        }
+        built.store(TernaryWord::new(digits));
+    }
+    let live = LiveTable::from_sharded(&built);
+    for round in 0..4 {
+        let view = live.snapshot();
+        check_round(&mut seed, &view, &format!("survival-keyed round {round}"));
+        live.apply(&rand_writes(&mut seed, width, view.len()));
+    }
+}
+
+#[test]
 fn sense_mode_threshold_equals_digital_threshold() {
     let width = 66;
     let mut seed = 0x5e05e_u64;
