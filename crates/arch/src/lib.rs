@@ -1,26 +1,32 @@
 //! # ferrotcam-arch
 //!
-//! Array architecture and applications for the ferroTCAM workspace:
+//! Array architecture for the ferroTCAM workspace:
 //!
 //! * [`driver`] — the shared HV-driver planning of Sec. III-B4,
 //! * [`encoder`] — match-address priority encoding,
-//! * [`apps`] — router LPM, associative cache tags, and Hamming-
-//!   distance one-shot classification.
+//! * [`sched`] — multi-bank search scheduling,
+//! * [`density`] — full-macro area and density roll-up.
 //!
 //! ```
-//! use ferrotcam_arch::apps::{Route, RouterTable};
+//! use ferrotcam::BehavioralTcam;
+//! use ferrotcam_arch::{EncodeResult, PriorityEncoder};
 //!
-//! let mut table = RouterTable::new();
-//! table.insert(Route { addr: 0x0A000000, prefix_len: 8, next_hop: 1 })?;
-//! table.insert(Route { addr: 0x0A010000, prefix_len: 16, next_hop: 2 })?;
-//! assert_eq!(table.lookup(0x0A010203).unwrap().next_hop, 2);
-//! # Ok::<(), ferrotcam_arch::apps::DuplicateRoute>(())
+//! let mut tcam = BehavioralTcam::new(4);
+//! tcam.store("10XX".parse()?);
+//! tcam.store("1011".parse()?);
+//! let outcome = tcam.search(&[true, false, true, true]);
+//! let mut lines = vec![false; tcam.len()];
+//! for &m in &outcome.matches {
+//!     lines[m] = true;
+//! }
+//! let encoder = PriorityEncoder::new(tcam.len());
+//! assert_eq!(encoder.encode(&lines), EncodeResult::Multiple(0));
+//! # Ok::<(), ferrotcam::ternary::ParseTernaryError>(())
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod apps;
 pub mod density;
 pub mod driver;
 pub mod encoder;

@@ -141,135 +141,39 @@ pub fn threshold_search(rows: &PackedRows, q: &PackedQuery, t: u32) -> Vec<Appro
 /// `(distance, row)` — deterministic tie-breaking, lowest row wins.
 /// Returns fewer than `k` hits only when the table has fewer rows.
 ///
-/// # Panics
-/// Panics on query-width mismatch.
-#[must_use]
-pub fn top_k(rows: &PackedRows, q: &PackedQuery, k: usize) -> Vec<ApproxHit> {
-    assert_eq!(q.width(), rows.width(), "query width mismatch");
-    if k == 0 {
-        return Vec::new();
-    }
-    if rows.wpr == 1 {
-        return top_k_blocked(rows, q, k);
-    }
-    // Bounded max-heap: the root is the current worst of the best k,
-    // replaced whenever a strictly better hit arrives. Row order is
-    // ascending, so on equal distance the incumbent (lower row) wins.
-    let mut heap: BinaryHeap<ApproxHit> = BinaryHeap::with_capacity(k + 1);
-    for row in 0..rows.rows() {
-        let hit = ApproxHit {
-            row,
-            distance: row_distance(rows, row, q),
-        };
-        if heap.len() < k {
-            heap.push(hit);
-        } else if hit < *heap.peek().expect("heap is non-empty at capacity") {
-            heap.pop();
-            heap.push(hit);
-        }
-    }
-    let mut hits = heap.into_vec();
-    hits.sort_unstable();
-    hits
-}
-
-/// Serving hot path for [`top_k`] (≤64-digit rows): a single pass in
-/// 64-row blocks. Each block runs the branchless mask loop (one
-/// XOR/AND/POPCNT/compare per row, a shape the compiler can
-/// vectorize) flagging rows that beat the current k-th best distance;
-/// only flagged rows touch the bounded heap that maintains the best k
-/// and the bound. Rows scan in ascending order, so a later row that
-/// merely ties the k-th best can never displace it — the strict
-/// `d < bound` flag is exact — and once the heap fills the bound is
-/// tight enough that almost every block contributes nothing.
-fn top_k_blocked(rows: &PackedRows, q: &PackedQuery, k: usize) -> Vec<ApproxHit> {
-    let qh = q.word(0);
-    let n = rows.rows();
-    if k >= n {
-        let mut hits: Vec<ApproxHit> = rows
-            .value
-            .iter()
-            .zip(rows.care.iter())
-            .enumerate()
-            .map(|(row, (&v, &c))| ApproxHit {
-                row,
-                distance: ((qh ^ v) & c).count_ones(),
-            })
-            .collect();
-        hits.sort_unstable();
-        return hits;
-    }
-    // Bounded max-heap over flagged rows only: the root is the worst
-    // of the current best k, and `bound` mirrors its distance so the
-    // mask loop skips everything that cannot enter.
-    let mut heap: BinaryHeap<ApproxHit> = BinaryHeap::with_capacity(k + 1);
-    let mut bound = u32::MAX;
-    let blocks = rows.value.chunks(64).zip(rows.care.chunks(64));
-    for (block, (vs, cs)) in blocks.enumerate() {
-        let mut mask = block_candidates(qh, vs, cs, bound);
-        if mask == 0 {
-            continue;
-        }
-        let base = block * 64;
-        while mask != 0 {
-            let i = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            let hit = ApproxHit {
-                row: base + i,
-                distance: ((qh ^ vs[i]) & cs[i]).count_ones(),
-            };
-            if heap.len() < k {
-                heap.push(hit);
-            } else if hit < *heap.peek().expect("heap is non-empty at capacity") {
-                heap.pop();
-                heap.push(hit);
-            } else {
-                continue;
-            }
-            if heap.len() == k {
-                bound = heap.peek().expect("heap holds k hits").distance;
-            }
-        }
-    }
-    let mut hits = heap.into_vec();
-    hits.sort_unstable();
-    hits
-}
-
-/// Merge per-shard top-k hit lists into the global top-k. Each input
-/// must already be sorted by `(distance, row)` (the order [`top_k`]
-/// returns); the merge re-sorts the union and truncates, so local
-/// top-k per shard followed by this merge is exactly the global top-k.
-#[must_use]
-pub fn merge_top_k(lists: &[Vec<ApproxHit>], k: usize) -> Vec<ApproxHit> {
-    let mut all: Vec<ApproxHit> = lists.iter().flatten().copied().collect();
-    all.sort_unstable();
-    all.truncate(k);
-    all
-}
-
-/// [`top_k`] over a table stored as discontiguous row chunks (the
-/// serving layer's copy-on-write row blocks): one bounded max-heap and
-/// one distance bound survive across every chunk, so the selection
-/// prunes exactly as hard as a contiguous scan. Per-chunk [`top_k`]
-/// plus [`merge_top_k`] computes the same answer but re-learns the
-/// bound from scratch inside every chunk, which costs several times
-/// more heap traffic on block-sized chunks. Each item is
-/// `(base, rows)`; hit rows are emitted as `base + local`. Chunks must
-/// arrive in ascending row order for the `(distance, row)` tie-break
-/// to match a contiguous [`top_k`] over the concatenation.
+/// The table arrives as `(base, rows)` chunks and hit rows are emitted
+/// as `base + local`: a contiguous table is the single chunk
+/// `[(0, &rows)]`, and the serving layer passes its copy-on-write row
+/// blocks. One bounded max-heap (its root the worst of the current
+/// best k) and one distance bound mirroring that root carry across
+/// every chunk, so a chunked table prunes exactly as hard as a
+/// contiguous one. Chunks must arrive in ascending row order for the
+/// `(distance, row)` tie-break to match a contiguous scan of their
+/// concatenation.
+///
+/// ≤64-digit rows go by in 64-row blocks: a branchless mask loop (one
+/// XOR/AND/POPCNT/compare per row, a shape the compiler can vectorize)
+/// flags rows that beat the bound, and only flagged rows touch the
+/// heap. Rows scan in ascending order, so a later row that merely ties
+/// the k-th best can never displace it — the strict `d < bound` flag
+/// is exact — and once the heap fills almost every block contributes
+/// nothing. Wider rows are scored one by one against the same bound.
 ///
 /// # Panics
 /// Panics if any chunk's width mismatches the query's.
 #[must_use]
-pub fn top_k_chunked<'a, I>(chunks: I, q: &PackedQuery, k: usize) -> Vec<ApproxHit>
+pub fn top_k<'a, I>(chunks: I, q: &PackedQuery, k: usize) -> Vec<ApproxHit>
 where
     I: IntoIterator<Item = (usize, &'a PackedRows)>,
 {
     if k == 0 {
         return Vec::new();
     }
-    let mut heap: BinaryHeap<ApproxHit> = BinaryHeap::with_capacity(k + 1);
+    // Sized from the first chunk's rows, never from `k` alone, so a
+    // huge `k` reserves nothing it will not fill.
+    let mut chunks = chunks.into_iter().peekable();
+    let cap = chunks.peek().map_or(0, |(_, rows)| k.min(rows.rows()) + 1);
+    let mut heap: BinaryHeap<ApproxHit> = BinaryHeap::with_capacity(cap);
     let mut bound = u32::MAX;
     let offer = |heap: &mut BinaryHeap<ApproxHit>, bound: &mut u32, hit: ApproxHit| {
         if heap.len() < k {
@@ -320,6 +224,18 @@ where
     let mut hits = heap.into_vec();
     hits.sort_unstable();
     hits
+}
+
+/// Merge per-shard top-k hit lists into the global top-k. Each input
+/// must already be sorted by `(distance, row)` (the order [`top_k`]
+/// returns); the merge re-sorts the union and truncates, so local
+/// top-k per shard followed by this merge is exactly the global top-k.
+#[must_use]
+pub fn merge_top_k(lists: &[Vec<ApproxHit>], k: usize) -> Vec<ApproxHit> {
+    let mut all: Vec<ApproxHit> = lists.iter().flatten().copied().collect();
+    all.sort_unstable();
+    all.truncate(k);
+    all
 }
 
 /// The 4-level cell levels a binary query drives: level `j` is
@@ -460,7 +376,7 @@ mod tests {
         let pq = PackedQuery::from_bits(&q);
         let oracle = t.nearest(&q);
         for k in 0..=6usize {
-            let hits = top_k(&p, &pq, k);
+            let hits = top_k([(0, &p)], &pq, k);
             let want: Vec<(usize, u32)> =
                 oracle.iter().take(k).map(|&(r, d)| (r, d as u32)).collect();
             let got: Vec<(usize, u32)> = hits.iter().map(|h| (h.row, h.distance)).collect();
@@ -472,7 +388,7 @@ mod tests {
     fn merge_equals_global_top_k() {
         let (_, p) = table();
         let q = PackedQuery::from_bits(&[true, false, true, false, true, false]);
-        let global = top_k(&p, &q, 3);
+        let global = top_k([(0, &p)], &q, 3);
         // Split the same rows into two "shards" by parity of row id.
         let all = threshold_search(&p, &q, u32::MAX);
         let (mut e, mut o): (Vec<ApproxHit>, Vec<ApproxHit>) =

@@ -120,16 +120,6 @@ impl BehavioralTcam {
         self.rows.len() - 1
     }
 
-    /// Insert a word at `row`, shifting later rows down (priority
-    /// insertion for LPM-style ordered tables).
-    ///
-    /// # Panics
-    /// Panics on width mismatch or `row > len()`.
-    pub fn insert(&mut self, row: usize, word: TernaryWord) {
-        assert_eq!(word.len(), self.width, "word width mismatch");
-        self.rows.insert(row, word);
-    }
-
     /// Overwrite a row in place.
     ///
     /// # Panics

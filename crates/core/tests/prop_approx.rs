@@ -114,7 +114,7 @@ proptest! {
     ) {
         let (reference, packed) = build(width, &rows);
         let q = PackedQuery::from_bits(&query);
-        let got: Vec<(usize, usize)> = approx::top_k(&packed, &q, k)
+        let got: Vec<(usize, usize)> = approx::top_k([(0, &packed)], &q, k)
             .into_iter()
             .map(|h| (h.row, h.distance as usize))
             .collect();
@@ -147,8 +147,8 @@ proptest! {
             chunks.push((base, PackedRows::from_tcam(&t)));
             base = end;
         }
-        let got = approx::top_k_chunked(chunks.iter().map(|(b, p)| (*b, p)), &q, k);
-        prop_assert_eq!(got, approx::top_k(&packed, &q, k));
+        let got = approx::top_k(chunks.iter().map(|(b, p)| (*b, p)), &q, k);
+        prop_assert_eq!(got, approx::top_k([(0, &packed)], &q, k));
     }
 
     #[test]
@@ -170,13 +170,13 @@ proptest! {
             for &g in &globals {
                 shard.push(reference.row(g).expect("row exists"));
             }
-            let local = approx::top_k(&shard, &q, k)
+            let local = approx::top_k([(0, &shard)], &q, k)
                 .into_iter()
                 .map(|h| ApproxHit { row: globals[h.row], distance: h.distance })
                 .collect();
             locals.push(local);
         }
-        prop_assert_eq!(approx::merge_top_k(&locals, k), approx::top_k(&packed, &q, k));
+        prop_assert_eq!(approx::merge_top_k(&locals, k), approx::top_k([(0, &packed)], &q, k));
     }
 
     #[test]
@@ -222,12 +222,12 @@ proptest! {
             for &g in &globals {
                 shard.push(reference.row(g).expect("row exists"));
             }
-            locals.push(approx::top_k(&shard, &q, k)
+            locals.push(approx::top_k([(0, &shard)], &q, k)
                 .into_iter()
                 .map(|h| ApproxHit { row: globals[h.row], distance: h.distance })
                 .collect());
         }
-        prop_assert_eq!(approx::merge_top_k(&locals, k), approx::top_k(&packed, &q, k));
+        prop_assert_eq!(approx::merge_top_k(&locals, k), approx::top_k([(0, &packed)], &q, k));
     }
 
     #[test]
@@ -306,9 +306,11 @@ proptest! {
         let hits = approx::threshold_search(&packed, &q, 0);
         prop_assert_eq!(hits.len(), n);
         prop_assert!(hits.iter().all(|h| h.distance == 0));
-        let top = approx::top_k(&packed, &q, n + 4);
-        prop_assert_eq!(top.len(), n);
-        prop_assert_eq!(top.iter().map(|h| h.row).collect::<Vec<_>>(),
-            (0..n).collect::<Vec<_>>());
+        for k in [n + 4, usize::MAX] {
+            let top = approx::top_k([(0, &packed)], &q, k);
+            prop_assert_eq!(top.len(), n);
+            prop_assert_eq!(top.iter().map(|h| h.row).collect::<Vec<_>>(),
+                (0..n).collect::<Vec<_>>());
+        }
     }
 }

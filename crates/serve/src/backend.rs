@@ -19,7 +19,7 @@
 use crate::batch;
 use crate::request::RequestKind;
 use crate::shard::SnapView;
-use ferrotcam::approx::{threshold_search, top_k_chunked};
+use ferrotcam::approx::{threshold_search, top_k};
 use ferrotcam::{ApproxHit, PackedQuery, SearchOutcome};
 use ferrotcam_arch::sched::ScheduleOutcome;
 use ferrotcam_spice::parallel::par_map;
@@ -194,12 +194,8 @@ fn shard_answer(view: &SnapView, s: usize, kind: RequestKind, q: &PackedQuery) -
             // bound carries from block to block, so the copy-on-write
             // layout prunes as hard as a contiguous scan. Local rows
             // scan ascending and global ids are monotone in them, so
-            // the (distance, row) tie order is preserved. A k past the
-            // shard's rows keeps them all; clamping it keeps a client's
-            // huge k from sizing the heap.
-            let k = k.min(snap.rows());
-            let mut hits =
-                top_k_chunked(snap.blocks().map(|(base, blk)| (base, blk.packed())), q, k);
+            // the (distance, row) tie order is preserved.
+            let mut hits = top_k(snap.blocks().map(|(base, blk)| (base, blk.packed())), q, k);
             for hit in &mut hits {
                 hit.row = view.global_row(s, hit.row);
             }
