@@ -20,7 +20,7 @@
 //! structure with `r = 0` (its fourth terminal is the body).
 
 use crate::ferro::{PreisachFilm, PreisachParams};
-use crate::mosfet::{ekv_ids, MosfetParams};
+use crate::mosfet::{ekv_ids, MosfetParams, Stamps4};
 use ferrotcam_spice::erc::{ErcParam, ParamKind};
 use ferrotcam_spice::nonlinear::{DeviceStamps, EvalCtx, NonlinearDevice};
 use ferrotcam_spice::NodeId;
@@ -256,29 +256,30 @@ impl NonlinearDevice for Fefet {
         use terminal::{BG, D, FG, S};
         let p = &self.params;
         let r = p.bg_coupling;
+        let v: &[f64; 4] = v.try_into().expect("four terminal voltages");
         let vg_eff = v[FG] + r * v[BG];
         let m = ekv_ids(&p.core, self.vth(), vg_eff, v[D], v[S], ctx.temp);
-        let t = 4;
-        out.i[D] += m.ids;
-        out.i[S] -= m.ids;
-        out.gi[D * t + D] += m.gds;
-        out.gi[D * t + FG] += m.gm;
-        out.gi[D * t + BG] += m.gm * r;
-        out.gi[D * t + S] += m.gms;
-        out.gi[S * t + D] -= m.gds;
-        out.gi[S * t + FG] -= m.gm;
-        out.gi[S * t + BG] -= m.gm * r;
-        out.gi[S * t + S] -= m.gms;
+        let mut st = Stamps4::new(out);
+        st.i[D] += m.ids;
+        st.i[S] -= m.ids;
+        st.gi[D * 4 + D] += m.gds;
+        st.gi[D * 4 + FG] += m.gm;
+        st.gi[D * 4 + BG] += m.gm * r;
+        st.gi[D * 4 + S] += m.gms;
+        st.gi[S * 4 + D] -= m.gds;
+        st.gi[S * 4 + FG] -= m.gm;
+        st.gi[S * 4 + BG] -= m.gm * r;
+        st.gi[S * 4 + S] -= m.gms;
         // Charge: FG stack to channel (split S/D) + frozen polarisation
         // charge (switching at commit appears as current next step →
         // write energy), BG cap, junction caps.
         let cfg_half = 0.5 * p.c_fg;
-        out.add_branch_charge(FG, S, cfg_half * (v[FG] - v[S]), cfg_half);
-        out.add_branch_charge(FG, D, cfg_half * (v[FG] - v[D]), cfg_half);
-        out.add_branch_charge(FG, S, self.film.charge(), 0.0);
-        out.add_branch_charge(BG, S, p.c_bg * (v[BG] - v[S]), p.c_bg);
-        out.add_branch_charge(D, BG, p.c_junction * (v[D] - v[BG]), p.c_junction);
-        out.add_branch_charge(S, BG, p.c_junction * (v[S] - v[BG]), p.c_junction);
+        st.add_branch_charge(FG, S, cfg_half * (v[FG] - v[S]), cfg_half);
+        st.add_branch_charge(FG, D, cfg_half * (v[FG] - v[D]), cfg_half);
+        st.add_branch_charge(FG, S, self.film.charge(), 0.0);
+        st.add_branch_charge(BG, S, p.c_bg * (v[BG] - v[S]), p.c_bg);
+        st.add_branch_charge(D, BG, p.c_junction * (v[D] - v[BG]), p.c_junction);
+        st.add_branch_charge(S, BG, p.c_junction * (v[S] - v[BG]), p.c_junction);
     }
 
     fn commit(&mut self, v: &[f64], _ctx: &EvalCtx) -> bool {

@@ -139,26 +139,19 @@ pub struct EkvOut {
     pub gms: f64,
 }
 
-/// Numerically safe softplus `ln(1+e^x)`.
+/// Numerically safe softplus `ln(1+e^x)` and logistic sigmoid
+/// `1/(1+e^{−x})` of one argument. For `x < 0` both are built from one
+/// `e^x` (the sigmoid as `e^x/(1+e^x)`); for `x ≥ 0` the sigmoid uses
+/// `e^{−x}`.
 #[inline]
-fn softplus(x: f64) -> f64 {
-    if x > 40.0 {
-        x
-    } else if x < -40.0 {
-        x.exp()
-    } else {
-        x.exp().ln_1p()
-    }
-}
-
-/// Logistic sigmoid.
-#[inline]
-fn sigmoid(x: f64) -> f64 {
+fn softplus_sigmoid(x: f64) -> (f64, f64) {
     if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
+        let sp = if x > 40.0 { x } else { x.exp().ln_1p() };
+        (sp, 1.0 / (1.0 + (-x).exp()))
     } else {
         let e = x.exp();
-        e / (1.0 + e)
+        let sp = if x < -40.0 { e } else { e.ln_1p() };
+        (sp, e / (1.0 + e))
     }
 }
 
@@ -183,13 +176,13 @@ pub fn ekv_ids(p: &MosfetParams, vth: f64, vg: f64, vd: f64, vs: f64, temp: f64)
     let vp = (vg - vth) / p.n;
     let xf = (vp - vs) / (2.0 * ut);
     let xr = (vp - vd) / (2.0 * ut);
-    let sf = softplus(xf);
-    let sr = softplus(xr);
+    let (sf, sig_f) = softplus_sigmoid(xf);
+    let (sr, sig_r) = softplus_sigmoid(xr);
     let ff = sf * sf;
     let fr = sr * sr;
     // dF/d(arg): F(x) = sp(x/2Ut)² → F' = sp·sig/Ut.
-    let dff = sf * sigmoid(xf) / ut;
-    let dfr = sr * sigmoid(xr) / ut;
+    let dff = sf * sig_f / ut;
+    let dfr = sr * sig_r / ut;
     let vds = vd - vs;
     let clm = 1.0 + p.lambda * vds;
     let core = i0 * (ff - fr);
@@ -198,6 +191,43 @@ pub fn ekv_ids(p: &MosfetParams, vth: f64, vg: f64, vd: f64, vs: f64, temp: f64)
         gm: i0 * (dff - dfr) / p.n * clm,
         gds: i0 * dfr * clm + core * p.lambda,
         gms: -i0 * dff * clm - core * p.lambda,
+    }
+}
+
+/// The [`DeviceStamps`] buffers of a four-terminal device as fixed-size
+/// arrays: one length check per buffer, none per entry.
+pub(crate) struct Stamps4<'a> {
+    pub i: &'a mut [f64; 4],
+    pub q: &'a mut [f64; 4],
+    pub gi: &'a mut [f64; 16],
+    pub cq: &'a mut [f64; 16],
+}
+
+impl<'a> Stamps4<'a> {
+    /// # Panics
+    /// Panics when `out` was not sized for four terminals.
+    #[inline]
+    pub(crate) fn new(out: &'a mut DeviceStamps) -> Self {
+        const SIZED: &str = "stamp buffers sized for four terminals";
+        let DeviceStamps { i, q, gi, cq } = out;
+        Self {
+            i: i.as_mut_slice().try_into().expect(SIZED),
+            q: q.as_mut_slice().try_into().expect(SIZED),
+            gi: gi.as_mut_slice().try_into().expect(SIZED),
+            cq: cq.as_mut_slice().try_into().expect(SIZED),
+        }
+    }
+
+    /// [`DeviceStamps::add_branch_charge`] on the fixed-size views, with
+    /// the same operations in the same order.
+    #[inline]
+    pub(crate) fn add_branch_charge(&mut self, a: usize, b: usize, q: f64, c: f64) {
+        self.q[a] += q;
+        self.q[b] -= q;
+        self.cq[a * 4 + a] += c;
+        self.cq[a * 4 + b] -= c;
+        self.cq[b * 4 + a] -= c;
+        self.cq[b * 4 + b] += c;
     }
 }
 
@@ -288,6 +318,7 @@ impl NonlinearDevice for Mosfet {
 
     fn eval(&self, v: &[f64], out: &mut DeviceStamps, ctx: &EvalCtx) {
         use terminal::{B, D, G, S};
+        let v: &[f64; 4] = v.try_into().expect("four terminal voltages");
         let p = &self.params;
         let sgn = p.polarity.sign();
         let m = ekv_ids(
@@ -300,25 +331,25 @@ impl NonlinearDevice for Mosfet {
         );
         // Current into drain = sgn·ids; into source the negative. All
         // Jacobian signs cancel (sgn² = 1).
-        let t = 4;
         // Body-referenced: ∂I/∂v_B = −(gm + gds + gms) by the chain rule.
         let gmb = -(m.gm + m.gds + m.gms);
-        out.i[D] += sgn * m.ids;
-        out.i[S] -= sgn * m.ids;
-        out.gi[D * t + D] += m.gds;
-        out.gi[D * t + G] += m.gm;
-        out.gi[D * t + S] += m.gms;
-        out.gi[D * t + B] += gmb;
-        out.gi[S * t + D] -= m.gds;
-        out.gi[S * t + G] -= m.gm;
-        out.gi[S * t + S] -= m.gms;
-        out.gi[S * t + B] -= gmb;
+        let mut st = Stamps4::new(out);
+        st.i[D] += sgn * m.ids;
+        st.i[S] -= sgn * m.ids;
+        st.gi[D * 4 + D] += m.gds;
+        st.gi[D * 4 + G] += m.gm;
+        st.gi[D * 4 + S] += m.gms;
+        st.gi[D * 4 + B] += gmb;
+        st.gi[S * 4 + D] -= m.gds;
+        st.gi[S * 4 + G] -= m.gm;
+        st.gi[S * 4 + S] -= m.gms;
+        st.gi[S * 4 + B] -= gmb;
         // Charge storage: gate cap split to S/D, junctions to body.
         let cg_half = 0.5 * p.c_gate;
-        out.add_branch_charge(G, S, cg_half * (v[G] - v[S]), cg_half);
-        out.add_branch_charge(G, D, cg_half * (v[G] - v[D]), cg_half);
-        out.add_branch_charge(D, B, p.c_junction * (v[D] - v[B]), p.c_junction);
-        out.add_branch_charge(S, B, p.c_junction * (v[S] - v[B]), p.c_junction);
+        st.add_branch_charge(G, S, cg_half * (v[G] - v[S]), cg_half);
+        st.add_branch_charge(G, D, cg_half * (v[G] - v[D]), cg_half);
+        st.add_branch_charge(D, B, p.c_junction * (v[D] - v[B]), p.c_junction);
+        st.add_branch_charge(S, B, p.c_junction * (v[S] - v[B]), p.c_junction);
     }
 
     fn dc_paths(&self) -> Vec<(usize, usize)> {

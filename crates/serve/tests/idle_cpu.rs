@@ -17,7 +17,7 @@ use ferrotcam_serve::{
     Request, RequestKind, Route, ServiceConfig, ServiceMetrics, ShardedTcam, TcamService,
 };
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Held by each test for its whole run: both measure every dispatcher
 /// thread of the process.
@@ -49,6 +49,22 @@ fn dispatcher_ticks() -> (usize, u64) {
     (threads, ticks)
 }
 
+/// [`dispatcher_ticks`] once no more than `expected` such threads are
+/// listed, or after 2 s. A thread `join` has returned for can stay in
+/// `/proc/self/task`, still running (state `R`), for a moment: a batch's
+/// `par_map` worker, which inherits its dispatcher's name, or a drained
+/// service's dispatcher.
+fn settled_dispatcher_ticks(expected: usize) -> (usize, u64) {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    loop {
+        let (threads, ticks) = dispatcher_ticks();
+        if threads <= expected || Instant::now() >= deadline {
+            return (threads, ticks);
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 /// A 2-shard service over 64 8-bit words.
 fn service() -> TcamService {
     let mut table = ShardedTcam::new(8, 2);
@@ -61,7 +77,7 @@ fn service() -> TcamService {
 /// Measure the dispatchers' CPU over one idle second, drain, and
 /// return the milliseconds used with the final metrics.
 fn idle_second(svc: TcamService) -> (u64, ServiceMetrics) {
-    let (threads, before) = dispatcher_ticks();
+    let (threads, before) = settled_dispatcher_ticks(2);
     assert_eq!(threads, 2, "one dispatcher thread per shard");
     std::thread::sleep(Duration::from_secs(1));
     let (_, after) = dispatcher_ticks();

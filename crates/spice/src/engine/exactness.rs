@@ -60,7 +60,7 @@ pub(super) fn check_against_triplets(
             &ws.vt_cache[ws.vt_offsets[di]..ws.vt_offsets[di + 1]],
             companion.map(|c| (c, di)),
             &mut rhs,
-            |_, r, c, v| tri.add(r, c, v),
+            &mut tri,
         );
     }
     let mut csc = CscMatrix::default();

@@ -193,8 +193,8 @@ enum Cache {
     Exact,
 }
 
-/// "No value slot": the matrix pattern lacks the position.
-const NO_SLOT: u32 = u32::MAX;
+/// MNA variable of a ground terminal in `NewtonWorkspace::vars`.
+const GROUND: u32 = u32::MAX;
 
 /// Where each stamp of a known topology lands in the value array of the
 /// matrix the solver factors, derived once from the pattern a triplet
@@ -204,12 +204,108 @@ struct SlotBinding {
     /// `(row, col, slot)` of every gmin and linear-element stamp, in
     /// stamping order.
     statics: Vec<(u32, u32, u32)>,
-    /// Slot of each device Jacobian position `(a, b)` (row-major per
-    /// device); [`NO_SLOT`] where the pattern lacks it or a terminal is
-    /// ground.
-    dev_slots: Vec<u32>,
-    /// Start of each device's `T × T` block in `dev_slots`.
+    /// `(k, slot)` of each device Jacobian position `k = a·T + b` between
+    /// two non-ground terminals that the pattern has, row-major per
+    /// device.
+    dev_slots: Vec<(u32, u32)>,
+    /// Start of each device's entries in `dev_slots`.
     dev_offsets: Vec<usize>,
+    /// `k` of each position between two non-ground terminals that the
+    /// pattern lacks: a nonzero there needs a rebind.
+    unbound: Vec<u32>,
+    /// Start of each device's entries in `unbound`.
+    unbound_offsets: Vec<usize>,
+}
+
+/// One device's part of a [`SlotBinding`], with its terminals' MNA
+/// variables from the workspace.
+struct DevicePlan<'a> {
+    /// MNA variable of each terminal ([`GROUND`] for ground).
+    vars: &'a [u32],
+    /// `(k, slot)` of each bound position.
+    slots: &'a [(u32, u32)],
+    /// `k` of each unbound position.
+    unbound: &'a [u32],
+}
+
+/// Stamp one evaluated `t`-terminal device into the bound value array
+/// `vals` and into `rhs` from its plan. `vt` must be the linearisation
+/// point `st` was evaluated at. Returns `false` when a nonzero lands at
+/// an unbound position.
+///
+/// Each slot and each RHS row receives its addends in the order
+/// [`System::stamp_device`] gives them (all of the device's `gi`, then
+/// all of its `cq`, row-major), but every bound position and every
+/// Taylor term is stamped, zero or not, where the triplet path skips
+/// exact zeros. That is bit-neutral:
+///
+/// * In round-to-nearest, `x + y` and `x − y` are `−0.0` only when `x`
+///   is. Every slot and RHS row starts at `+0.0`, so none is ever
+///   `−0.0`, and adding or subtracting `±0.0` returns it unchanged.
+/// * Terminal voltages are finite (Newton stops at a non-finite update
+///   before any device sees it), so a zero entry's Taylor term `g·v` is
+///   `±0.0`. Subtracting it leaves a nonzero (or NaN) constant
+///   unchanged and can flip only the sign of a zero one, which nothing
+///   downstream tells apart: a zero minus a nonzero `p` is `−p` for
+///   either sign, and the RHS row the constant ends in is not `−0.0`.
+///
+/// Callers pass `t` as a literal for the common arity so the row loops
+/// compile to unrolled code with their bounds checks hoisted.
+#[inline(always)]
+fn stamp_bound(
+    t: usize,
+    plan: &DevicePlan<'_>,
+    st: &DeviceStamps,
+    vt: &[f64],
+    companion: Option<(&Companion, usize)>,
+    vals: &mut [f64],
+    rhs: &mut [f64],
+) -> bool {
+    let (vars, vt) = (&plan.vars[..t], &vt[..t]);
+    let (i, gi) = (&st.i[..t], &st.gi[..t * t]);
+    let mut bound = true;
+    for &(k, s) in plan.slots {
+        vals[s as usize] += gi[k as usize];
+    }
+    for &k in plan.unbound {
+        bound &= gi[k as usize] == 0.0;
+    }
+    for a in 0..t {
+        if vars[a] == GROUND {
+            continue;
+        }
+        let mut i_const = i[a];
+        for b in 0..t {
+            i_const -= gi[a * t + b] * vt[b];
+        }
+        rhs[vars[a] as usize] -= i_const;
+    }
+    if let Some((comp, di)) = companion {
+        let off = comp.dev_offsets[di];
+        let (q, cq) = (&st.q[..t], &st.cq[..t * t]);
+        let q_prev = &comp.dev_q_prev[off..off + t];
+        let i_prev = &comp.dev_i_prev[off..off + t];
+        for &(k, s) in plan.slots {
+            vals[s as usize] += comp.coeff * cq[k as usize];
+        }
+        for &k in plan.unbound {
+            bound &= comp.coeff * cq[k as usize] == 0.0;
+        }
+        for a in 0..t {
+            if vars[a] == GROUND {
+                continue;
+            }
+            let mut i_const = comp.coeff * (q[a] - q_prev[a]);
+            if comp.trapezoidal {
+                i_const -= i_prev[a];
+            }
+            for b in 0..t {
+                i_const -= comp.coeff * cq[a * t + b] * vt[b];
+            }
+            rhs[vars[a] as usize] -= i_const;
+        }
+    }
+    bound
 }
 
 /// Adds static stamps into their bound slots, checking that the stream
@@ -262,6 +358,9 @@ pub(crate) struct NewtonWorkspace {
     pub stamps: Vec<DeviceStamps>,
     /// Newton iterations run through this workspace.
     pub newton_iters: u64,
+    /// MNA variable of every device terminal ([`GROUND`] for ground),
+    /// laid out like `vt`.
+    vars: Vec<u32>,
     /// Flat terminal-voltage scratch, one slot per device terminal.
     vt: Vec<f64>,
     /// Terminal voltages each device's `stamps` were last evaluated at —
@@ -289,12 +388,17 @@ impl NewtonWorkspace {
     pub fn new(sys: &System<'_>) -> Self {
         let devices = sys.ckt.devices();
         let mut vt_offsets = Vec::with_capacity(devices.len() + 1);
-        let mut total = 0usize;
+        let mut vars = Vec::new();
         for d in devices {
-            vt_offsets.push(total);
-            total += d.terminals().len();
+            vt_offsets.push(vars.len());
+            vars.extend(
+                d.terminals()
+                    .iter()
+                    .map(|&n| sys.var_of(n).map_or(GROUND, |v| v as u32)),
+            );
         }
-        vt_offsets.push(total);
+        vt_offsets.push(vars.len());
+        let total = vars.len();
         Self {
             tri: Triplets::new(sys.nvars),
             rhs: vec![0.0; sys.nvars],
@@ -304,6 +408,7 @@ impl NewtonWorkspace {
                 .map(|d| DeviceStamps::new(d.terminals().len()))
                 .collect(),
             newton_iters: 0,
+            vars,
             vt: vec![0.0; total],
             vt_cache: vec![0.0; total],
             vt_offsets,
@@ -314,6 +419,14 @@ impl NewtonWorkspace {
             evals: 0,
             reuses: 0,
             clock: PhaseClock::new(),
+        }
+    }
+
+    /// Load device `di`'s terminal voltages from `x` into `vt`.
+    pub fn load_vt(&mut self, di: usize, x: &[f64]) {
+        let terms = self.vt_offsets[di]..self.vt_offsets[di + 1];
+        for (v, &var) in self.vt[terms.clone()].iter_mut().zip(&self.vars[terms]) {
+            *v = if var == GROUND { 0.0 } else { x[var as usize] };
         }
     }
 
@@ -391,26 +504,16 @@ pub(crate) struct System<'a> {
     pub ckt: &'a Circuit,
     pub num_nodes: usize,
     pub nvars: usize,
-    /// Index of each capacitor element within `ckt.elements()` (companion
-    /// state is indexed by position in this list).
-    pub cap_elems: Vec<usize>,
 }
 
 impl<'a> System<'a> {
     pub fn new(ckt: &'a Circuit) -> Self {
         let num_nodes = ckt.num_nodes();
         let nvars = (num_nodes - 1) + ckt.num_branches();
-        let cap_elems = ckt
-            .elements()
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| matches!(e, Element::Capacitor { .. }).then_some(i))
-            .collect();
         Self {
             ckt,
             num_nodes,
             nvars,
-            cap_elems,
         }
     }
 
@@ -446,22 +549,22 @@ impl<'a> System<'a> {
             total += d.terminals().len();
         }
         dev_offsets.push(total);
+        // Companion state of the capacitors is indexed by their position
+        // among the capacitor elements.
+        let caps = self
+            .ckt
+            .elements()
+            .iter()
+            .filter(|e| matches!(e, Element::Capacitor { .. }))
+            .count();
         Companion {
             coeff,
             trapezoidal,
-            cap_q_prev: vec![0.0; self.cap_elems.len()],
-            cap_i_prev: vec![0.0; self.cap_elems.len()],
+            cap_q_prev: vec![0.0; caps],
+            cap_i_prev: vec![0.0; caps],
             dev_q_prev: vec![0.0; total],
             dev_i_prev: vec![0.0; total],
             dev_offsets,
-        }
-    }
-
-    /// Load device `di`'s terminal voltages from `x` into `ws.vt`.
-    pub fn load_vt(&self, di: usize, terms: &[NodeId], x: &[f64], ws: &mut NewtonWorkspace) {
-        let off = ws.vt_offsets[di];
-        for (k, &nd) in terms.iter().enumerate() {
-            ws.vt[off + k] = self.voltage(x, nd);
         }
     }
 
@@ -471,7 +574,7 @@ impl<'a> System<'a> {
     /// `ws.stamps`/`ws.vt_cache` hold each device's linearisation.
     pub fn eval_devices(&self, x: &[f64], ctx: &EvalCtx, ws: &mut NewtonWorkspace) {
         for (di, dev) in self.ckt.devices().iter().enumerate() {
-            self.load_vt(di, dev.terminals(), x, ws);
+            ws.load_vt(di, x);
             if ws.refresh(di, dev.as_ref(), ctx) {
                 ws.evals += 1;
             } else {
@@ -597,21 +700,20 @@ impl<'a> System<'a> {
         }
     }
 
-    /// Stamp one evaluated device: Taylor-constant currents into `rhs`,
-    /// each nonzero Jacobian entry through `mat(k, row, col, v)`, where
-    /// `k = a·T + b` indexes the device's `(a, b)` terminal pair. `vt`
+    /// Stamp one evaluated device into triplets: Taylor-constant
+    /// currents into `rhs`, each nonzero Jacobian entry into `mat`. `vt`
     /// must be the linearisation point the stamps in `st` were evaluated
     /// at. Within a device, all `gi` entries come before all `cq`
-    /// entries; slot-bound and triplet assembly both rely on that order
-    /// to sum each matrix slot identically.
-    fn stamp_device(
+    /// entries; [`stamp_bound`] keeps that order to sum each matrix slot
+    /// identically, and test builds check it against this stamping.
+    fn stamp_device<S: Stamper>(
         &self,
         terms: &[NodeId],
         st: &DeviceStamps,
         vt: &[f64],
         companion: Option<(&Companion, usize)>,
         rhs: &mut [f64],
-        mut mat: impl FnMut(usize, usize, usize, f64),
+        mat: &mut S,
     ) {
         let t = terms.len();
         // Static currents: stamp G and move the Taylor constant to RHS.
@@ -624,7 +726,7 @@ impl<'a> System<'a> {
                 let g = st.gi[a * t + b];
                 if g != 0.0 {
                     if let Some(cb) = self.var_of(terms[b]) {
-                        mat(a * t + b, ra, cb, g);
+                        mat.add(ra, cb, g);
                     }
                     i_const -= g * vt[b];
                 }
@@ -647,7 +749,7 @@ impl<'a> System<'a> {
                     if c != 0.0 {
                         let geq = comp.coeff * c;
                         if let Some(cb) = self.var_of(terms[b]) {
-                            mat(a * t + b, ra, cb, geq);
+                            mat.add(ra, cb, geq);
                         }
                         i_const -= geq * vt[b];
                     }
@@ -736,25 +838,21 @@ impl<'a> System<'a> {
         }
         let vals = ws.solver.values_mut();
         vals.copy_from_slice(&ws.static_vals);
-        for (di, dev) in self.ckt.devices().iter().enumerate() {
-            let slots = &bind.dev_slots[bind.dev_offsets[di]..bind.dev_offsets[di + 1]];
-            let mut mapped = true;
-            self.stamp_device(
-                dev.terminals(),
-                &ws.stamps[di],
-                &ws.vt_cache[ws.vt_offsets[di]..ws.vt_offsets[di + 1]],
-                companion.map(|c| (c, di)),
-                &mut ws.rhs,
-                |k, _, _, v| {
-                    if v != 0.0 {
-                        match slots[k] {
-                            NO_SLOT => mapped = false,
-                            s => vals[s as usize] += v,
-                        }
-                    }
-                },
-            );
-            if !mapped {
+        for (di, st) in ws.stamps.iter().enumerate() {
+            let terms = ws.vt_offsets[di]..ws.vt_offsets[di + 1];
+            let plan = DevicePlan {
+                vars: &ws.vars[terms.clone()],
+                slots: &bind.dev_slots[bind.dev_offsets[di]..bind.dev_offsets[di + 1]],
+                unbound: &bind.unbound[bind.unbound_offsets[di]..bind.unbound_offsets[di + 1]],
+            };
+            let vt = &ws.vt_cache[terms];
+            let comp = companion.map(|c| (c, di));
+            let rhs = &mut ws.rhs;
+            let bound = match vt.len() {
+                4 => stamp_bound(4, &plan, st, vt, comp, vals, rhs),
+                t => stamp_bound(t, &plan, st, vt, comp, vals, rhs),
+            };
+            if !bound {
                 return false;
             }
         }
@@ -785,14 +883,13 @@ impl<'a> System<'a> {
         );
         let n_static = ws.tri.len();
         for (di, dev) in self.ckt.devices().iter().enumerate() {
-            let tri = &mut ws.tri;
             self.stamp_device(
                 dev.terminals(),
                 &ws.stamps[di],
                 &ws.vt_cache[ws.vt_offsets[di]..ws.vt_offsets[di + 1]],
                 companion.map(|c| (c, di)),
                 &mut ws.rhs,
-                |_, r, c, v| tri.add(r, c, v),
+                &mut ws.tri,
             );
         }
         n_static
@@ -802,36 +899,45 @@ impl<'a> System<'a> {
     /// solver, whose first `n_static` entries are the static part.
     fn bind(&self, n_static: usize, ws: &mut NewtonWorkspace) {
         let solver = &ws.solver;
-        let slot = |r: usize, c: usize| solver.slot(r, c).map_or(NO_SLOT, |s| s as u32);
+        let slot = |r: u32, c: u32| solver.slot(r as usize, c as usize).map(|s| s as u32);
         ws.static_vals.clear();
         ws.static_vals.resize(solver.matrix().nnz(), 0.0);
         let mut statics = Vec::with_capacity(n_static);
         for (r, c, v) in ws.tri.iter().take(n_static) {
-            let s = slot(r, c);
-            debug_assert_ne!(s, NO_SLOT, "a loaded entry is in the pattern");
+            let (r, c) = (r as u32, c as u32);
+            let s = slot(r, c).expect("a loaded entry is in the pattern");
             ws.static_vals[s as usize] += v;
-            statics.push((r as u32, c as u32, s));
+            statics.push((r, c, s));
         }
         let mut dev_slots = Vec::new();
-        let mut dev_offsets = Vec::with_capacity(self.ckt.devices().len() + 1);
-        for dev in self.ckt.devices() {
+        let mut dev_offsets = Vec::with_capacity(ws.vt_offsets.len());
+        let mut unbound = Vec::new();
+        let mut unbound_offsets = Vec::with_capacity(ws.vt_offsets.len());
+        for terms in ws.vt_offsets.windows(2) {
             dev_offsets.push(dev_slots.len());
-            let vars: Vec<Option<usize>> =
-                dev.terminals().iter().map(|&n| self.var_of(n)).collect();
-            for &ra in &vars {
-                for &cb in &vars {
-                    dev_slots.push(match (ra, cb) {
-                        (Some(r), Some(c)) => slot(r, c),
-                        _ => NO_SLOT,
-                    });
+            unbound_offsets.push(unbound.len());
+            let vars = &ws.vars[terms[0]..terms[1]];
+            let pairs = vars
+                .iter()
+                .flat_map(|&ra| vars.iter().map(move |&cb| (ra, cb)));
+            for (k, (ra, cb)) in (0u32..).zip(pairs) {
+                if ra == GROUND || cb == GROUND {
+                    continue;
+                }
+                match slot(ra, cb) {
+                    Some(s) => dev_slots.push((k, s)),
+                    None => unbound.push(k),
                 }
             }
         }
         dev_offsets.push(dev_slots.len());
+        unbound_offsets.push(unbound.len());
         ws.binding = Some(SlotBinding {
             statics,
             dev_slots,
             dev_offsets,
+            unbound,
+            unbound_offsets,
         });
         ws.static_current = true;
     }

@@ -351,7 +351,7 @@ fn seed_charges(
         }
     }
     for (di, dev) in ckt.devices().iter().enumerate() {
-        sys.load_vt(di, dev.terminals(), x, ws);
+        ws.load_vt(di, x);
         ws.refresh(di, dev.as_ref(), ctx);
         let off = comp.dev_offsets[di];
         for (a, &q) in ws.stamps[di].q.iter().enumerate() {
@@ -392,7 +392,7 @@ fn advance_state(
             }
         }
         for (di, dev) in ckt.devices().iter().enumerate() {
-            sys.load_vt(di, dev.terminals(), x, ws);
+            ws.load_vt(di, x);
             ws.refresh(di, dev.as_ref(), ctx);
             let off = comp.dev_offsets[di];
             for (a, &q_new) in ws.stamps[di].q.iter().enumerate() {
