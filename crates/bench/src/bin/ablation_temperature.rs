@@ -8,19 +8,14 @@ use ferrotcam::cell::{DesignKind, DesignParams};
 use ferrotcam::margins::build_divider_circuit;
 use ferrotcam_bench::write_artifact;
 use ferrotcam_device::fefet::VthState;
-use ferrotcam_spice::{operating_point, DcOpts, NewtonOpts};
+use ferrotcam_spice::{operating_point, DcOpts};
 use std::fmt::Write as _;
 
 fn level_at(params: &DesignParams, state: VthState, query: bool, temp: f64) -> f64 {
     let (ckt, slbar) = build_divider_circuit(params, params.fefet(), state, query).expect("build");
-    let opts = DcOpts {
-        newton: NewtonOpts {
-            temp,
-            ..NewtonOpts::default()
-        },
-        ..DcOpts::default()
-    };
-    operating_point(&ckt, &opts).expect("op").voltage(slbar)
+    operating_point(&ckt, &DcOpts { temp })
+        .expect("op")
+        .voltage(slbar)
 }
 
 fn main() {

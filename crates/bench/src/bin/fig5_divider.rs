@@ -12,7 +12,7 @@ use ferrotcam::cell::{DesignKind, DesignParams};
 use ferrotcam::margins::build_divider_circuit;
 use ferrotcam_bench::write_artifact;
 use ferrotcam_device::fefet::VthState;
-use ferrotcam_spice::{dc_sweep, linspace, NewtonOpts};
+use ferrotcam_spice::{dc_sweep, linspace};
 use std::fmt::Write as _;
 
 const STATES: [(VthState, &str); 3] = [
@@ -39,8 +39,7 @@ fn main() {
             for query in [false, true] {
                 let (ckt, slbar) = build_divider_circuit(&params, params.fefet(), state, query)
                     .expect("build divider");
-                let sweep =
-                    dc_sweep(&ckt, sel_source, &vals, &NewtonOpts::default()).expect("dc sweep");
+                let sweep = dc_sweep(&ckt, sel_source, &vals).expect("dc sweep");
                 let curve: Vec<f64> = sweep
                     .voltage_curve(slbar)
                     .into_iter()

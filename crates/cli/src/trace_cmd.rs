@@ -228,12 +228,13 @@ pub fn run(args: &[String]) -> Result<(), String> {
         }
         println!(
             "simstats cross-check: {} accepted / {} rejected step(s), {} newton iter(s), \
-             {} device eval(s), {} reuse(s)",
+             {} device eval(s), {} reuse(s), {} accept-time eval(s)",
             stats.accepted_steps,
             stats.rejected_steps,
             stats.newton_iters,
             stats.bypass_misses,
-            stats.reuses
+            stats.reuses,
+            stats.accept_evals
         );
     }
     Ok(())

@@ -33,10 +33,6 @@ pub struct SearchSim {
     /// Number of back-to-back search cycles (1 for single searches;
     /// see [`build_burst_search`]).
     pub cycles: usize,
-    /// Newton-solver options for the transient: iteration limit,
-    /// damping, gmin and temperature (`NewtonOpts::default()` unless a
-    /// caller overrides it).
-    pub newton: NewtonOpts,
 }
 
 impl SearchSim {
@@ -51,7 +47,6 @@ impl SearchSim {
         opts.dt_max = 4e-12;
         opts.dt_min = 1e-18;
         opts.uic = true; // start with ML discharged so precharge energy is counted
-        opts.newton = self.newton.clone();
         let trace = transient(&mut self.circuit, &opts)?;
         Ok(SearchRun {
             trace,

@@ -181,7 +181,6 @@ pub(crate) fn build_search_row(
         sa_out: scaffold.sa_out,
         design: params.kind,
         cycles: 1,
-        newton: NewtonOpts::default(),
     })
 }
 

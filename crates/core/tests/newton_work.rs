@@ -1,6 +1,6 @@
 //! Solver-work pin for the Fig. 7 search row: the Newton iterations,
-//! accepted steps and rejected steps of one 64-bit 1.5T1DG two-step
-//! search transient.
+//! accepted steps, rejected steps and accept-time device evaluations of
+//! one 64-bit 1.5T1DG two-step search transient.
 //!
 //! These counts are the host-independent half of the engine's cost.
 //! Newton iterations may fall (a better step controller or predictor)
@@ -20,6 +20,9 @@ const MAX_NEWTON_ITERS: u64 = 1246;
 const ACCEPTED_STEPS: u64 = 475;
 /// Rejected (retried with a smaller dt) time steps.
 const REJECTED_STEPS: u64 = 0;
+/// Device evaluations outside Newton: all 165 devices at t = 0 and after
+/// each of the 475 accepted steps.
+const ACCEPT_EVALS: u64 = 78_540;
 
 #[test]
 fn fig7_search_row_newton_work_is_pinned() {
@@ -56,5 +59,9 @@ fn fig7_search_row_newton_work_is_pinned() {
         (stats.accepted_steps, stats.rejected_steps),
         (ACCEPTED_STEPS, REJECTED_STEPS),
         "accepted/rejected steps moved: {stats:?}"
+    );
+    assert_eq!(
+        stats.accept_evals, ACCEPT_EVALS,
+        "accept-time device evaluations moved: {stats:?}"
     );
 }

@@ -26,11 +26,7 @@ fn misbiased_fefet_cell_names_drain_node() {
         calib::dg_fefet_14nm(),
     )));
 
-    let opts = DcOpts {
-        erc: Some(ErcMode::Off),
-        ..DcOpts::default()
-    };
-    let err = operating_point(&ckt, &opts).unwrap_err();
+    let err = operating_point(&ckt, &DcOpts::default()).unwrap_err();
     let Error::NonConvergence {
         iterations,
         forensics: Some(f),

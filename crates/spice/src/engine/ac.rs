@@ -13,7 +13,7 @@
 //! which reuses the real sparse LU unchanged.
 
 use super::dc::{operating_point, DcOpts, Solution};
-use super::{NewtonOpts, NewtonWorkspace, System};
+use super::{NewtonWorkspace, System, GMIN};
 use crate::error::{Error, Result};
 use crate::matrix::sparse::Triplets;
 use crate::netlist::{Circuit, Element, NodeId};
@@ -150,10 +150,9 @@ pub fn ac_analysis(ckt: &Circuit, source: &str, freqs: &[f64]) -> Result<AcResul
 
     // Assemble G (resistive part incl. device conductances) and C
     // (capacitive part) separately, from one evaluation per device.
-    let newton = NewtonOpts::default();
     let ctx = EvalCtx {
-        temp: newton.temp,
-        gmin: 1e-12,
+        temp: crate::units::TEMP_NOMINAL,
+        gmin: GMIN,
         time: 0.0,
     };
     let mut ws = NewtonWorkspace::new(&sys);

@@ -1,20 +1,23 @@
 //! DC operating-point analysis with gmin and source stepping fallbacks.
 
-use super::{NewtonOpts, NewtonWorkspace, PhaseTimes, SimStats, System};
-use crate::erc::{self, ErcMode};
+use super::{NewtonWorkspace, PhaseTimes, SimStats, System, GMIN};
+use crate::erc;
 use crate::error::{Error, Result};
 use crate::netlist::{Circuit, NodeId};
 
 /// Options for [`operating_point`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct DcOpts {
-    /// Newton parameters.
-    pub newton: NewtonOpts,
-    /// Evaluate sources at this time (default 0).
-    pub time: f64,
-    /// ERC pre-flight behaviour; `None` resolves from the
-    /// `FERROTCAM_ERC` environment variable (default: warn).
-    pub erc: Option<ErcMode>,
+    /// Simulation temperature (K).
+    pub temp: f64,
+}
+
+impl Default for DcOpts {
+    fn default() -> Self {
+        Self {
+            temp: crate::units::TEMP_NOMINAL,
+        }
+    }
 }
 
 /// A solved operating point.
@@ -81,24 +84,29 @@ impl Solution {
 
 /// Gmin stepping ladder: progressively relax the shunt, reconverging from
 /// the previous rung.
-const GMIN_LADDER: [f64; 6] = [1e-3, 1e-5, 1e-7, 1e-9, 1e-11, 1e-12];
+const GMIN_LADDER: [f64; 6] = [1e-3, 1e-5, 1e-7, 1e-9, 1e-11, GMIN];
 
 /// Source stepping ramp.
 const SRC_STEPS: usize = 10;
 
 /// Compute the DC operating point of `ckt`.
 ///
-/// Capacitors are open; each independent source is evaluated at
-/// `opts.time`. Tries plain Newton first, then gmin stepping, then source
-/// stepping.
+/// Capacitors are open; each independent source is evaluated at t = 0.
+/// Tries plain Newton first, then gmin stepping, then source stepping.
 ///
 /// # Errors
 /// [`Error::NonConvergence`] if every strategy fails,
 /// [`Error::SingularMatrix`] for a structurally defective circuit, or
-/// the typed ERC/validation errors of [`erc::preflight`].
+/// the typed validation errors of [`erc::preflight`].
 pub fn operating_point(ckt: &Circuit, opts: &DcOpts) -> Result<Solution> {
+    erc::preflight(ckt)?;
+    solve(ckt, opts.temp)
+}
+
+/// [`operating_point`] without the pre-flight, for an analysis that has
+/// already run its own.
+pub(crate) fn solve(ckt: &Circuit, temp: f64) -> Result<Solution> {
     let _span = crate::trace::span("dc");
-    erc::preflight(ckt, opts.erc)?;
     let sys = System::new(ckt);
     // One workspace for the whole ladder: the gmin/source-stepping rungs
     // all share the matrix pattern, so only the first solve pays for
@@ -107,17 +115,7 @@ pub fn operating_point(ckt: &Circuit, opts: &DcOpts) -> Result<Solution> {
     let x0 = vec![0.0; sys.nvars];
 
     // 1. Plain Newton from zero.
-    match sys.newton(
-        &x0,
-        opts.time,
-        1.0,
-        &opts.newton,
-        opts.newton.gmin,
-        None,
-        &mut ws,
-        None,
-        "dc",
-    ) {
+    match sys.newton(&x0, 0.0, 1.0, temp, GMIN, None, &mut ws, None, "dc") {
         Ok((x, _)) => return Ok(Solution::new(x, sys.num_nodes).with_run(&ws)),
         Err(Error::SingularMatrix { .. }) => {
             // Structural problem — stepping will not fix a floating
@@ -131,18 +129,7 @@ pub fn operating_point(ckt: &Circuit, opts: &DcOpts) -> Result<Solution> {
     let mut x = x0.clone();
     let mut ok = true;
     for &gmin in &GMIN_LADDER {
-        let gmin = gmin.max(opts.newton.gmin);
-        match sys.newton(
-            &x,
-            opts.time,
-            1.0,
-            &opts.newton,
-            gmin,
-            None,
-            &mut ws,
-            None,
-            "dc",
-        ) {
+        match sys.newton(&x, 0.0, 1.0, temp, gmin, None, &mut ws, None, "dc") {
             Ok((xn, _)) => x = xn,
             Err(_) => {
                 ok = false;
@@ -159,31 +146,11 @@ pub fn operating_point(ckt: &Circuit, opts: &DcOpts) -> Result<Solution> {
     let mut x = x0;
     for step in 1..=SRC_STEPS {
         let scale = step as f64 / SRC_STEPS as f64;
-        let (xn, _) = sys.newton(
-            &x,
-            opts.time,
-            scale,
-            &opts.newton,
-            opts.newton.gmin.max(1e-9),
-            None,
-            &mut ws,
-            None,
-            "dc",
-        )?;
+        let (xn, _) = sys.newton(&x, 0.0, scale, temp, 1e-9, None, &mut ws, None, "dc")?;
         x = xn;
     }
-    // Final polish at full sources and user gmin.
-    let (x, _) = sys.newton(
-        &x,
-        opts.time,
-        1.0,
-        &opts.newton,
-        opts.newton.gmin,
-        None,
-        &mut ws,
-        None,
-        "dc",
-    )?;
+    // Final polish at full sources and the nominal gmin.
+    let (x, _) = sys.newton(&x, 0.0, 1.0, temp, GMIN, None, &mut ws, None, "dc")?;
     Ok(Solution::new(x, sys.num_nodes).with_run(&ws))
 }
 
@@ -221,28 +188,6 @@ mod tests {
         // No DC path to ground through C: b floats to a's potential
         // (through R1, held by gmin at ~1 V).
         assert!((sol.voltage(b) - 1.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn source_time_is_respected() {
-        let mut ckt = Circuit::new();
-        let a = ckt.node("a");
-        ckt.vsource(
-            "V1",
-            a,
-            Circuit::gnd(),
-            Waveform::pwl(vec![(0.0, 0.0), (1e-9, 2.0)]),
-        );
-        ckt.resistor("R1", a, Circuit::gnd(), 1e3).unwrap();
-        let sol = operating_point(
-            &ckt,
-            &DcOpts {
-                time: 1e-9,
-                ..DcOpts::default()
-            },
-        )
-        .unwrap();
-        assert!((sol.voltage(a) - 2.0).abs() < 1e-6);
     }
 
     #[test]

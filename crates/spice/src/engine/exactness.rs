@@ -244,7 +244,6 @@ fn tran_opts() -> TranOpts {
     let mut opts = TranOpts::to_time(1e-9);
     opts.dt_max = 10e-12;
     opts.uic = true;
-    opts.erc = Some(crate::erc::ErcMode::Off);
     opts
 }
 
@@ -283,6 +282,10 @@ proptest! {
         let s = transient(&mut ckt, &tran_opts()).expect("transient").stats();
         prop_assert_eq!(s.bypass_hits, 0);
         prop_assert_eq!(s.bypass_misses + s.reuses, s.newton_iters * ndev);
+        // Seeding at t = 0 and each accept evaluate every device at most
+        // once, outside the Newton counts above.
+        prop_assert!(s.accept_evals >= ndev, "{s:?}");
+        prop_assert!(s.accept_evals <= (s.accepted_steps + 1) * ndev, "{s:?}");
         // At least the quiet twin reuses its accept-time evaluation in
         // iteration 1 of every later solve.
         prop_assert!(s.reuses >= s.accepted_steps - 1, "{s:?}");

@@ -24,31 +24,14 @@ const ABSTOL: f64 = 1e-12;
 /// Relative convergence tolerance.
 const RELTOL: f64 = 1e-4;
 
-/// Newton damping and iteration limits shared by both analyses.
-#[derive(Debug, Clone)]
-pub struct NewtonOpts {
-    /// Maximum Newton iterations per solve attempt.
-    pub max_iters: usize,
-    /// Maximum per-iteration node-voltage change (V); larger updates are
-    /// scaled down (damped Newton). Keeps exponential device models from
-    /// overflowing.
-    pub vlimit: f64,
-    /// Shunt conductance from every node to ground (S).
-    pub gmin: f64,
-    /// Simulation temperature (K).
-    pub temp: f64,
-}
-
-impl Default for NewtonOpts {
-    fn default() -> Self {
-        Self {
-            max_iters: 100,
-            vlimit: 0.4,
-            gmin: 1e-12,
-            temp: crate::units::TEMP_NOMINAL,
-        }
-    }
-}
+/// Newton iterations per solve attempt.
+const MAX_ITERS: usize = 100;
+/// Largest node-voltage change per Newton iteration (V); larger updates
+/// are scaled down (damped Newton), which keeps exponential device
+/// models from overflowing.
+const VLIMIT: f64 = 0.4;
+/// Shunt conductance from every node to ground (S).
+pub(crate) const GMIN: f64 = 1e-12;
 
 /// Solver work counters for one analysis run.
 ///
@@ -75,6 +58,10 @@ pub struct SimStats {
     pub bypass_hits: u64,
     /// Device evaluations actually performed by Newton iterations.
     pub bypass_misses: u64,
+    /// Device evaluations outside Newton iterations: one per device when
+    /// a transient seeds its charge history at t = 0 and after each
+    /// accepted step, unless the device's cached evaluation is exact.
+    pub accept_evals: u64,
     /// Newton-iteration device evaluations skipped because the terminal
     /// voltages were bitwise equal to those of the cached evaluation and
     /// the device's state had not moved since: the cached stamps are
@@ -93,6 +80,7 @@ impl SimStats {
         self.rejected_steps += other.rejected_steps;
         self.bypass_hits += other.bypass_hits;
         self.bypass_misses += other.bypass_misses;
+        self.accept_evals += other.accept_evals;
         self.reuses += other.reuses;
     }
 }
@@ -284,7 +272,6 @@ fn stamp_bound(
         let off = comp.dev_offsets[di];
         let (q, cq) = (&st.q[..t], &st.cq[..t * t]);
         let q_prev = &comp.dev_q_prev[off..off + t];
-        let i_prev = &comp.dev_i_prev[off..off + t];
         for &(k, s) in plan.slots {
             vals[s as usize] += comp.coeff * cq[k as usize];
         }
@@ -296,9 +283,6 @@ fn stamp_bound(
                 continue;
             }
             let mut i_const = comp.coeff * (q[a] - q_prev[a]);
-            if comp.trapezoidal {
-                i_const -= i_prev[a];
-            }
             for b in 0..t {
                 i_const -= comp.coeff * cq[a * t + b] * vt[b];
             }
@@ -379,6 +363,8 @@ pub(crate) struct NewtonWorkspace {
     static_current: bool,
     /// Device evaluations performed by Newton iterations.
     pub evals: u64,
+    /// Device evaluations performed when a transient step is accepted.
+    pub accept_evals: u64,
     /// Newton-iteration evaluations replaced by an exact cached one.
     pub reuses: u64,
     pub clock: PhaseClock,
@@ -417,6 +403,7 @@ impl NewtonWorkspace {
             static_vals: Vec::new(),
             static_current: false,
             evals: 0,
+            accept_evals: 0,
             reuses: 0,
             clock: PhaseClock::new(),
         }
@@ -474,27 +461,23 @@ impl NewtonWorkspace {
             rejected_steps: 0,
             bypass_hits: 0,
             bypass_misses: self.evals,
+            accept_evals: self.accept_evals,
             reuses: self.reuses,
         }
     }
 }
 
-/// Companion-model state for charge storage during transient analysis.
+/// Backward-Euler companion state for charge storage during transient
+/// analysis.
 #[derive(Debug, Clone)]
 pub(crate) struct Companion {
-    /// Integration coefficient: BE → 1/dt, trapezoidal → 2/dt.
+    /// Integration coefficient `1/dt`.
     pub coeff: f64,
-    /// Whether the trapezoidal correction term (previous current) applies.
-    pub trapezoidal: bool,
     /// Per linear capacitor: previous branch charge.
     pub cap_q_prev: Vec<f64>,
-    /// Per linear capacitor: previous branch current.
-    pub cap_i_prev: Vec<f64>,
     /// Per device: previous terminal charges (flattened, offsets parallel
     /// to `dev_offsets`).
     pub dev_q_prev: Vec<f64>,
-    /// Per device: previous terminal charge currents.
-    pub dev_i_prev: Vec<f64>,
     /// Start offset of each device's terminals in the flat arrays.
     pub dev_offsets: Vec<usize>,
 }
@@ -541,7 +524,7 @@ impl<'a> System<'a> {
 
     /// Fresh companion state (all charges continue from `x` at accept
     /// time; initialised lazily by the transient driver).
-    pub fn new_companion(&self, coeff: f64, trapezoidal: bool) -> Companion {
+    pub fn new_companion(&self) -> Companion {
         let mut dev_offsets = Vec::with_capacity(self.ckt.devices().len() + 1);
         let mut total = 0usize;
         for d in self.ckt.devices() {
@@ -558,12 +541,9 @@ impl<'a> System<'a> {
             .filter(|e| matches!(e, Element::Capacitor { .. }))
             .count();
         Companion {
-            coeff,
-            trapezoidal,
+            coeff: 0.0,
             cap_q_prev: vec![0.0; caps],
-            cap_i_prev: vec![0.0; caps],
             dev_q_prev: vec![0.0; total],
-            dev_i_prev: vec![0.0; total],
             dev_offsets,
         }
     }
@@ -622,13 +602,10 @@ impl<'a> System<'a> {
                         if let Some(t) = mat.as_deref_mut() {
                             self.stamp_conductance(t, *p, *n, geq);
                         }
-                        // i ≈ coeff·(q0 + C·Δv − q_prev) [− i_prev if trap]
-                        // constants → RHS with opposite sign.
-                        let mut i_const =
+                        // i ≈ coeff·(q0 + C·Δv − q_prev); constants → RHS
+                        // with opposite sign.
+                        let i_const =
                             comp.coeff * (q0 - comp.cap_q_prev[cap_pos]) - geq * (vp - vn);
-                        if comp.trapezoidal {
-                            i_const -= comp.cap_i_prev[cap_pos];
-                        }
                         self.stamp_current_pn(rhs, *p, *n, i_const);
                     }
                     cap_pos += 1;
@@ -741,9 +718,6 @@ impl<'a> System<'a> {
                     continue;
                 };
                 let mut i_const = comp.coeff * (st.q[a] - comp.dev_q_prev[off + a]);
-                if comp.trapezoidal {
-                    i_const -= comp.dev_i_prev[off + a];
-                }
                 for b in 0..t {
                     let c = st.cq[a * t + b];
                     if c != 0.0 {
@@ -1095,7 +1069,7 @@ impl<'a> System<'a> {
         x0: &[f64],
         time: f64,
         source_scale: f64,
-        opts: &NewtonOpts,
+        temp: f64,
         gmin: f64,
         companion: Option<&Companion>,
         ws: &mut NewtonWorkspace,
@@ -1104,16 +1078,12 @@ impl<'a> System<'a> {
     ) -> Result<(Vec<f64>, usize)> {
         ws.clock.lap(Phase::Step);
         let mut x = x0.to_vec();
-        let ctx = EvalCtx {
-            temp: opts.temp,
-            gmin,
-            time,
-        };
+        let ctx = EvalCtx { temp, gmin, time };
         // The static matrix part (gmin shunts, companion geq) may have
         // changed since the last solve: rebuild it on iteration 1.
         ws.static_current = false;
         let mut last_dx = f64::INFINITY;
-        for iter in 1..=opts.max_iters {
+        for iter in 1..=MAX_ITERS {
             self.eval_devices(&x, &ctx, ws);
             ws.clock.lap(Phase::Eval);
             self.assemble(&x, time, source_scale, gmin, companion, ws);
@@ -1165,8 +1135,8 @@ impl<'a> System<'a> {
                 return Ok((x_new, iter));
             }
             // Damped update.
-            if max_dv > opts.vlimit {
-                let scale = opts.vlimit / max_dv;
+            if max_dv > VLIMIT {
+                let scale = VLIMIT / max_dv;
                 for v in 0..self.nvars {
                     x[v] += (x_new[v] - x[v]) * scale;
                 }
@@ -1184,11 +1154,11 @@ impl<'a> System<'a> {
             ws.rhs[var] += dv;
         }
         let fo = self.forensics(ws, &x, last_dx);
-        crate::trace::newton_failure(analysis, time, opts.max_iters, &fo);
+        crate::trace::newton_failure(analysis, time, MAX_ITERS, &fo);
         Err(Error::NonConvergence {
             analysis,
             time,
-            iterations: opts.max_iters,
+            iterations: MAX_ITERS,
             forensics: Some(Box::new(fo)),
         })
     }
@@ -1215,8 +1185,8 @@ mod tests {
                 &x0,
                 0.0,
                 1.0,
-                &NewtonOpts::default(),
-                1e-12,
+                crate::units::TEMP_NOMINAL,
+                GMIN,
                 None,
                 &mut ws,
                 None,
@@ -1246,8 +1216,8 @@ mod tests {
                 &vec![0.0; sys.nvars],
                 0.0,
                 1.0,
-                &NewtonOpts::default(),
-                1e-12,
+                crate::units::TEMP_NOMINAL,
+                GMIN,
                 None,
                 &mut ws,
                 None,
@@ -1273,8 +1243,8 @@ mod tests {
                 &vec![0.0; sys.nvars],
                 0.0,
                 1.0,
-                &NewtonOpts::default(),
-                1e-12,
+                crate::units::TEMP_NOMINAL,
+                GMIN,
                 None,
                 &mut ws,
                 None,

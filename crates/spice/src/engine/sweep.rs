@@ -5,11 +5,12 @@
 //! its circuit context, or the SL_bar divider characteristics of
 //! Fig. 5(b)/(c).
 
-use super::dc::{DcOpts, Solution};
-use super::{NewtonOpts, NewtonWorkspace, SimStats, System};
+use super::dc::Solution;
+use super::{NewtonWorkspace, SimStats, System, GMIN};
 use crate::erc;
 use crate::error::{Error, Result};
 use crate::netlist::{Circuit, Element, NodeId};
+use crate::units::TEMP_NOMINAL;
 
 /// Result of a DC sweep: the swept values and one solution per point.
 #[derive(Debug, Clone)]
@@ -80,14 +81,9 @@ impl SweepResult {
 /// # Errors
 /// * [`Error::UnknownSignal`] when no voltage source has that name;
 /// * DC convergence errors from any sweep point.
-pub fn dc_sweep(
-    ckt: &Circuit,
-    source: &str,
-    values: &[f64],
-    opts: &NewtonOpts,
-) -> Result<SweepResult> {
+pub fn dc_sweep(ckt: &Circuit, source: &str, values: &[f64]) -> Result<SweepResult> {
     let _span = crate::trace::span("sweep");
-    erc::preflight(ckt, None)?;
+    erc::preflight(ckt)?;
     // Locate the source's branch so we can override its value.
     let branch = ckt
         .elements()
@@ -110,13 +106,13 @@ pub fn dc_sweep(
     let mut warm = false;
     for &v in values {
         let ov = SourceOverride { branch, value: v };
-        let solved = solve_newton_override(&sys, ckt, &x, opts, &ov, &mut ws);
+        let solved = solve_newton_override(&sys, ckt, &x, &ov, &mut ws);
         let xs = match solved {
             Ok(xs) => xs,
             Err(_) if warm => {
                 // A hard corner: retry cold from zero.
                 let x0 = vec![0.0; sys.nvars];
-                solve_newton_override(&sys, ckt, &x0, opts, &ov, &mut ws)?
+                solve_newton_override(&sys, ckt, &x0, &ov, &mut ws)?
             }
             Err(e) => return Err(e),
         };
@@ -129,48 +125,6 @@ pub fn dc_sweep(
         solutions,
         stats: ws.stats(),
     })
-}
-
-/// [`dc_sweep`] fanned out over a worker pool: the value list is split
-/// into `jobs` contiguous chunks, each swept independently (cold-started
-/// at its first point, warm-started within the chunk), and the solutions
-/// are reassembled in input order.
-///
-/// Point ordering and result layout are identical to the serial sweep.
-/// Individual solutions can differ from the serial run only through the
-/// warm-start trajectory at chunk boundaries — both paths converge to
-/// the same operating points within Newton tolerance. `jobs <= 1`
-/// delegates to the serial [`dc_sweep`] outright.
-///
-/// # Errors
-/// Same conditions as [`dc_sweep`]; the first failing chunk's error is
-/// returned.
-pub fn dc_sweep_par(
-    ckt: &Circuit,
-    source: &str,
-    values: &[f64],
-    opts: &NewtonOpts,
-    jobs: usize,
-) -> Result<SweepResult> {
-    let jobs = jobs.max(1).min(values.len().max(1));
-    if jobs <= 1 {
-        return dc_sweep(ckt, source, values, opts);
-    }
-    let chunk_len = values.len().div_ceil(jobs);
-    let chunks: Vec<&[f64]> = values.chunks(chunk_len).collect();
-    let results =
-        crate::parallel::par_map(&chunks, jobs, |_, chunk| dc_sweep(ckt, source, chunk, opts));
-    let mut out = SweepResult {
-        values: values.to_vec(),
-        solutions: Vec::with_capacity(values.len()),
-        stats: SimStats::default(),
-    };
-    for r in results {
-        let r = r?;
-        out.stats.merge(r.stats);
-        out.solutions.extend(r.solutions);
-    }
-    Ok(out)
 }
 
 struct SourceOverride {
@@ -187,7 +141,6 @@ fn solve_newton_override(
     sys: &System<'_>,
     ckt: &Circuit,
     x0: &[f64],
-    opts: &NewtonOpts,
     ov: &SourceOverride,
     ws: &mut NewtonWorkspace,
 ) -> Result<Vec<f64>> {
@@ -203,8 +156,18 @@ fn solve_newton_override(
         })
         .unwrap_or(0.0);
     let patch = Some((bv, ov.value - nominal));
-    sys.newton(x0, 0.0, 1.0, opts, opts.gmin, None, ws, patch, "dc-sweep")
-        .map(|(x, _iters)| x)
+    sys.newton(
+        x0,
+        0.0,
+        1.0,
+        TEMP_NOMINAL,
+        GMIN,
+        None,
+        ws,
+        patch,
+        "dc-sweep",
+    )
+    .map(|(x, _iters)| x)
 }
 
 /// Linearly spaced sweep values, inclusive of both ends.
@@ -226,13 +189,8 @@ pub fn transfer_curve(
     values: &[f64],
     node: NodeId,
 ) -> Result<Vec<(f64, f64)>> {
-    Ok(dc_sweep(ckt, source, values, &NewtonOpts::default())?.voltage_curve(node))
+    Ok(dc_sweep(ckt, source, values)?.voltage_curve(node))
 }
-
-/// Re-export for the sweep's `DcOpts` compatibility (sweeps use raw
-/// Newton options; the gmin/source stepping ladders live in
-/// [`super::dc::operating_point`]).
-pub type SweepOpts = DcOpts;
 
 #[cfg(test)]
 mod tests {
@@ -265,7 +223,7 @@ mod tests {
         let mut ckt = Circuit::new();
         let a = ckt.node("a");
         ckt.resistor("R1", a, Circuit::gnd(), 1e3).unwrap();
-        let r = dc_sweep(&ckt, "VX", &[0.0], &NewtonOpts::default());
+        let r = dc_sweep(&ckt, "VX", &[0.0]);
         assert!(matches!(r, Err(Error::UnknownSignal { .. })));
     }
 
@@ -275,36 +233,10 @@ mod tests {
         let a = ckt.node("a");
         let br = ckt.vsource("VIN", a, Circuit::gnd(), W::dc(0.0));
         ckt.resistor("R1", a, Circuit::gnd(), 1e3).unwrap();
-        let res = dc_sweep(&ckt, "VIN", &linspace(0.0, 1.0, 3), &NewtonOpts::default()).unwrap();
+        let res = dc_sweep(&ckt, "VIN", &linspace(0.0, 1.0, 3)).unwrap();
         for (v, i) in res.current_curve(br) {
             // Source current flows p→n internally: −v/R.
             assert!((i + v / 1e3).abs() < 1e-7, "{v} -> {i}");
-        }
-    }
-
-    #[test]
-    fn parallel_sweep_matches_serial_layout() {
-        let mut ckt = Circuit::new();
-        let a = ckt.node("a");
-        let b = ckt.node("b");
-        ckt.vsource("VIN", a, Circuit::gnd(), W::dc(0.0));
-        ckt.resistor("R1", a, b, 2e3).unwrap();
-        ckt.resistor("R2", b, Circuit::gnd(), 1e3).unwrap();
-        let vals = linspace(0.0, 3.0, 13);
-        let serial = dc_sweep(&ckt, "VIN", &vals, &NewtonOpts::default()).unwrap();
-        for jobs in [1, 2, 4, 32] {
-            let par = dc_sweep_par(&ckt, "VIN", &vals, &NewtonOpts::default(), jobs).unwrap();
-            assert_eq!(par.values(), serial.values());
-            assert_eq!(par.len(), serial.len());
-            for (s, p) in serial.solutions().iter().zip(par.solutions()) {
-                assert!(
-                    (s.voltage(b) - p.voltage(b)).abs() < 1e-9,
-                    "jobs={jobs}: {} vs {}",
-                    s.voltage(b),
-                    p.voltage(b)
-                );
-            }
-            assert!(par.stats().newton_iters > 0);
         }
     }
 
@@ -314,7 +246,7 @@ mod tests {
         let a = ckt.node("a");
         ckt.vsource("VIN", a, Circuit::gnd(), W::dc(0.0));
         ckt.resistor("R1", a, Circuit::gnd(), 1e3).unwrap();
-        let res = dc_sweep(&ckt, "VIN", &linspace(0.0, 1.0, 9), &NewtonOpts::default()).unwrap();
+        let res = dc_sweep(&ckt, "VIN", &linspace(0.0, 1.0, 9)).unwrap();
         let s = res.stats();
         assert_eq!(s.full_factors, 1, "only the first solve should factor");
         assert!(s.refactors >= 8, "later points must refactor: {s:?}");
@@ -328,7 +260,7 @@ mod tests {
         let a = ckt.node("a");
         ckt.vsource("VIN", a, Circuit::gnd(), W::dc(5.0));
         ckt.resistor("R1", a, Circuit::gnd(), 1e3).unwrap();
-        let res = dc_sweep(&ckt, "VIN", &[1.0], &NewtonOpts::default()).unwrap();
+        let res = dc_sweep(&ckt, "VIN", &[1.0]).unwrap();
         assert!((res.solutions()[0].voltage(a) - 1.0).abs() < 1e-6);
     }
 }

@@ -1,26 +1,16 @@
 //! Transient analysis with adaptive stepping and source breakpoints.
 
-use super::dc::{operating_point, DcOpts};
-use super::{NewtonOpts, NewtonWorkspace, Phase, PhaseTimes, SimStats, System};
-use crate::erc::{self, ErcMode};
+use super::{dc, NewtonWorkspace, Phase, PhaseTimes, SimStats, System, GMIN};
+use crate::erc;
 use crate::error::{Error, Result};
 use crate::netlist::{Circuit, Element};
 use crate::nonlinear::EvalCtx;
 use crate::probe::Trace;
+use crate::units::TEMP_NOMINAL;
 
-/// Time-integration method for charge storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Integrator {
-    /// First-order, L-stable. The robust default for strongly nonlinear
-    /// switching circuits.
-    #[default]
-    BackwardEuler,
-    /// Second-order, A-stable; more accurate on smooth waveforms but can
-    /// ring on hard discontinuities.
-    Trapezoidal,
-}
-
-/// Options for [`transient`].
+/// Options for [`transient`]. Charge storage is integrated by backward
+/// Euler (first order, L-stable: robust on the hard switching edges of
+/// the search and write waveforms), at the nominal temperature.
 #[derive(Debug, Clone)]
 pub struct TranOpts {
     /// End time (s).
@@ -31,24 +21,17 @@ pub struct TranOpts {
     pub dt_max: f64,
     /// Smallest allowed step before declaring failure (s).
     pub dt_min: f64,
-    /// Integration method.
-    pub integrator: Integrator,
-    /// Newton parameters.
-    pub newton: NewtonOpts,
     /// Skip the initial DC operating point and start from the node
     /// initial conditions declared on the circuit (SPICE `uic`).
     pub uic: bool,
     /// Device internal states to record, as `(device_name, state_key)`;
     /// recorded as signal `"<device>.<key>"`.
     pub record_states: Vec<(String, String)>,
-    /// ERC pre-flight behaviour; `None` resolves from the
-    /// `FERROTCAM_ERC` environment variable (default: warn).
-    pub erc: Option<ErcMode>,
 }
 
 impl TranOpts {
     /// Reasonable defaults for a run to `t_stop`: `dt_init = t_stop/1e4`,
-    /// `dt_max = t_stop/200`, backward Euler.
+    /// `dt_max = t_stop/200`.
     #[must_use]
     pub fn to_time(t_stop: f64) -> Self {
         Self {
@@ -56,11 +39,8 @@ impl TranOpts {
             dt_init: t_stop / 1e4,
             dt_max: t_stop / 200.0,
             dt_min: t_stop / 1e12,
-            integrator: Integrator::default(),
-            newton: NewtonOpts::default(),
             uic: false,
             record_states: Vec::new(),
-            erc: None,
         }
     }
 }
@@ -111,7 +91,7 @@ pub fn collect_breakpoints(ckt: &Circuit, t_stop: f64) -> Vec<f64> {
 /// * [`Error::SingularMatrix`] for structurally defective circuits.
 pub fn transient(ckt: &mut Circuit, opts: &TranOpts) -> Result<Trace> {
     let _span = crate::trace::span("transient");
-    erc::preflight(ckt, opts.erc)?;
+    erc::preflight(ckt)?;
     let mut stats = SimStats::default();
     let mut phases = PhaseTimes::default();
     // --- Initial solution ------------------------------------------------
@@ -128,13 +108,8 @@ pub fn transient(ckt: &mut Circuit, opts: &TranOpts) -> Result<Trace> {
         }
         x0
     } else {
-        let dc = DcOpts {
-            newton: opts.newton.clone(),
-            time: 0.0,
-            // The transient entry already ran its own pre-flight.
-            erc: Some(ErcMode::Off),
-        };
-        let sol = operating_point(ckt, &dc)?;
+        // The pre-flight above already covers this solve.
+        let sol = dc::solve(ckt, TEMP_NOMINAL)?;
         stats.merge(sol.stats());
         phases.merge(sol.phase_times());
         sol.as_vec().to_vec()
@@ -191,19 +166,18 @@ pub fn transient(ckt: &mut Circuit, opts: &TranOpts) -> Result<Trace> {
     // (the System view is rebuilt per step because devices need `&mut
     // ckt` on accept, but the matrix pattern is a property of the fixed
     // topology).
-    let trapezoidal = opts.integrator == Integrator::Trapezoidal;
     let (mut comp, mut ws) = {
         let sys = System::new(ckt);
-        let comp = sys.new_companion(0.0, trapezoidal);
+        let comp = sys.new_companion();
         let ws = NewtonWorkspace::new(&sys);
         (comp, ws)
     };
     let ctx0 = EvalCtx {
-        temp: opts.newton.temp,
-        gmin: opts.newton.gmin,
+        temp: TEMP_NOMINAL,
+        gmin: GMIN,
         time: 0.0,
     };
-    seed_charges(ckt, &x, &ctx0, &mut comp, &mut ws);
+    store_charges(ckt, &x, &ctx0, &mut comp, &mut ws);
 
     // Per-source cumulative delivered energy and last power sample.
     let mut energy = vec![0.0f64; vsrc.len()];
@@ -242,11 +216,7 @@ pub fn transient(ckt: &mut Circuit, opts: &TranOpts) -> Result<Trace> {
         }
 
         let t_new = t + dt_eff;
-        comp.coeff = if trapezoidal {
-            2.0 / dt_eff
-        } else {
-            1.0 / dt_eff
-        };
+        comp.coeff = 1.0 / dt_eff;
 
         let evals0 = ws.evals;
         let attempt = {
@@ -255,8 +225,8 @@ pub fn transient(ckt: &mut Circuit, opts: &TranOpts) -> Result<Trace> {
                 &x,
                 t_new,
                 1.0,
-                &opts.newton,
-                opts.newton.gmin,
+                TEMP_NOMINAL,
+                GMIN,
                 Some(&comp),
                 &mut ws,
                 None,
@@ -267,8 +237,8 @@ pub fn transient(ckt: &mut Circuit, opts: &TranOpts) -> Result<Trace> {
             Ok((x_new, iters)) => {
                 // Accept: advance companion state and device history.
                 let ctx = EvalCtx {
-                    temp: opts.newton.temp,
-                    gmin: opts.newton.gmin,
+                    temp: TEMP_NOMINAL,
+                    gmin: GMIN,
                     time: t_new,
                 };
                 advance_state(ckt, &x_new, &ctx, &mut comp, &mut ws);
@@ -329,12 +299,13 @@ pub fn transient(ckt: &mut Circuit, opts: &TranOpts) -> Result<Trace> {
     Ok(trace)
 }
 
-/// Evaluate charge state at `x` and store it as the companion history
-/// (used once at t = 0; charge currents start at zero).
+/// Evaluate charge state at `x` and store it as the companion history:
+/// at t = 0 and after every accepted step. Backward Euler needs no other
+/// history.
 ///
 /// Leaves `ws.stamps`/`ws.vt_cache` holding an evaluation at `x`, which
 /// the first Newton iteration reuses.
-fn seed_charges(
+fn store_charges(
     ckt: &Circuit,
     x: &[f64],
     ctx: &EvalCtx,
@@ -346,22 +317,19 @@ fn seed_charges(
     for elem in ckt.elements() {
         if let Element::Capacitor { p, n, farads, .. } = elem {
             comp.cap_q_prev[cap_pos] = farads * (sys.voltage(x, *p) - sys.voltage(x, *n));
-            comp.cap_i_prev[cap_pos] = 0.0;
             cap_pos += 1;
         }
     }
     for (di, dev) in ckt.devices().iter().enumerate() {
         ws.load_vt(di, x);
-        ws.refresh(di, dev.as_ref(), ctx);
+        ws.accept_evals += u64::from(ws.refresh(di, dev.as_ref(), ctx));
         let off = comp.dev_offsets[di];
-        for (a, &q) in ws.stamps[di].q.iter().enumerate() {
-            comp.dev_q_prev[off + a] = q;
-            comp.dev_i_prev[off + a] = 0.0;
-        }
+        let q = &ws.stamps[di].q;
+        comp.dev_q_prev[off..off + q.len()].copy_from_slice(q);
     }
 }
 
-/// After an accepted step: update charge/current history and let devices
+/// After an accepted step: update the charge history and let devices
 /// commit internal state (ferroelectric polarisation etc.).
 ///
 /// The device evaluations at `x` made here stay cached, so iteration 1
@@ -374,37 +342,7 @@ fn advance_state(
     comp: &mut super::Companion,
     ws: &mut NewtonWorkspace,
 ) {
-    let coeff = comp.coeff;
-    let trap = comp.trapezoidal;
-    {
-        let sys = System::new(ckt);
-        let mut cap_pos = 0usize;
-        for elem in ckt.elements() {
-            if let Element::Capacitor { p, n, farads, .. } = elem {
-                let q_new = farads * (sys.voltage(x, *p) - sys.voltage(x, *n));
-                let mut i_new = coeff * (q_new - comp.cap_q_prev[cap_pos]);
-                if trap {
-                    i_new -= comp.cap_i_prev[cap_pos];
-                }
-                comp.cap_q_prev[cap_pos] = q_new;
-                comp.cap_i_prev[cap_pos] = i_new;
-                cap_pos += 1;
-            }
-        }
-        for (di, dev) in ckt.devices().iter().enumerate() {
-            ws.load_vt(di, x);
-            ws.refresh(di, dev.as_ref(), ctx);
-            let off = comp.dev_offsets[di];
-            for (a, &q_new) in ws.stamps[di].q.iter().enumerate() {
-                let mut i_new = coeff * (q_new - comp.dev_q_prev[off + a]);
-                if trap {
-                    i_new -= comp.dev_i_prev[off + a];
-                }
-                comp.dev_q_prev[off + a] = q_new;
-                comp.dev_i_prev[off + a] = i_new;
-            }
-        }
-    }
+    store_charges(ckt, x, ctx, comp, ws);
     // Device state commit needs &mut on the circuit; the terminal
     // voltages were already gathered into the workspace scratch above.
     for (di, dev) in ckt.devices_mut().iter_mut().enumerate() {
@@ -492,31 +430,6 @@ mod tests {
         // After 5 tau: fully charged.
         let v5 = tr.value_at("v(b)", 1e-7 + 4.8e-6).unwrap();
         assert!(v5 > 0.99, "v5 = {v5}");
-    }
-
-    #[test]
-    fn rc_trapezoidal_matches_analytic_closely() {
-        let mut ckt = Circuit::new();
-        let a = ckt.node("a");
-        let b = ckt.node("b");
-        ckt.vsource(
-            "V1",
-            a,
-            Circuit::gnd(),
-            Waveform::pulse(0.0, 1.0, 0.0, 1e-12, 1e-12, 1.0),
-        );
-        ckt.resistor("R1", a, b, 1e3).unwrap();
-        ckt.capacitor("C1", b, Circuit::gnd(), 1e-9).unwrap();
-        let mut opts = TranOpts::to_time(3e-6);
-        opts.integrator = Integrator::Trapezoidal;
-        opts.dt_max = 10e-9;
-        let tr = transient(&mut ckt, &opts).unwrap();
-        for frac in [0.5, 1.0, 2.0] {
-            let t = frac * 1e-6;
-            let v = tr.value_at("v(b)", t).unwrap();
-            let expect = 1.0 - (-frac).exp();
-            assert!((v - expect).abs() < 5e-3, "t={t}: {v} vs {expect}");
-        }
     }
 
     #[test]

@@ -21,15 +21,13 @@
 //!   source amplitudes beyond the FeFET write-voltage presets.
 //!
 //! Every engine entry point (`dc`, `transient`, `sweep`, `ac`) runs a
-//! [`preflight`] whose behaviour is selected by [`ErcMode`]: warn
-//! (default — diagnostics to stderr, once per distinct report), deny
-//! (error-severity diagnostics abort with [`Error::ErcRejected`]) or
-//! off. The `FERROTCAM_ERC` environment variable (`off`/`warn`/`deny`)
-//! sets the default; options structs can override it per run.
+//! [`preflight`] that prints the findings to stderr, once per distinct
+//! report, and then simulates: ERC never blocks a run. `ferrotcam lint
+//! --deny` is the gate that fails on error-severity findings.
 //!
 //! Degenerate netlists (no unknowns, out-of-range node ids, duplicate
-//! instance names) are rejected with typed errors by [`validate`]
-//! regardless of mode — these would previously panic inside the solver.
+//! instance names) are rejected with typed errors by [`validate`] —
+//! these would previously panic inside the solver.
 
 mod graph;
 mod matching;
@@ -46,8 +44,8 @@ use std::sync::Mutex;
 pub enum Severity {
     /// Suspicious but simulable; never blocks a run.
     Warning,
-    /// The circuit is structurally or numerically defective; blocks the
-    /// run under [`ErcMode::Deny`].
+    /// The circuit is structurally or numerically defective; fails
+    /// `ferrotcam lint --deny`.
     Error,
 }
 
@@ -305,31 +303,6 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// What the engine pre-flight does with ERC findings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ErcMode {
-    /// Skip the rule passes (degenerate-netlist validation still runs).
-    Off,
-    /// Print diagnostics to stderr (once per distinct report), then run.
-    #[default]
-    Warn,
-    /// Abort with [`Error::ErcRejected`] on any error-severity finding.
-    Deny,
-}
-
-impl ErcMode {
-    /// Resolve the mode from the `FERROTCAM_ERC` environment variable
-    /// (`off` / `warn` / `deny`, default warn).
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var("FERROTCAM_ERC").as_deref() {
-            Ok("off") | Ok("0") => ErcMode::Off,
-            Ok("deny") => ErcMode::Deny,
-            _ => ErcMode::Warn,
-        }
-    }
-}
-
 /// Kind of a device parameter reported through
 /// [`crate::nonlinear::NonlinearDevice::erc_params`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -443,42 +416,18 @@ pub fn check(ckt: &Circuit) -> Result<ErcReport> {
     Ok(report)
 }
 
-/// Engine pre-flight: validate, then apply `mode` (falling back to the
-/// `FERROTCAM_ERC` environment default when `None`).
+/// Engine pre-flight: run [`check`] and print any findings to stderr
+/// (once per distinct report).
 ///
 /// # Errors
-/// Typed validation errors always; [`Error::ErcRejected`] when `mode`
-/// resolves to [`ErcMode::Deny`] and error-severity diagnostics exist.
-pub fn preflight(ckt: &Circuit, mode: Option<ErcMode>) -> Result<()> {
-    let mode = mode.unwrap_or_else(ErcMode::from_env);
-    if mode == ErcMode::Off {
-        return validate(ckt);
-    }
+/// The typed errors of [`validate`] for degenerate netlists; rule
+/// findings never fail.
+pub fn preflight(ckt: &Circuit) -> Result<()> {
     let report = check(ckt)?;
-    match mode {
-        ErcMode::Off => unreachable!("handled above"),
-        ErcMode::Warn => {
-            if !report.is_clean() {
-                warn_once(&report);
-            }
-            Ok(())
-        }
-        ErcMode::Deny => {
-            if report.has_errors() {
-                let first = report
-                    .diagnostics
-                    .iter()
-                    .find(|d| d.severity == Severity::Error)
-                    .map(ToString::to_string)
-                    .unwrap_or_default();
-                return Err(Error::ErcRejected {
-                    errors: report.num_errors(),
-                    first,
-                });
-            }
-            Ok(())
-        }
+    if !report.is_clean() {
+        warn_once(&report);
     }
+    Ok(())
 }
 
 /// Print a report to stderr at most once per distinct rendering, so
@@ -683,15 +632,20 @@ mod tests {
     }
 
     #[test]
-    fn deny_mode_rejects_warn_mode_passes() {
+    fn preflight_warns_on_findings_and_rejects_degenerate_netlists() {
         let mut ckt = divider();
         let x = ckt.node("x");
         let y = ckt.node("y");
         ckt.resistor("RX", x, y, 1e3).unwrap();
-        assert!(preflight(&ckt, Some(ErcMode::Warn)).is_ok());
-        assert!(preflight(&ckt, Some(ErcMode::Off)).is_ok());
-        let err = preflight(&ckt, Some(ErcMode::Deny)).unwrap_err();
-        assert!(matches!(err, Error::ErcRejected { errors, .. } if errors >= 1));
+        assert!(check(&ckt).unwrap().has_errors());
+        assert!(preflight(&ckt).is_ok());
+        // Degenerate netlists still fail, through `validate`.
+        ckt.resistor("RX", x, Circuit::gnd(), 1e3).unwrap();
+        assert!(matches!(
+            preflight(&ckt),
+            Err(Error::DuplicateName { name }) if name == "RX"
+        ));
+        assert_eq!(preflight(&Circuit::new()), Err(Error::EmptyCircuit));
     }
 
     #[test]

@@ -80,14 +80,6 @@ pub enum Error {
         /// The duplicated instance name.
         name: String,
     },
-    /// The ERC pre-flight ran in deny mode and found error-severity
-    /// diagnostics.
-    ErcRejected {
-        /// Number of error-severity diagnostics.
-        errors: usize,
-        /// Rendering of the first error diagnostic.
-        first: String,
-    },
 }
 
 impl fmt::Display for Error {
@@ -127,9 +119,6 @@ impl fmt::Display for Error {
             Error::EmptyCircuit => write!(f, "circuit has no unknowns to solve for"),
             Error::DuplicateName { name } => {
                 write!(f, "duplicate instance name {name:?}")
-            }
-            Error::ErcRejected { errors, first } => {
-                write!(f, "erc rejected circuit: {errors} error(s); first: {first}")
             }
         }
     }
@@ -171,10 +160,6 @@ mod tests {
             Error::UnknownSignal { name: "ml".into() },
             Error::EmptyCircuit,
             Error::DuplicateName { name: "R1".into() },
-            Error::ErcRejected {
-                errors: 2,
-                first: "error[floating-node]: island".into(),
-            },
         ];
         for e in errs {
             let s = e.to_string();

@@ -9,8 +9,8 @@
 //!   dense reference solver,
 //! * nonlinear DC operating point (damped Newton–Raphson with gmin and
 //!   source stepping),
-//! * transient analysis (backward Euler / trapezoidal, charge
-//!   formulation, adaptive stepping with source breakpoints),
+//! * transient analysis (backward Euler, charge formulation, adaptive
+//!   stepping with source breakpoints),
 //! * linear elements (R, C, V/I sources with DC/pulse/PWL/sine waveforms,
 //!   VCCS) and a trait for user nonlinear devices,
 //! * waveform probing: threshold crossings, integrals, per-source energy.
@@ -53,10 +53,10 @@ pub mod waveform;
 
 pub use engine::ac::{ac_analysis, logspace, AcResult, Phasor};
 pub use engine::dc::{operating_point, DcOpts, Solution};
-pub use engine::sweep::{dc_sweep, dc_sweep_par, linspace, transfer_curve, SweepResult};
-pub use engine::transient::{transient, Integrator, TranOpts};
-pub use engine::{NewtonOpts, PhaseTimes, SimStats};
-pub use erc::{ErcDiagnostic, ErcMode, ErcParam, ErcReport, ParamKind, Rule, Severity};
+pub use engine::sweep::{dc_sweep, linspace, transfer_curve, SweepResult};
+pub use engine::transient::{transient, TranOpts};
+pub use engine::{PhaseTimes, SimStats};
+pub use erc::{ErcDiagnostic, ErcParam, ErcReport, ParamKind, Rule, Severity};
 pub use error::{ConvergenceForensics, Error, Result};
 pub use matrix::{CachedSolver, SolverStats};
 pub use netlist::{Circuit, Element, NodeId};
@@ -70,10 +70,10 @@ pub use waveform::Waveform;
 pub mod prelude {
     pub use crate::engine::ac::{ac_analysis, logspace, AcResult, Phasor};
     pub use crate::engine::dc::{operating_point, DcOpts, Solution};
-    pub use crate::engine::sweep::{dc_sweep, dc_sweep_par, linspace, transfer_curve, SweepResult};
-    pub use crate::engine::transient::{transient, Integrator, TranOpts};
-    pub use crate::engine::{NewtonOpts, PhaseTimes, SimStats};
-    pub use crate::erc::{ErcMode, ErcReport, Rule, Severity};
+    pub use crate::engine::sweep::{dc_sweep, linspace, transfer_curve, SweepResult};
+    pub use crate::engine::transient::{transient, TranOpts};
+    pub use crate::engine::{PhaseTimes, SimStats};
+    pub use crate::erc::{ErcReport, Rule, Severity};
     pub use crate::error::{Error, Result};
     pub use crate::netlist::{Circuit, NodeId};
     pub use crate::nonlinear::{DeviceStamps, EvalCtx, NonlinearDevice};

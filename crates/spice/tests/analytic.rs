@@ -94,7 +94,6 @@ fn transient_agrees_with_ac_at_one_frequency() {
     let period = 1.0 / f;
     let mut opts = TranOpts::to_time(8.0 * period);
     opts.dt_max = period / 200.0;
-    opts.integrator = Integrator::Trapezoidal;
     let tr = transient(&mut ckt_tr, &opts).unwrap();
     let y = tr.signal("v(b)").unwrap();
     let t = tr.time();

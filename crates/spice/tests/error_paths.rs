@@ -30,7 +30,7 @@ fn unknown_sweep_source_is_reported() {
     let mut ckt = Circuit::new();
     let a = ckt.node("a");
     ckt.resistor("R", a, Circuit::gnd(), 1e3).unwrap();
-    let err = dc_sweep(&ckt, "VMISSING", &[0.0, 1.0], &NewtonOpts::default()).unwrap_err();
+    let err = dc_sweep(&ckt, "VMISSING", &[0.0, 1.0]).unwrap_err();
     assert!(matches!(err, Error::UnknownSignal { ref name } if name == "VMISSING"));
 }
 

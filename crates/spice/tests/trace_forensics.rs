@@ -116,9 +116,8 @@ fn breakpoint_clamped_rejection_recovers_dt() {
         bp1 + gap / 10.0,
     )));
 
-    let mut opts = TranOpts::to_time(1e-6);
-    opts.erc = Some(ErcMode::Off);
-    let tr = transient(&mut ckt, &opts).expect("one rejected step must be survivable");
+    let tr = transient(&mut ckt, &TranOpts::to_time(1e-6))
+        .expect("one rejected step must be survivable");
     let stats = tr.stats();
     let events = trace::take_events();
     trace::set_level(TraceLevel::Off);
@@ -222,7 +221,6 @@ fn singular_pivot_propagates_original_index() {
 
     let mut opts = TranOpts::to_time(1e-6);
     opts.uic = true; // skip the DC solve: exercise the stepper's arm
-    opts.erc = Some(ErcMode::Off);
     let err = transient(&mut ckt, &opts).unwrap_err();
     let summary = trace::summary();
     let events = trace::take_events();
@@ -268,11 +266,7 @@ fn nonconvergence_names_worst_node_and_device() {
         nodes: [ml, Circuit::gnd()],
     }));
 
-    let opts = DcOpts {
-        erc: Some(ErcMode::Off),
-        ..DcOpts::default()
-    };
-    let err = operating_point(&ckt, &opts).unwrap_err();
+    let err = operating_point(&ckt, &DcOpts::default()).unwrap_err();
     let summary = trace::summary();
     let events = trace::take_events();
     trace::set_level(TraceLevel::Off);
