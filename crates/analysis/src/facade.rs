@@ -9,24 +9,18 @@
 //! hole that only shows up as a production deadlock. This pass denies
 //! it at lint time.
 //!
-//! Message-passing and ownership types that carry no ambient
-//! synchronisation protocol of their own (`Arc`, `Weak`, `mpsc`, the
-//! poison/lock result types) stay allowed: loom does not model them
-//! as schedules the serve models care about, and routing them through
-//! the façade would add noise without adding checking.
+//! Ownership types that carry no synchronisation protocol of their
+//! own (`Arc`, `Weak`, the poison/lock result types) stay allowed:
+//! routing them through the façade would add noise without adding
+//! checking. A channel (`mpsc`) is a protocol, a blocking hand-off
+//! loom cannot see, so it is denied like a lock: serve code hands
+//! values over through façade-built types (`reply.rs`'s one-shot slot).
 
 use crate::lexer::{self, Stripped};
 use crate::{Diagnostic, Rule};
 
 /// `std::sync` heads that may be used directly.
-const ALLOWED: &[&str] = &[
-    "mpsc",
-    "Arc",
-    "Weak",
-    "PoisonError",
-    "TryLockError",
-    "LockResult",
-];
+const ALLOWED: &[&str] = &["Arc", "Weak", "PoisonError", "TryLockError", "LockResult"];
 
 /// Whether this file is the façade itself (the only file allowed to
 /// name `std::sync` primitives and `loom`).
@@ -46,7 +40,7 @@ pub fn check(files: &[(String, Stripped)], out: &mut Vec<Diagnostic>) {
 }
 
 /// Flag `std::sync::<denied-head>` paths, including inside `use`
-/// groups (`use std::sync::{mpsc, Mutex}` flags `Mutex` only).
+/// groups (`use std::sync::{Arc, Mutex}` flags `Mutex` only).
 fn check_std_sync(path: &str, s: &Stripped, out: &mut Vec<Diagnostic>) {
     const NEEDLE: &str = "std::sync::";
     let code = &s.code;
@@ -174,11 +168,16 @@ mod tests {
     }
 
     #[test]
-    fn denies_primitives_allows_channels() {
-        let d = run("a.rs", "use std::sync::{mpsc, Arc, Mutex};\n");
+    fn denies_primitives_and_channels_allows_arc() {
+        let d = run("a.rs", "use std::sync::{Arc, Mutex};\n");
         assert_eq!(d.len(), 1);
         assert!(d[0].message.contains("Mutex"));
-        assert!(run("a.rs", "use std::sync::{mpsc, Arc};\n").is_empty());
+        let d = run("a.rs", "use std::sync::{mpsc, Arc};\n");
+        assert_eq!(d.len(), 1);
+        assert!(d[0].message.contains("mpsc"));
+        let d = run("a.rs", "let (tx, rx) = std::sync::mpsc::channel();\n");
+        assert_eq!(d.len(), 1);
+        assert!(run("a.rs", "use std::sync::{Arc, Weak};\n").is_empty());
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub(crate) use std::sync::Mutex;
 
 const HOT_RS: &str = "\
 use crate::sync::{AtomicU64, Mutex, Ordering};
-use std::sync::mpsc;
+use std::sync::Arc;
 
 struct S {
     alpha: Mutex<u64>,
@@ -115,8 +115,8 @@ fn baseline_is_clean() {
 fn mutation_facade_bypass_import() {
     // Class 1: a std::sync primitive imported outside the façade.
     let mutant = HOT_RS.replace(
-        "use std::sync::mpsc;",
-        "use std::sync::mpsc;\nuse std::sync::RwLock;",
+        "use std::sync::Arc;",
+        "use std::sync::Arc;\nuse std::sync::RwLock;",
     );
     assert_only(&analyze(&mutant, &registry()), Rule::FacadeBypass);
 }
@@ -125,8 +125,8 @@ fn mutation_facade_bypass_import() {
 fn mutation_facade_bypass_loom_path() {
     // Class 1b: reaching the loom shim directly instead of crate::sync.
     let mutant = HOT_RS.replace(
-        "use std::sync::mpsc;",
-        "use std::sync::mpsc;\n#[cfg(loom)]\nuse loom::sync::Mutex as M2;",
+        "use std::sync::Arc;",
+        "use std::sync::Arc;\n#[cfg(loom)]\nuse loom::sync::Mutex as M2;",
     );
     assert_only(&analyze(&mutant, &registry()), Rule::FacadeBypass);
 }

@@ -76,6 +76,7 @@ pub mod drain;
 pub mod metrics;
 pub mod queue;
 pub mod reference;
+pub mod reply;
 pub mod request;
 pub mod service;
 pub mod shard;

@@ -85,6 +85,7 @@ use crate::drain::DrainGate;
 use crate::metrics::{MetricsCollector, ResponseSample, ServiceMetrics};
 use crate::queue::BoundedQueue;
 use crate::reference::{audit_compare, reference_walk};
+use crate::reply;
 use crate::request::{AdmissionClass, Body, Rejected, Request, RequestKind, Route, Search};
 use crate::shard::{hash_packed, LiveTable, ShardedTcam, SnapView, WriteAck, WriteOp};
 use crate::sync::{AtomicUsize, Ordering};
@@ -92,7 +93,7 @@ use ferrotcam::{program_duration, ApproxHit, PackedQuery, SearchOutcome, SenseMo
 use ferrotcam_spice::parallel::default_jobs;
 use ferrotcam_spice::trace::{self, TraceLevel};
 use rand::split_mix64;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Service tuning knobs.
@@ -194,7 +195,7 @@ pub struct SearchResponse {
 /// Handle to one in-flight request.
 #[derive(Debug)]
 pub struct Ticket {
-    rx: mpsc::Receiver<SearchResponse>,
+    rx: reply::Receiver<SearchResponse>,
 }
 
 impl Ticket {
@@ -205,13 +206,15 @@ impl Ticket {
     /// request resolves one way or the other, even across a drain.
     #[must_use]
     pub fn wait(self) -> Option<SearchResponse> {
-        self.rx.recv().ok()
+        self.rx.wait()
     }
 
-    /// Non-blocking poll.
+    /// Non-blocking poll: the response the first time it is there,
+    /// `None` while the request is pending and after the response was
+    /// taken. A later [`Self::wait`] then returns `None` too.
     #[must_use]
     pub fn try_wait(&self) -> Option<SearchResponse> {
-        self.rx.try_recv().ok()
+        self.rx.try_wait()
     }
 }
 
@@ -227,7 +230,7 @@ struct Job<B = Body> {
     /// the one shard it scans (`None` fans out).
     shard: Option<usize>,
     enqueued: Instant,
-    tx: Option<mpsc::Sender<SearchResponse>>,
+    tx: Option<reply::Sender<SearchResponse>>,
 }
 
 /// [`ServiceClient::submit`]'s result with [`Rejected::Invalid`] turned
@@ -297,7 +300,7 @@ impl ServiceClient {
     /// throttled, or the bounded queue is full — counted in the
     /// metrics.
     pub fn submit(&self, tenant: TenantId, req: Request) -> Result<Ticket, Rejected> {
-        let (tx, rx) = mpsc::channel();
+        let (tx, rx) = reply::slot();
         self.enqueue(tenant, req, Some(tx))?;
         Ok(Ticket { rx })
     }
@@ -305,7 +308,7 @@ impl ServiceClient {
     /// Fire-and-forget [`Self::submit`]: the request runs and is fully
     /// accounted in metrics and the audit lane, but no response is
     /// built or delivered. This is the open-loop load-generation path —
-    /// it skips the per-request channel entirely.
+    /// it skips the per-request reply slot entirely.
     ///
     /// # Errors
     /// Same as [`Self::submit`].
@@ -382,7 +385,7 @@ impl ServiceClient {
         &self,
         tenant: TenantId,
         req: Request,
-        tx: Option<mpsc::Sender<SearchResponse>>,
+        tx: Option<reply::Sender<SearchResponse>>,
     ) -> Result<(), Rejected> {
         let inner = &*self.inner;
         // A malformed request is refused before it touches admission,
@@ -811,8 +814,8 @@ fn execute_batch(inner: &Inner, me: usize, jobs: &mut Vec<Job>, audit_counter: &
         });
         if let Some(tx) = job.tx {
             // A dropped ticket is fine — the work was still done and
-            // accounted; only the delivery is skipped.
-            let _ = tx.send(SearchResponse {
+            // accounted; the answer is dropped with its slot.
+            tx.send(SearchResponse {
                 kind,
                 matches: outcome.matches,
                 hits,
@@ -868,7 +871,7 @@ fn apply_writes(inner: &Inner, mut writes: Vec<Job<WriteOp>>) {
             energy_j,
         });
         if let Some(tx) = job.tx {
-            let _ = tx.send(SearchResponse {
+            tx.send(SearchResponse {
                 kind,
                 // hot-ok: a reply owns its match list; fire-and-forget writes build none
                 matches: row.into_iter().collect(),

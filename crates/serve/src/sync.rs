@@ -3,14 +3,14 @@
 //!
 //! Every concurrency primitive the crate touches is imported from here
 //! — [`crate::queue`], [`crate::drain`], [`crate::doorbell`],
-//! [`crate::admission`] and [`crate::metrics`] alike — so the exact
-//! same algorithm source is compiled against both substrates: the real
-//! one in production and the exhaustively-scheduled one in the
-//! `tests/loom.rs` models. The `ferrotcam analyze` façade pass
-//! (`facade-bypass` rule) denies any direct `std::sync` atomic or lock
-//! import elsewhere in this crate, so
-//! the "loom-modelable by construction" property is machine-checked,
-//! not a convention.
+//! [`crate::reply`], [`crate::admission`] and [`crate::metrics`] alike
+//! — so the exact same algorithm source is compiled against both
+//! substrates: the real one in production and the
+//! exhaustively-scheduled one in the `tests/loom.rs` models. The
+//! `ferrotcam analyze` façade pass (`facade-bypass` rule) denies any
+//! direct `std::sync` atomic, lock or channel import elsewhere in this
+//! crate, so the "loom-modelable by construction" property is
+//! machine-checked, not a convention.
 //!
 //! # Named mutexes and the runtime lock-order shadow
 //!
@@ -44,15 +44,15 @@ pub(crate) use loom::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, O
 #[cfg(not(loom))]
 pub(crate) use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
-/// Park/unpark and the spinner's yield, for [`crate::doorbell`]: the
-/// model checker's versions under loom, where a lost wakeup leaves a
-/// parked thread that nothing can unpark and is reported as a deadlock,
-/// and a yield is a free scheduling point.
+/// Park/unpark and the spinner's yield, for [`crate::doorbell`] and
+/// [`crate::reply`]: the model checker's versions under loom, where a
+/// lost wakeup leaves a parked thread that nothing can unpark and is
+/// reported as a deadlock, and a yield is a free scheduling point.
 #[cfg(loom)]
-pub(crate) use loom::thread::{park, yield_now, Thread};
+pub(crate) use loom::thread::{current, park, yield_now, Thread};
 
 #[cfg(not(loom))]
-pub(crate) use std::thread::{park, park_timeout, yield_now, Thread};
+pub(crate) use std::thread::{current, park, park_timeout, yield_now, Thread};
 
 /// A timed park is an untimed one under loom: the model checker owns
 /// time, and a protocol that needed the timeout to make progress would

@@ -1,4 +1,4 @@
-//! Exhaustive model checking of the service's two lock-free protocols.
+//! Exhaustive model checking of the service's lock-free protocols.
 //!
 //! Compiled (and run) only under `RUSTFLAGS="--cfg loom"`:
 //!
@@ -37,10 +37,15 @@
 //!   as a deadlock. Orderings are all `SeqCst` here, so these models
 //!   check the protocol's logic; the fence pairing it needs on real
 //!   hardware is argued in `doorbell.rs`.
+//! * [`reply`] — a ticket's one-shot slot resolves exactly once: an
+//!   answer sent while the client waits or polls is delivered once, a
+//!   sender dropped unanswered resolves to `None`, and a parked client
+//!   is always woken.
 #![cfg(loom)]
 
 use ferrotcam_serve::doorbell::SPIN_WINDOW_NS;
 use ferrotcam_serve::queue::BoundedQueue;
+use ferrotcam_serve::reply;
 use ferrotcam_serve::{
     Admission, AdmissionClass, Doorbells, DrainGate, EpochCell, RatePolicy, SpinEnd,
 };
@@ -626,4 +631,37 @@ fn doorbell_spinner_hand_off_never_strands_a_job() {
         assert_eq!(done.load(Ordering::SeqCst), 1);
         assert!(gate.quiescent());
     });
+}
+
+/// [`reply`]: a sender thread sends or drops its half while the
+/// receiver is parked in `wait` or races it with a `try_wait` poll
+/// first. The answer is delivered exactly once (a poll that took it
+/// leaves `wait` returning `None`), a dropped sender resolves to `None`,
+/// and a parked waiter is always unparked: a `close` that unparks
+/// before it publishes, or skips the unpark, leaves the receiver parked
+/// with nothing to wake it, which the model checker reports as a
+/// deadlock.
+#[test]
+fn reply_slot_resolves_exactly_once() {
+    for (answer, poll) in [(true, false), (false, false), (true, true), (false, true)] {
+        loom::model(move || {
+            let (tx, rx) = reply::slot::<u32>();
+            let sender = thread::spawn(move || {
+                if answer {
+                    tx.send(7);
+                } else {
+                    drop(tx);
+                }
+            });
+            let polled = if poll { rx.try_wait() } else { None };
+            let waited = rx.wait();
+            sender.join().unwrap();
+            let got: Vec<u32> = polled.into_iter().chain(waited).collect();
+            let want: &[u32] = if answer { &[7] } else { &[] };
+            assert_eq!(
+                got, want,
+                "answer {answer}, poll {poll}: delivered exactly once"
+            );
+        });
+    }
 }

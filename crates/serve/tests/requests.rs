@@ -1,11 +1,13 @@
 //! Request validation: a malformed request is refused with
 //! `Rejected::Invalid` before admission — never a panic in the caller
 //! or a dispatcher — and every accepted request resolves across a
-//! drain.
+//! drain. The ticket contract: `try_wait` polls without blocking and
+//! yields an answer exactly once, `wait` works from any thread, and a
+//! deadline-shed ticket resolves to `None`.
 
 use ferrotcam::{PackedQuery, TernaryWord};
 use ferrotcam_serve::{
-    Invalid, Rejected, Request, RequestKind, Route, ServiceConfig, ShardedTcam, TcamService,
+    Invalid, Rejected, Request, RequestKind, Route, ServiceConfig, ShardedTcam, TcamService, Ticket,
 };
 use proptest::prelude::*;
 use rand::split_mix64;
@@ -178,4 +180,119 @@ proptest! {
             }
         });
     }
+}
+
+/// A client may hand its ticket to another thread.
+const _: fn() = || {
+    fn assert_send<T: Send>() {}
+    assert_send::<Ticket>();
+};
+
+/// A fan-out exact search for `v` over a table of `from_u64(i, 16)`
+/// words.
+fn exact16(v: u64) -> Request {
+    let bits: Vec<bool> = (0..16).rev().map(|b| (v >> b) & 1 == 1).collect();
+    Request::search(
+        RequestKind::Exact,
+        PackedQuery::from_bits(&bits),
+        Route::FanOut,
+    )
+}
+
+fn counting_table(rows: u64) -> ShardedTcam {
+    let mut t = ShardedTcam::new(16, 1);
+    for i in 0..rows {
+        t.store(TernaryWord::from_u64(i, 16));
+    }
+    t
+}
+
+/// `try_wait` reads `None` while the request is pending, the answer
+/// once, then `None` again, and a later `wait` returns `None`. One
+/// shard means one dispatcher, which answers in submission order, so a
+/// ticket submitted after one that is still unanswered was pending
+/// when it was polled. Eight top-k scans ahead of it keep that window
+/// open for a while even when the dispatcher preempts the client.
+#[test]
+fn try_wait_is_none_while_pending_then_some_exactly_once() {
+    within(Duration::from_secs(60), || {
+        let svc = TcamService::start(counting_table(16_384), &ServiceConfig::default());
+        let client = svc.client();
+        let heavy = || {
+            let q = PackedQuery::from_bits(&[false; 16]);
+            Request::search(RequestKind::TopK { k: 8 }, q, Route::FanOut)
+        };
+        let mut saw_pending = false;
+        for _ in 0..100 {
+            let ahead: Vec<Ticket> = (0..8).map(|_| client.submit(0, heavy()).unwrap()).collect();
+            let probe = client.submit(0, exact16(77)).unwrap();
+            let polled = probe.try_wait();
+            let last_ahead = ahead[7].try_wait();
+            if last_ahead.is_none() {
+                assert!(polled.is_none(), "answered behind an unanswered request");
+                saw_pending = true;
+            }
+            let mut answer = polled;
+            while answer.is_none() {
+                answer = probe.try_wait();
+                std::thread::yield_now();
+            }
+            assert_eq!(answer.expect("answered").matches, vec![77]);
+            assert!(probe.try_wait().is_none(), "an answer is taken once");
+            assert!(probe.try_wait().is_none());
+            assert!(probe.wait().is_none(), "a taken answer waits to None");
+            let (rest, last) = ahead.split_at(7);
+            assert!(last_ahead.or_else(|| last[0].try_wait()).is_some());
+            assert!(rest.iter().all(|t| t.try_wait().is_some()));
+            if saw_pending {
+                break;
+            }
+        }
+        assert!(saw_pending, "no poll ever caught a request pending");
+        let m = svc.drain();
+        assert_eq!(m.completed, m.submitted);
+    });
+}
+
+/// A ticket waited on by a thread other than the submitter's resolves
+/// there.
+#[test]
+fn wait_resolves_on_another_thread() {
+    within(Duration::from_secs(30), || {
+        let svc = TcamService::start(counting_table(64), &ServiceConfig::default());
+        let client = svc.client();
+        let waiters: Vec<_> = (0..8u64)
+            .map(|v| {
+                let ticket = client.submit(0, exact16(v)).unwrap();
+                std::thread::spawn(move || (v, ticket.wait()))
+            })
+            .collect();
+        for w in waiters {
+            let (v, resp) = w.join().unwrap();
+            let usize_v = usize::try_from(v).unwrap();
+            assert_eq!(resp.expect("answered").matches, vec![usize_v]);
+        }
+        let _ = svc.drain();
+    });
+}
+
+/// A deadline-shed query's ticket polls `None` and then waits to
+/// `None`: the shed closes the ticket instead of leaving it hanging.
+#[test]
+fn deadline_shed_ticket_polls_then_waits_to_none() {
+    within(Duration::from_secs(30), || {
+        let config = ServiceConfig {
+            deadline: Some(Duration::ZERO),
+            ..ServiceConfig::default()
+        };
+        let svc = TcamService::start(counting_table(64), &config);
+        let client = svc.client();
+        let ticket = client.submit(0, exact16(5)).unwrap();
+        assert!(ticket.try_wait().is_none());
+        assert!(ticket.wait().is_none(), "a shed query has no answer");
+        let m = svc.drain();
+        assert_eq!(m.submitted, 1);
+        assert_eq!(m.shed_deadline, 1);
+        assert_eq!(m.completed, 0, "a shed query delivers no response");
+    });
 }
