@@ -7,70 +7,33 @@
 //! paper targets.
 
 use ferrotcam_bench::{paper, write_artifact};
-use ferrotcam_device::extract::{on_off_ratio, subthreshold_slope, vth_constant_current};
-use ferrotcam_device::fefet::{Fefet, VthState};
-use ferrotcam_device::{calib, FefetParams};
-use ferrotcam_spice::units::TEMP_NOMINAL;
-use ferrotcam_spice::NodeId;
+use ferrotcam_device::calib;
+use ferrotcam_device::extract::{
+    idvg_states, on_off_ratio, subthreshold_slope, vth_constant_current, StateCurves,
+};
+use ferrotcam_device::ReadPath;
 use std::fmt::Write as _;
 
 const POINTS: usize = 161;
-const VDS_READ: f64 = 0.1;
 
-struct SweepSet {
-    vg: Vec<f64>,
-    lvt: Vec<f64>,
-    mvt: Vec<f64>,
-    hvt: Vec<f64>,
-}
-
-fn sweep_device(params: &FefetParams, bg_read: bool, range: (f64, f64)) -> SweepSet {
-    let g = NodeId::GROUND;
-    let mut dev = Fefet::new("probe", g, g, g, g, params.clone());
-    let mut one = |state: VthState| -> Vec<(f64, f64)> {
-        dev.program(state);
-        if bg_read {
-            dev.sweep_bg(range, POINTS, VDS_READ, TEMP_NOMINAL)
-        } else {
-            dev.sweep_fg(range, POINTS, VDS_READ, TEMP_NOMINAL)
-        }
-    };
-    let l = one(VthState::Lvt);
-    let m = one(VthState::Mvt);
-    let h = one(VthState::Hvt);
-    SweepSet {
-        vg: l.iter().map(|&(v, _)| v).collect(),
-        lvt: l.iter().map(|&(_, i)| i).collect(),
-        mvt: m.iter().map(|&(_, i)| i).collect(),
-        hvt: h.iter().map(|&(_, i)| i).collect(),
-    }
-}
-
-fn csv(s: &SweepSet) -> String {
+fn csv(c: &StateCurves) -> String {
     let mut out = String::from("vg,id_lvt,id_mvt,id_hvt\n");
-    for k in 0..s.vg.len() {
-        let _ = writeln!(
-            out,
-            "{:.4},{:.6e},{:.6e},{:.6e}",
-            s.vg[k], s.lvt[k], s.mvt[k], s.hvt[k]
-        );
+    for ((&(vg, l), &(_, m)), &(_, h)) in c.lvt.iter().zip(&c.mvt).zip(&c.hvt) {
+        let _ = writeln!(out, "{vg:.4},{l:.6e},{m:.6e},{h:.6e}");
     }
     out
 }
 
-fn report(label: &str, s: &SweepSet, target_mw: f64) {
-    let pair = |ids: &[f64]| -> Vec<(f64, f64)> {
-        s.vg.iter().copied().zip(ids.iter().copied()).collect()
-    };
+fn report(label: &str, c: &StateCurves, target_mw: f64) {
     let i_crit = 1e-7; // constant-current threshold criterion
-    let v_lvt = vth_constant_current(&pair(&s.lvt), i_crit);
-    let v_hvt = vth_constant_current(&pair(&s.hvt), i_crit);
+    let v_lvt = vth_constant_current(&c.lvt, i_crit);
+    let v_hvt = vth_constant_current(&c.hvt, i_crit);
     let mw = match (v_lvt, v_hvt) {
         (Some(a), Some(b)) => b - a,
         _ => f64::NAN,
     };
-    let ss = subthreshold_slope(&pair(&s.lvt), 1e-9, 1e-7).unwrap_or(f64::NAN);
-    let onoff = on_off_ratio(&pair(&s.lvt));
+    let ss = subthreshold_slope(&c.lvt, 1e-9, 1e-7).unwrap_or(f64::NAN);
+    let onoff = on_off_ratio(&c.lvt);
     println!(
         "{label}: MW = {mw:.2} V (target {target_mw}), SS = {:.0} mV/dec, LVT on/off = {onoff:.1e}",
         ss * 1e3
@@ -79,8 +42,18 @@ fn report(label: &str, s: &SweepSet, target_mw: f64) {
 
 fn main() {
     println!("== Fig. 1: FeFET Id-Vg characteristics ==");
-    let sg = sweep_device(&calib::sg_fefet_14nm(), false, (-1.0, 3.0));
-    let dg = sweep_device(&calib::dg_fefet_14nm(), true, (-2.0, 4.0));
+    let sg = idvg_states(
+        &calib::sg_fefet_14nm(),
+        ReadPath::FrontGate,
+        (-1.0, 3.0),
+        POINTS,
+    );
+    let dg = idvg_states(
+        &calib::dg_fefet_14nm(),
+        ReadPath::BackGate,
+        (-2.0, 4.0),
+        POINTS,
+    );
     report(paper::FIG1[0].0, &sg, paper::FIG1[0].2);
     report(paper::FIG1[1].0, &dg, paper::FIG1[1].2);
     write_artifact("fig1c_sg_idvg.csv", &csv(&sg));

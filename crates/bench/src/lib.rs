@@ -3,7 +3,7 @@
 //! reporting in EXPERIMENTS.md).
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Resolve (and create) the results directory: `$FERROTCAM_RESULTS` or
 /// `./results`.
@@ -28,20 +28,6 @@ pub fn write_artifact(name: &str, contents: &str) -> PathBuf {
     fs::write(&path, contents).expect("write artifact");
     println!("wrote {}", path.display());
     path
-}
-
-/// Append-or-create helper for multi-section artefacts.
-///
-/// # Panics
-/// Panics on I/O failure.
-pub fn append_artifact(path: &Path, contents: &str) {
-    use std::io::Write as _;
-    let mut f = fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .expect("open artifact");
-    f.write_all(contents.as_bytes()).expect("append artifact");
 }
 
 /// Paper reference values for side-by-side comparison.
@@ -119,9 +105,8 @@ mod tests {
     fn artifacts_roundtrip() {
         std::env::set_var("FERROTCAM_RESULTS", "/tmp/ferrotcam-test-results");
         let p = write_artifact("probe.txt", "hello\n");
-        append_artifact(&p, "world\n");
-        let s = fs::read_to_string(&p).unwrap();
-        assert_eq!(s, "hello\nworld\n");
+        assert_eq!(p, PathBuf::from("/tmp/ferrotcam-test-results/probe.txt"));
+        assert_eq!(fs::read_to_string(&p).unwrap(), "hello\n");
         std::env::remove_var("FERROTCAM_RESULTS");
     }
 }

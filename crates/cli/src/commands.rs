@@ -5,11 +5,10 @@ use ferrotcam::fom::{characterize_search, characterize_write};
 use ferrotcam::margins::nominal_margins;
 use ferrotcam::{build_search_row, TernaryWord};
 use ferrotcam_device::calib;
-use ferrotcam_device::extract::{subthreshold_slope, vth_constant_current};
-use ferrotcam_device::fefet::{Fefet, VthState};
+use ferrotcam_device::extract::{idvg_states, subthreshold_slope, vth_constant_current};
+use ferrotcam_device::{ReadPath, VthState};
 use ferrotcam_eval::parasitics::row_parasitics;
 use ferrotcam_eval::tech::tech_14nm;
-use ferrotcam_spice::NodeId;
 use std::fmt::Write as _;
 
 /// Usage text shown on errors and `help`.
@@ -301,36 +300,24 @@ fn idvg(args: &[String]) -> CliResult {
         .first()
         .ok_or("usage: ferrotcam idvg <sg|dg> [--csv]")?;
     let csv = args.iter().any(|a| a == "--csv");
-    let (params, bg_read, range) = match flavour.as_str() {
-        "sg" => (calib::sg_fefet_14nm(), false, (-1.0, 3.0)),
-        "dg" => (calib::dg_fefet_14nm(), true, (-2.0, 4.0)),
+    let (params, gate, range) = match flavour.as_str() {
+        "sg" => (calib::sg_fefet_14nm(), ReadPath::FrontGate, (-1.0, 3.0)),
+        "dg" => (calib::dg_fefet_14nm(), ReadPath::BackGate, (-2.0, 4.0)),
         other => return Err(format!("flavour is sg or dg, got {other:?}")),
     };
-    let g = NodeId::GROUND;
-    let mut dev = Fefet::new("probe", g, g, g, g, params);
-    let mut out = String::new();
-    let mut curves = Vec::new();
-    for state in [VthState::Lvt, VthState::Mvt, VthState::Hvt] {
-        dev.program(state);
-        let sweep = if bg_read {
-            dev.sweep_bg(range, 81, 0.1, 300.0)
-        } else {
-            dev.sweep_fg(range, 81, 0.1, 300.0)
-        };
-        curves.push((state, sweep));
-    }
+    let c = idvg_states(&params, gate, range, 81);
     if csv {
-        let _ = writeln!(out, "vg,id_lvt,id_mvt,id_hvt");
-        for i in 0..81 {
-            let _ = writeln!(
-                out,
-                "{:.4},{:.4e},{:.4e},{:.4e}",
-                curves[0].1[i].0, curves[0].1[i].1, curves[1].1[i].1, curves[2].1[i].1
-            );
+        let mut out = String::from("vg,id_lvt,id_mvt,id_hvt\n");
+        for ((&(vg, l), &(_, m)), &(_, h)) in c.lvt.iter().zip(&c.mvt).zip(&c.hvt) {
+            let _ = writeln!(out, "{vg:.4},{l:.4e},{m:.4e},{h:.4e}");
         }
         print!("{out}");
     } else {
-        for (state, sweep) in &curves {
+        for (state, sweep) in [
+            (VthState::Lvt, &c.lvt),
+            (VthState::Mvt, &c.mvt),
+            (VthState::Hvt, &c.hvt),
+        ] {
             let vth = vth_constant_current(sweep, 1e-7);
             let ss = subthreshold_slope(sweep, 1e-9, 1e-7);
             println!(

@@ -1,5 +1,54 @@
-//! Parameter extraction from Id–Vg sweeps (V_TH, subthreshold slope,
-//! ON/OFF ratio) — the measurements behind Fig. 1(c)/(d).
+//! Id–Vg sweeps of a programmed FeFET and the parameters extracted from
+//! them (V_TH, subthreshold slope, ON/OFF ratio) — the measurements
+//! behind Fig. 1(c)/(d).
+
+use crate::fefet::{Fefet, FefetParams, VthState};
+use crate::resistance::ReadPath;
+use ferrotcam_spice::units::TEMP_NOMINAL;
+use ferrotcam_spice::NodeId;
+
+/// Drain bias of the Fig. 1 read sweeps (V).
+const READ_VDS: f64 = 0.1;
+
+/// One Id–Vg curve per programmed state, as `(vg, id)` points.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StateCurves {
+    /// LVT ('1') curve.
+    pub lvt: Vec<(f64, f64)>,
+    /// MVT ('X') curve.
+    pub mvt: Vec<(f64, f64)>,
+    /// HVT ('0') curve.
+    pub hvt: Vec<(f64, f64)>,
+}
+
+/// Program one device to LVT, MVT and HVT in turn and sweep `gate` over
+/// `range` in `points` steps, at V_DS = 0.1 V and 300 K with the source
+/// and the other gate grounded.
+///
+/// # Panics
+/// Panics if `points < 2`.
+#[must_use]
+pub fn idvg_states(
+    params: &FefetParams,
+    gate: ReadPath,
+    range: (f64, f64),
+    points: usize,
+) -> StateCurves {
+    let g = NodeId::GROUND;
+    let mut dev = Fefet::new("probe", g, g, g, g, params.clone());
+    let mut sweep = |state: VthState| {
+        dev.program(state);
+        match gate {
+            ReadPath::FrontGate => dev.sweep_fg(range, points, READ_VDS, TEMP_NOMINAL),
+            ReadPath::BackGate => dev.sweep_bg(range, points, READ_VDS, TEMP_NOMINAL),
+        }
+    };
+    StateCurves {
+        lvt: sweep(VthState::Lvt),
+        mvt: sweep(VthState::Mvt),
+        hvt: sweep(VthState::Hvt),
+    }
+}
 
 /// Threshold voltage by the constant-current method: the gate voltage at
 /// which `|id|` first reaches `i_crit` (linear interpolation); `None` if
@@ -92,5 +141,38 @@ mod tests {
     fn on_off_ratio_sane() {
         let s = synthetic();
         assert!(on_off_ratio(&s) > 1e3);
+    }
+
+    /// Fig. 1's memory windows, extracted at 1e-7 A from the curves the
+    /// `fig1_idvg` bin writes: 1.80 V for the SG FG read, 2.70 V for
+    /// the DG BG read.
+    #[test]
+    fn fig1_memory_windows_from_state_curves() {
+        use crate::calib;
+        for (params, gate, range, mw_target) in [
+            (
+                calib::sg_fefet_14nm(),
+                ReadPath::FrontGate,
+                (-1.0, 3.0),
+                1.80,
+            ),
+            (
+                calib::dg_fefet_14nm(),
+                ReadPath::BackGate,
+                (-2.0, 4.0),
+                2.70,
+            ),
+        ] {
+            let c = idvg_states(&params, gate, range, 161);
+            let [lvt, mvt, hvt] =
+                [&c.lvt, &c.mvt, &c.hvt].map(|s| vth_constant_current(s, 1e-7).unwrap());
+            assert!(lvt < mvt && mvt < hvt, "{gate:?}: {lvt} {mvt} {hvt}");
+            let mw = hvt - lvt;
+            assert!((mw - mw_target).abs() < 0.02, "{gate:?}: MW = {mw}");
+            // At every gate voltage a lower threshold conducts more.
+            for ((l, m), h) in c.lvt.iter().zip(&c.mvt).zip(&c.hvt) {
+                assert!(l.1 >= m.1 && m.1 >= h.1, "{gate:?} at vg = {}", l.0);
+            }
+        }
     }
 }

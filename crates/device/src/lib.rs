@@ -10,7 +10,8 @@
 //!   formulation; back-gate coupling ratio models the DG read path),
 //! * [`calib`] — presets meeting the paper's Fig. 1 device targets,
 //! * [`resistance`] — R_ON/R_M/R_OFF extraction and the Eq. (1) window,
-//! * [`extract`] — V_TH / SS / ON-OFF extraction from Id–Vg sweeps.
+//! * [`extract`] — Id–Vg sweeps of the three programmed states and
+//!   V_TH / SS / ON-OFF extraction from them.
 //!
 //! ```
 //! use ferrotcam_device::{calib, fefet::{Fefet, VthState}};

@@ -552,7 +552,7 @@ mod tests {
     #[test]
     fn empty_window_reports_null_percentiles() {
         // Regression: empty windows must not report p50/p95/p99 = 0.0
-        // (compare_runs read that as a latency improvement). They are
+        // (a comparison reads that as a latency improvement). They are
         // `None`, serialised as JSON null, and round-trip as such.
         let h = Histogram::default();
         assert_eq!(h.quantile(0.99), None);

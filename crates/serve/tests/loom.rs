@@ -94,14 +94,8 @@ fn queue_full_ring_rejects_without_corruption() {
         let q = Arc::new(BoundedQueue::new(2));
         q.push(0u32).unwrap();
         let q2 = Arc::clone(&q);
-        let t = thread::spawn(move || match q2.push(1u32) {
-            Ok(()) => None,
-            Err(v) => Some(v),
-        });
-        let mine = match q.push(2u32) {
-            Ok(()) => None,
-            Err(v) => Some(v),
-        };
+        let t = thread::spawn(move || q2.push(1u32).err());
+        let mine = q.push(2u32).err();
         let theirs = t.join().unwrap();
         // Exactly one of the two racing pushes fits the last slot.
         match (mine, theirs) {
