@@ -49,10 +49,12 @@ fn bits8(v: u64) -> PackedQuery {
 /// `trace --serve`: a 2-shard service over 256 8-bit words answers
 /// [`SERVE_QUERIES`] home-routed exact searches paced [`SERVE_GAP`]
 /// apart, under summary tracing. Prints the trace summary (batch span,
-/// queue wait, `serve.park_ns`) and the dispatcher counters, so an
-/// operator can see how often a request at that arrival gap finds its
-/// dispatcher parked and pays a wake-up, and how often the spinning
-/// dispatcher picks it up instead.
+/// queue wait, `serve.park_ns`) and the dispatch counters, so an
+/// operator can see how many requests at that arrival gap found their
+/// ring empty and ran on the submitting thread (caller-runs), and of
+/// those that queued, how often one found its dispatcher parked and
+/// paid a wake-up, and how often the spinning dispatcher picked it up
+/// instead.
 fn serve() -> Result<(), String> {
     let mut table = ShardedTcam::new(8, 2);
     for v in 0..256u64 {
@@ -98,13 +100,14 @@ fn serve() -> Result<(), String> {
     print!("{}", trace::summary().render());
     println!(
         "dispatchers: {} batches, {} parks, {} wake-ups ({:.1} % of submissions), \
-         {} spin pick-ups, {} spin backoffs; wall latency p50 {:.1} us",
+         {} spin pick-ups, {} spin backoffs; {} caller-runs; wall latency p50 {:.1} us",
         m.batch.batches,
         m.dispatcher_parks,
         m.dispatcher_wakeups,
         100.0 * m.dispatcher_wakeups as f64 / m.submitted.max(1) as f64,
         m.dispatcher_spin_pickups,
         m.dispatcher_spin_backoffs,
+        m.caller_runs,
         m.wall_latency_ns.p50.unwrap_or(0.0) / 1e3
     );
     Ok(())

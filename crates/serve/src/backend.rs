@@ -133,12 +133,22 @@ impl ExecBackend for BehaviouralBackend {
     ) -> ExecResult {
         let shards = view.shard_count();
         let plan = batch::plan(spec.targets, shards);
-        let per_shard: Vec<Vec<(usize, ShardAnswer)>> =
-            par_map(&plan.per_shard, jobs, |s, list| {
-                list.iter()
-                    .map(|&j| (j, shard_answer(view, s, spec.kinds[j], &spec.queries[j])))
-                    .collect()
-            });
+        // Only the shards with work, in shard order: the merge below
+        // absorbs in the same order as over every shard, and a batch
+        // that touches one shard runs on this thread (`par_map` spawns
+        // no more workers than it has items).
+        let busy: Vec<(usize, &[usize])> = plan
+            .per_shard
+            .iter()
+            .enumerate()
+            .filter(|(_, list)| !list.is_empty())
+            .map(|(s, list)| (s, list.as_slice()))
+            .collect();
+        let per_shard: Vec<Vec<(usize, ShardAnswer)>> = par_map(&busy, jobs, |_, &(s, list)| {
+            list.iter()
+                .map(|&j| (j, shard_answer(view, s, spec.kinds[j], &spec.queries[j])))
+                .collect()
+        });
         let n = spec.targets.len();
         let mut outcomes: Vec<SearchOutcome> = (0..n).map(|_| SearchOutcome::empty()).collect();
         let mut hits: Vec<Vec<ApproxHit>> = (0..n).map(|_| Vec::new()).collect();
@@ -161,8 +171,17 @@ impl ExecBackend for BehaviouralBackend {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Kernel calls made on this thread, so a test can tell which
+    /// thread ran a batch.
+    static KERNEL_CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// The kernel's answer for one job on shard `s`, with global row ids.
 fn shard_answer(view: &SnapView, s: usize, kind: RequestKind, q: &PackedQuery) -> ShardAnswer {
+    #[cfg(test)]
+    KERNEL_CALLS.with(|n| n.set(n.get() + 1));
     let snap = view.shard(s);
     match kind {
         RequestKind::Exact => {
@@ -248,6 +267,46 @@ mod tests {
     fn rand_query(width: usize, seed: &mut u64) -> PackedQuery {
         let words: Vec<u64> = (0..width.div_ceil(64)).map(|_| split_mix64(seed)).collect();
         PackedQuery::from_words(width, &words)
+    }
+
+    /// A batch pinned to one shard answers the same with a pool of 8
+    /// as serially, and every kernel call runs on the calling thread; a
+    /// batch over three shards with the same pool runs on its workers.
+    #[test]
+    fn a_one_shard_batch_runs_on_the_calling_thread() {
+        let t = view(&table(1500, 3, 24));
+        let mut seed = 11u64;
+        let queries: Vec<PackedQuery> = (0..3).map(|_| rand_query(24, &mut seed)).collect();
+        let kinds = [
+            RequestKind::Exact,
+            RequestKind::Threshold { t: 9 },
+            RequestKind::TopK { k: 4 },
+        ];
+        let costs = [1.0; 3];
+        let run = |targets: &[Option<usize>], jobs: usize| {
+            let before = KERNEL_CALLS.with(std::cell::Cell::get);
+            let spec = BatchSpec {
+                queries: &queries,
+                kinds: &kinds,
+                targets,
+                costs: &costs,
+            };
+            let r = BehaviouralBackend.execute(&t, &spec, jobs, 1e-9);
+            (r, KERNEL_CALLS.with(std::cell::Cell::get) - before)
+        };
+        let pinned = [Some(1); 3];
+        let (serial, _) = run(&pinned, 1);
+        let (pooled, here) = run(&pinned, 8);
+        assert_eq!(here, 3, "every kernel call on the calling thread");
+        assert_eq!(pooled.outcomes, serial.outcomes);
+        assert_eq!(pooled.hits, serial.hits);
+        assert_eq!(pooled.per_job_latency_s, serial.per_job_latency_s);
+        assert!(
+            serial.hits[2].len() == 4 && serial.outcomes[1].matches.len() > 1,
+            "the batch has answers to compare"
+        );
+        let (_, here) = run(&[None, Some(0), Some(2)], 8);
+        assert_eq!(here, 0, "three busy shards run on the pool's workers");
     }
 
     #[test]

@@ -84,6 +84,33 @@
 //! too, and the drain still terminates. `tests/loom.rs` model-checks
 //! each of these, the spinner hand-off included.
 //!
+//! A request that a client thread answers itself (a caller-run, see
+//! [`crate::service`]) completes at the gate off the dispatchers, so its
+//! completion can be the one that makes a drain quiescent while every
+//! dispatcher is parked with no timeout. Waking them on every such
+//! completion would cost an idle dispatcher a wake-up per read, so
+//! [`Doorbells::ring_all_if_draining`] rings only when the drain bit is
+//! set, and a fence between the completion and that check pairs with
+//! the fence that [`Doorbells::ring_all`] issues after `begin_drain`:
+//!
+//! ```text
+//!  caller-run                     drainer                 dispatcher (wait)
+//!  complete (completed += 1)      begin_drain (drain bit)  sleeping = true
+//!  fence(SeqCst)                  fence(SeqCst)            fence(SeqCst)
+//!  draining? → ring_all           load sleeping → unpark   re-check gate, park
+//! ```
+//!
+//! If the caller's fence comes after the drainer's, it sees the drain
+//! bit and rings every bell, which pairs with each dispatcher's own
+//! fence as a push's ring does. If it comes first, every dispatcher
+//! whose re-check fence follows the drainer's sees both the drain bit
+//! and the completion (the fences are totally ordered), so it does not
+//! park; one whose fence came earlier is seen sleeping by the drainer
+//! and unparked, and re-checks after a fence that follows the
+//! drainer's. Without the caller's fence its load of the drain bit
+//! could be satisfied before its completion became visible, and both
+//! sides could miss each other.
+//!
 //! A timed park ([`Doorbells::wait`] with a timeout) ends on its own as
 //! well as on a ring. The protocol never relies on that: under loom a
 //! timed park is an untimed one, so a lost wakeup still deadlocks. Nor
@@ -335,6 +362,21 @@ impl Doorbells {
     pub fn ring_all(&self) -> usize {
         fence(Ordering::SeqCst); // ordering: doorbell-fence
         self.bells.iter().filter(|bell| bell.wake()).count()
+    }
+
+    /// A request just completed at `gate` off the dispatchers (a
+    /// caller-run): if the service is draining, that completion may be
+    /// the one that makes the gate quiescent, so wake every sleeping
+    /// dispatcher as [`Self::ring_all`] does. Outside a drain no
+    /// dispatcher waits for it, and nobody is woken. Returns how many
+    /// were woken. See the module docs for why the fence is needed.
+    pub fn ring_all_if_draining(&self, gate: &DrainGate) -> usize {
+        fence(Ordering::SeqCst); // ordering: caller-drain-fence
+        if gate.is_draining() {
+            self.ring_all()
+        } else {
+            0
+        }
     }
 }
 

@@ -145,7 +145,8 @@ pub struct BatchStats {
 /// exported as JSON for dashboards and the bench harness.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct ServiceMetrics {
-    /// Requests accepted into the queue.
+    /// Requests accepted: queued for a dispatcher, or run on the
+    /// submitting thread ([`Self::caller_runs`]).
     pub submitted: u64,
     /// Responses delivered.
     pub completed: u64,
@@ -169,7 +170,7 @@ pub struct ServiceMetrics {
     pub wall_latency_ns: LatencySummary,
     /// Modelled silicon latency: bank wait + search (picoseconds).
     pub model_latency_ps: LatencySummary,
-    /// Dispatcher batch-size distribution.
+    /// Batch-size distribution; a caller-run is a batch of one.
     pub batch: BatchStats,
     /// Rows scanned across all responses.
     pub rows_searched: u64,
@@ -234,6 +235,12 @@ pub struct ServiceMetrics {
     /// spinning for a backoff period.
     #[serde(default)]
     pub dispatcher_spin_backoffs: u64,
+    /// Pinned searches answered on the submitting thread because their
+    /// shard's ring was empty: each one is a request that paid no queue
+    /// hop, no wake-up and no spinner pick-up. Counted in
+    /// [`Self::submitted`] as well.
+    #[serde(default)]
+    pub caller_runs: u64,
 }
 
 impl ServiceMetrics {
@@ -315,6 +322,7 @@ pub struct MetricsCollector {
     dispatcher_wakeups: AtomicU64,
     dispatcher_spin_pickups: AtomicU64,
     dispatcher_spin_backoffs: AtomicU64,
+    caller_runs: AtomicU64,
     inner: Mutex<Inner>,
 }
 
@@ -334,6 +342,7 @@ impl Default for MetricsCollector {
             dispatcher_wakeups: AtomicU64::new(0),
             dispatcher_spin_pickups: AtomicU64::new(0),
             dispatcher_spin_backoffs: AtomicU64::new(0),
+            caller_runs: AtomicU64::new(0),
             inner: Mutex::new("serve.metrics.inner", Inner::default()),
         }
     }
@@ -391,6 +400,13 @@ impl MetricsCollector {
     pub fn on_spin_backoff(&self) {
         self.dispatcher_spin_backoffs
             .fetch_add(1, Ordering::Relaxed); // ordering: stat-relaxed
+    }
+
+    /// A pinned search was accepted and runs on its submitting thread,
+    /// past every queue. Lock-free: the submit path.
+    pub fn on_caller_run(&self) {
+        self.submitted.fetch_add(1, Ordering::Relaxed); // ordering: stat-relaxed
+        self.caller_runs.fetch_add(1, Ordering::Relaxed); // ordering: stat-relaxed
     }
 
     /// The dispatcher pulled and scheduled a batch of `size` queries.
@@ -527,6 +543,7 @@ impl MetricsCollector {
             dispatcher_spin_pickups: self.dispatcher_spin_pickups.load(Ordering::Relaxed),
             // ordering: stat-relaxed
             dispatcher_spin_backoffs: self.dispatcher_spin_backoffs.load(Ordering::Relaxed),
+            caller_runs: self.caller_runs.load(Ordering::Relaxed), // ordering: stat-relaxed
         }
     }
 }

@@ -2,9 +2,11 @@
 //!
 //! ```text
 //!  clients ──submit/send──▶ [validate] ──▶ [admission] ──▶ [queue 0] ──▶ dispatcher 0 ─┐
-//!                               │             │shed       [queue 1] ──▶ dispatcher 1 ─┤ work-
-//!                               ▼             ▼              ⋮               ⋮        │ stealing
-//!                            Invalid      Overloaded      [queue n] ──▶ dispatcher n ─┘
+//!                               │             │shed  │    [queue 1] ──▶ dispatcher 1 ─┤ work-
+//!                               ▼             ▼      │       ⋮               ⋮        │ stealing
+//!                            Invalid      Overloaded │    [queue n] ──▶ dispatcher n ─┤
+//!                                                    │                                │
+//!          pinned submit, its ring empty: caller-run └──▶ submitting thread ─────────┤
 //!                                                                            │
 //!                                                    writes → LiveTable::apply (epoch bump)
 //!                                                                            │
@@ -25,6 +27,21 @@
 //! (answered through a [`Ticket`]) or [`ServiceClient::send`]
 //! (fire-and-forget); a malformed one is [`Rejected::Invalid`] before
 //! admission, a shed one [`Rejected::Overloaded`].
+//!
+//! A **caller-run** skips the hop to a dispatcher: a search pinned to
+//! one shard ([`Route::Home`] or [`Route::Shard`]) submitted through
+//! [`ServiceClient::submit`] whose shard's ring is empty is answered on
+//! the submitting thread, through the same batch execution a dispatcher
+//! runs (a batch of one), and its ticket is resolved when `submit`
+//! returns. Below saturation a batch holds about one request, so
+//! queueing such a read buys no batching, only the hop. Everything else
+//! queues: fan-outs, writes, fire-and-forget `send`s, and pinned reads
+//! that find work queued on their ring, so a read never overtakes the
+//! queue it would have joined. A caller-run completes at the drain gate
+//! off the dispatchers; during a drain that completion may be what a
+//! parked dispatcher waits for, so it then rings every bell
+//! ([`Doorbells::ring_all_if_draining`], whose module docs argue the
+//! fence it pairs with `begin_drain`).
 //!
 //! Dispatch is **per-shard**: one bounded queue and one dispatcher
 //! thread per shard. Pinned (key-routed) queries and row-addressed
@@ -63,10 +80,11 @@
 //!
 //! Answered queries pass through a **sampled audit lane**: a
 //! deterministic 1-in-`audit_period` subset (SplitMix64 over a
-//! per-dispatcher accept counter, so the sample is reproducible and
-//! ungameable by arrival order) is replayed through the scalar oracle
-//! ([`crate::reference`]) *against the same captured view* the kernel
-//! answered from — exact under concurrent writes by construction.
+//! per-lane accept counter, one lane per dispatcher plus one shared by
+//! caller-runs, so the sample is reproducible and ungameable by arrival
+//! order) is replayed through the scalar oracle ([`crate::reference`])
+//! *against the same captured view* the kernel answered from — exact
+//! under concurrent writes by construction.
 //! Match sets must be bit-identical and energies must agree within
 //! `audit_tolerance`; divergences are counted in [`ServiceMetrics`] and
 //! emitted as typed `spice::trace` audit events.
@@ -88,7 +106,7 @@ use crate::reference::{audit_compare, reference_walk};
 use crate::reply;
 use crate::request::{AdmissionClass, Body, Rejected, Request, RequestKind, Route, Search};
 use crate::shard::{hash_packed, LiveTable, ShardedTcam, SnapView, WriteAck, WriteOp};
-use crate::sync::{AtomicUsize, Ordering};
+use crate::sync::{AtomicU64, AtomicUsize, Ordering};
 use ferrotcam::{program_duration, ApproxHit, PackedQuery, SearchOutcome, SenseModel, TernaryWord};
 use ferrotcam_spice::parallel::default_jobs;
 use ferrotcam_spice::trace::{self, TraceLevel};
@@ -257,8 +275,11 @@ struct Inner {
     admission: Admission,
     metrics: MetricsCollector,
     /// Drain flag + accepted/completed request accounting, global
-    /// across every queue and dispatcher.
+    /// across every queue, dispatcher and caller-run.
     gate: DrainGate,
+    /// The caller lane's audit-sampler counter: every caller-run draws
+    /// the next value, as a dispatcher draws from its own counter.
+    caller_audit: AtomicU64,
     /// One doorbell per dispatcher: how a parked dispatcher is woken.
     bells: Doorbells,
     max_batch: usize,
@@ -380,7 +401,8 @@ impl ServiceClient {
 
     /// The one admission path [`Self::submit`] and [`Self::send`]
     /// funnel into: validate, admit, accept against the drain gate,
-    /// queue.
+    /// then run a pinned search on this thread when its ring is empty
+    /// ([`caller_run`]), else queue.
     fn enqueue(
         &self,
         tenant: TenantId,
@@ -404,18 +426,27 @@ impl ServiceClient {
             inner.metrics.on_shed(Overloaded::ShuttingDown, kind);
             return Err(Overloaded::ShuttingDown.into());
         }
-        // Pinned work queues on its shard's dispatcher; the rest
-        // round-robins so no single dispatcher owns the merge load.
-        let qi = shard.unwrap_or_else(|| {
-            inner.route_counter.fetch_add(1, Ordering::Relaxed) // ordering: route-relaxed
-                % inner.queues.len()
-        });
         let job = Job {
             body,
             shard,
             enqueued: now,
             tx,
         };
+        // A pinned search that awaits an answer and finds its shard's
+        // ring empty would wait for a dispatcher to do what this thread
+        // can do at once: answer it here.
+        if let (Some(s), Body::Search(_), Some(_)) = (shard, &job.body, &job.tx) {
+            if inner.queues[s].is_empty() {
+                caller_run(inner, job);
+                return Ok(());
+            }
+        }
+        // Pinned work queues on its shard's dispatcher; the rest
+        // round-robins so no single dispatcher owns the merge load.
+        let qi = shard.unwrap_or_else(|| {
+            inner.route_counter.fetch_add(1, Ordering::Relaxed) // ordering: route-relaxed
+                % inner.queues.len()
+        });
         if inner.queues[qi].push(job).is_err() {
             // Give the acceptance back before reporting the shed. During
             // a drain that can complete quiescence, which a parked
@@ -513,6 +544,7 @@ impl TcamService {
             ),
             metrics: MetricsCollector::new(),
             gate: DrainGate::new(),
+            caller_audit: AtomicU64::new(0),
             bells: Doorbells::new(shards),
             max_batch: max_batch.max(1),
             jobs,
@@ -659,6 +691,30 @@ fn dispatch_loop(inner: &Inner, me: usize) {
     inner.metrics.on_wakeups(inner.bells.ring_all());
 }
 
+/// Answer one accepted pinned search on the submitting thread, as a
+/// batch of one through [`execute_batch`], so deadline shedding, energy
+/// and latency attribution, the `serve.batch` span and the metrics are
+/// a dispatcher's. The job's ticket is resolved before this returns.
+/// Its audit lane is the shard count (dispatchers are `0..shards`), with
+/// one counter shared by every submitting thread. Afterwards, if the
+/// service is draining, this completion may be what a parked dispatcher
+/// waits for, so every bell rings ([`Doorbells::ring_all_if_draining`]).
+fn caller_run(inner: &Inner, job: Job) {
+    inner.metrics.on_caller_run();
+    // ordering: caller-audit-relaxed
+    let mut audit_counter = inner.caller_audit.fetch_add(1, Ordering::Relaxed);
+    execute_batch(
+        inner,
+        inner.queues.len(),
+        &mut vec![job],
+        &mut audit_counter,
+    );
+    let woken = inner.bells.ring_all_if_draining(&inner.gate);
+    if woken > 0 {
+        inner.metrics.on_wakeups(woken);
+    }
+}
+
 /// Per-kind bank-occupancy multiplier for the batch planner. With a
 /// sense-time model attached, a threshold query's bank time is its
 /// sense time (high thresholds sense late, low ones early) and a range
@@ -686,12 +742,13 @@ fn kind_cost(kind: RequestKind, sense: Option<&SenseModel>, t_bank: f64) -> f64 
 /// and execute the remaining searches on the kernel against that view,
 /// model the bank schedule, attribute energy, audit a sample, resolve
 /// tickets. Drains `jobs` in place so the dispatcher's
-/// batch buffer is reused across iterations.
+/// batch buffer is reused across iterations. `lane` names the audit
+/// sampler: dispatcher `me`, or the shard count for a caller-run.
 ///
 /// Ordering: writes-before-searches within one batch is a valid
 /// linearization — every job in the batch was accepted before any of
 /// them executed, and searches then observe all of the batch's writes.
-fn execute_batch(inner: &Inner, me: usize, jobs: &mut Vec<Job>, audit_counter: &mut u64) {
+fn execute_batch(inner: &Inner, lane: usize, jobs: &mut Vec<Job>, audit_counter: &mut u64) {
     let tracing = trace::level() != TraceLevel::Off;
     let _span = tracing.then(|| trace::span("serve.batch"));
     // Queue wait is enqueue → batch start; one clock read per batch,
@@ -792,11 +849,12 @@ fn execute_batch(inner: &Inner, me: usize, jobs: &mut Vec<Job>, audit_counter: &
         let energy_j = view.energy_of_kind(kind, &outcome);
         let wall_latency_ns = nanos_since(job.enqueued, now);
         if inner.audit_period > 0 {
-            // Deterministic 1-in-`period` sample over the per-
-            // dispatcher accept counter (SplitMix64-whitened so the
-            // sample is spread, not periodic in arrival order; the
-            // shard id folds in so dispatchers sample independently).
-            let mut state = inner.audit_seed ^ ((me as u64) << 48) ^ *audit_counter;
+            // Deterministic 1-in-`period` sample over the lane's
+            // accept counter (SplitMix64-whitened so the sample is
+            // spread, not periodic in arrival order; the lane id folds
+            // in so dispatchers and the caller lane sample
+            // independently).
+            let mut state = inner.audit_seed ^ ((lane as u64) << 48) ^ *audit_counter;
             *audit_counter += 1;
             if split_mix64(&mut state).is_multiple_of(inner.audit_period) {
                 audit_replay(inner, &view, &job, &outcome, &hits, energy_j);

@@ -37,6 +37,10 @@
 //!   as a deadlock. Orderings are all `SeqCst` here, so these models
 //!   check the protocol's logic; the fence pairing it needs on real
 //!   hardware is argued in `doorbell.rs`.
+//! * Caller-runs — a pinned read that a client answers on its own
+//!   thread completes off the dispatchers: when that completion is the
+//!   one a drain waits for, it wakes the parked dispatcher, and a read
+//!   accepted after a write's ack loads the written snapshot.
 //! * [`reply`] — a ticket's one-shot slot resolves exactly once: an
 //!   answer sent while the client waits or polls is delivered once, a
 //!   sender dropped unanswered resolves to `None`, and a parked client
@@ -450,6 +454,21 @@ fn submit(queues: &[BoundedQueue<u32>], gate: &DrainGate, bells: &Doorbells, own
     true
 }
 
+/// The caller-run path: accept at the gate, answer the job on this
+/// thread by counting it in `done` and completing it at the gate, then
+/// ring every bell if the service is draining
+/// ([`Doorbells::ring_all_if_draining`]). Returns whether the job was
+/// accepted.
+fn caller_run(gate: &DrainGate, bells: &Doorbells, done: &AtomicUsize) -> bool {
+    if !gate.try_accept() {
+        return false;
+    }
+    done.fetch_add(1, Ordering::SeqCst);
+    gate.complete();
+    bells.ring_all_if_draining(gate);
+    true
+}
+
 /// An enqueue racing the dispatcher's publish / re-check / park: in
 /// every interleaving the job runs. If the submitter's ring missed a
 /// dispatcher that then parked, nothing else would wake it (there is no
@@ -658,4 +677,72 @@ fn reply_slot_resolves_exactly_once() {
             );
         });
     }
+}
+
+/// A caller-run racing the drain while the one dispatcher parks with
+/// nothing queued: the caller's completion can be the one that makes
+/// the drained gate quiescent after the drainer's `ring_all` found no
+/// sleeper, so the caller must ring. A caller-run that skips the ring,
+/// or checks the drain bit before it completes, leaves the dispatcher
+/// parked and the join deadlocked, which the model checker reports.
+#[test]
+fn caller_run_completion_during_drain_wakes_the_parked_dispatcher() {
+    loom::model(|| {
+        let queues = Arc::new([BoundedQueue::new(2)]);
+        let gate = Arc::new(DrainGate::new());
+        let bells = Arc::new(Doorbells::new(1));
+        let done = Arc::new(AtomicUsize::new(0));
+        let d = {
+            let (q, g, b, n) = (
+                Arc::clone(&queues),
+                Arc::clone(&gate),
+                Arc::clone(&bells),
+                Arc::clone(&done),
+            );
+            thread::spawn(move || dispatcher(0, &*q, &g, &b, &n, false, None))
+        };
+        bells.register(0, d.thread().clone());
+        let client = {
+            let (g, b, n) = (Arc::clone(&gate), Arc::clone(&bells), Arc::clone(&done));
+            thread::spawn(move || caller_run(&g, &b, &n))
+        };
+        gate.begin_drain();
+        bells.ring_all();
+        let accepted = usize::from(client.join().unwrap());
+        assert_eq!(d.join().unwrap(), 0, "the dispatcher ran nothing");
+        assert_eq!(done.load(Ordering::SeqCst), accepted);
+        assert!(gate.quiescent());
+    });
+}
+
+/// A read accepted after a write's ack loads the written snapshot. A
+/// dispatcher applies one write to an [`EpochCell`], completes it and
+/// acks it through the write's reply slot, then applies a second write.
+/// The client waits for the ack, accepts a read at the gate and loads
+/// the cell as a caller-run does: it may see the second write, never
+/// the value before the first, and its epoch names what it loaded.
+#[test]
+fn caller_run_after_a_write_ack_loads_the_written_value() {
+    loom::model(|| {
+        let cell = Arc::new(EpochCell::new(0u64));
+        let gate = Arc::new(DrainGate::new());
+        let (tx, rx) = reply::slot::<()>();
+        assert!(gate.try_accept(), "the first write is accepted");
+        let dispatcher = {
+            let (c, g) = (Arc::clone(&cell), Arc::clone(&gate));
+            thread::spawn(move || {
+                c.update(|_| (1, ()));
+                g.complete();
+                tx.send(());
+                c.update(|_| (2, ()));
+            })
+        };
+        rx.wait().expect("the write is acked");
+        assert!(gate.try_accept(), "the read is accepted");
+        let (snap, epoch) = cell.load();
+        assert!(*snap >= 1, "a read after the ack missed the write");
+        assert_eq!(*snap, epoch, "the epoch names the loaded snapshot");
+        gate.complete();
+        dispatcher.join().unwrap();
+    });
 }

@@ -3,7 +3,9 @@
 //! or a dispatcher — and every accepted request resolves across a
 //! drain. The ticket contract: `try_wait` polls without blocking and
 //! yields an answer exactly once, `wait` works from any thread, and a
-//! deadline-shed ticket resolves to `None`.
+//! deadline-shed ticket resolves to `None`. And the caller-run rule: a
+//! pinned `submit` whose ring is empty is answered on the submitting
+//! thread, and nothing else is.
 
 use ferrotcam::{PackedQuery, TernaryWord};
 use ferrotcam_serve::{
@@ -188,15 +190,20 @@ const _: fn() = || {
     assert_send::<Ticket>();
 };
 
-/// A fan-out exact search for `v` over a table of `from_u64(i, 16)`
-/// words.
-fn exact16(v: u64) -> Request {
+/// The 16-bit query for `v`, most significant bit first.
+fn query16(v: u64) -> PackedQuery {
     let bits: Vec<bool> = (0..16).rev().map(|b| (v >> b) & 1 == 1).collect();
-    Request::search(
-        RequestKind::Exact,
-        PackedQuery::from_bits(&bits),
-        Route::FanOut,
-    )
+    PackedQuery::from_bits(&bits)
+}
+
+/// A `kind` search for `v` over a table of `from_u64(i, 16)` words.
+fn search16(kind: RequestKind, v: u64, route: Route) -> Request {
+    Request::search(kind, query16(v), route)
+}
+
+/// A fan-out exact search for `v`.
+fn exact16(v: u64) -> Request {
+    search16(RequestKind::Exact, v, Route::FanOut)
 }
 
 fn counting_table(rows: u64) -> ShardedTcam {
@@ -294,5 +301,160 @@ fn deadline_shed_ticket_polls_then_waits_to_none() {
         assert_eq!(m.submitted, 1);
         assert_eq!(m.shed_deadline, 1);
         assert_eq!(m.completed, 0, "a shed query delivers no response");
+    });
+}
+
+/// On an idle service a pinned `submit` of any search kind is answered
+/// before `submit` returns: the first `try_wait` holds the answer, and
+/// `caller_runs` counts it as well as `submitted`.
+#[test]
+fn a_pinned_submit_on_an_idle_service_runs_on_the_caller() {
+    within(Duration::from_secs(30), || {
+        let svc = TcamService::start(counting_table(64), &ServiceConfig::default());
+        let client = svc.client();
+        let kinds = [
+            RequestKind::Exact,
+            RequestKind::Threshold { t: 1 },
+            RequestKind::TopK { k: 2 },
+            RequestKind::Range,
+        ];
+        let mut runs = 0;
+        for route in [Route::Home, Route::Shard(0)] {
+            for kind in kinds {
+                let ticket = client.submit(0, search16(kind, 9, route)).unwrap();
+                let resp = ticket.try_wait().expect("answered before submit returned");
+                assert_eq!(resp.kind, kind);
+                assert_eq!(resp.rows_searched, 64);
+                runs += 1;
+                assert_eq!(client.metrics().caller_runs, runs, "{kind} on {route:?}");
+            }
+        }
+        let exact = client.submit(0, search16(RequestKind::Exact, 9, Route::Home));
+        assert_eq!(
+            exact.unwrap().try_wait().expect("answered").matches,
+            vec![9]
+        );
+        let m = svc.drain();
+        assert_eq!(m.caller_runs, runs + 1);
+        assert_eq!(m.submitted, runs + 1, "a caller-run is a submission");
+        assert_eq!(m.completed, m.submitted);
+    });
+}
+
+/// Fan-outs, writes and fire-and-forget `send`s always take the queue,
+/// even on an idle service.
+#[test]
+fn fan_outs_writes_and_sends_never_run_on_the_caller() {
+    within(Duration::from_secs(30), || {
+        let svc = TcamService::start(counting_table(64), &ServiceConfig::default());
+        let client = svc.client();
+        // The sends first, while the ring is surely empty.
+        for kind in [RequestKind::Exact, RequestKind::TopK { k: 1 }] {
+            client.send(0, search16(kind, 5, Route::Home)).unwrap();
+        }
+        let mut tickets = vec![
+            client.submit(0, exact16(3)).unwrap(),
+            client
+                .submit(0, Request::insert(TernaryWord::from_u64(0xBEEF, 16)))
+                .unwrap(),
+            client
+                .submit(0, Request::update(1, TernaryWord::from_u64(0xCAFE, 16)))
+                .unwrap(),
+            client.submit(0, Request::delete(2)).unwrap(),
+        ];
+        for t in tickets.drain(..) {
+            assert!(t.wait().is_some(), "every ticket answers");
+        }
+        let m = svc.drain();
+        assert_eq!(m.caller_runs, 0);
+        assert_eq!(m.submitted, 6);
+        assert_eq!(m.completed, m.submitted);
+    });
+}
+
+/// A pinned read submitted while a write sits queued on its ring takes
+/// the queue too, so it answers after the write and sees it. One shard
+/// means one dispatcher, and `max_batch: 1` makes it pop one job at a
+/// time in ring order, so while the top-k scan queued just ahead of the
+/// write is unanswered, the write is still in the ring.
+#[test]
+fn a_pinned_read_behind_a_queued_write_takes_the_queue() {
+    within(Duration::from_secs(60), || {
+        let config = ServiceConfig {
+            max_batch: 1,
+            ..ServiceConfig::default()
+        };
+        let svc = TcamService::start(counting_table(16_384), &config);
+        let client = svc.client();
+        let heavy = || {
+            let q = PackedQuery::from_bits(&[false; 16]);
+            Request::search(RequestKind::TopK { k: 8 }, q, Route::FanOut)
+        };
+        let mut caught = false;
+        for round in 0..100u64 {
+            let word = 0xA000 + round;
+            let ahead: Vec<Ticket> = (0..8).map(|_| client.submit(0, heavy()).unwrap()).collect();
+            let update = Request::update(0, TernaryWord::from_u64(word, 16));
+            let write = client.submit(0, update).unwrap();
+            let before = client.metrics().caller_runs;
+            let read = client
+                .submit(0, search16(RequestKind::Exact, word, Route::Shard(0)))
+                .unwrap();
+            let last_ahead = ahead[7].try_wait();
+            if last_ahead.is_none() {
+                caught = true;
+                assert_eq!(
+                    client.metrics().caller_runs,
+                    before,
+                    "ran past a queued write"
+                );
+                assert_eq!(read.wait().expect("answered").matches, vec![0]);
+            } else {
+                let _ = read.wait();
+            }
+            assert!(write.wait().is_some());
+            for t in &ahead[..7] {
+                let _ = t.try_wait();
+            }
+            if caught {
+                break;
+            }
+        }
+        assert!(caught, "no read was ever submitted behind a queued write");
+        let m = svc.drain();
+        assert_eq!(m.completed, m.submitted);
+    });
+}
+
+/// The audit lane samples caller-runs: at period 1 every pinned read
+/// answered on the caller is replayed through the oracle, cleanly.
+#[test]
+fn the_audit_lane_samples_caller_runs() {
+    within(Duration::from_secs(30), || {
+        let config = ServiceConfig {
+            audit_period: 1,
+            ..ServiceConfig::default()
+        };
+        let mut t = ShardedTcam::new(16, 2);
+        for v in 0..64u64 {
+            let home = t.route_packed(&query16(v));
+            t.store_in(home, TernaryWord::from_u64(v, 16));
+        }
+        let svc = TcamService::start(t, &config);
+        let client = svc.client();
+        for v in 0..32u64 {
+            let kind = [RequestKind::Exact, RequestKind::Threshold { t: 2 }][(v % 2) as usize];
+            let resp = client
+                .submit(0, search16(kind, v, Route::Home))
+                .unwrap()
+                .wait();
+            assert!(resp.is_some());
+        }
+        let m = svc.drain();
+        assert!(m.caller_runs > 0, "idle rings: reads run on the caller");
+        assert_eq!(m.audit_sampled, 32, "period 1 replays every answer");
+        assert_eq!(m.audit_match_divergences, 0);
+        assert_eq!(m.audit_energy_divergences, 0);
+        assert_eq!(m.completed, m.submitted);
     });
 }
