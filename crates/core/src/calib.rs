@@ -9,10 +9,7 @@
 //!    characterisation of Table IV);
 //! 2. `results/fig7_energy.csv` / `results/fig7_latency.csv` — word-
 //!    length scaling curves (per-cell energy, full-search latency) used
-//!    to interpolate away from the 64-cell anchor;
-//! 3. `results/fig4_step1_miss.csv` / `fig4_step2_miss.csv` — the
-//!    step-1/step-2 miss transients; their sense-amp crossing times are
-//!    recorded as provenance and sanity bounds for the latency figures.
+//!    to interpolate away from the 64-cell anchor.
 //!
 //! [`Calibration::search_metrics`] folds the chain into the same
 //! [`SearchMetrics`] the shard layer already audits, so a behavioural
@@ -20,13 +17,12 @@
 //! derived constants — identical in form to the simulated path, which
 //! is what makes the sampled audit lane a meaningful check.
 //!
-//! **Approximate match.** `results/sense_time.csv` (written by
-//! `core::sense`) adds a fourth artefact: match-line discharge time vs
-//! mismatch count, with Monte-Carlo spread. [`Calibration::sense_model`]
-//! folds it into a [`SenseModel`] — TAP-CAM's tunable sensing, where
-//! the sense moment picks the accepted Hamming distance — so the
-//! serving layer can attribute a per-distance sense latency and a
-//! calibrated misclassification probability to every approximate query.
+//! **Approximate match.** [`SenseModel`] is TAP-CAM's tunable sensing,
+//! where the sense moment picks the accepted Hamming distance. It is
+//! the closed-form law `t(m) = t₁ / m` anchored at the calibrated
+//! step-1 latency, so it reads no file of its own; the serving layer
+//! prices a threshold query's bank time at its sense moment and the
+//! audit lane replays threshold queries through it.
 
 use crate::cell::DesignKind;
 use crate::fom::SearchMetrics;
@@ -55,13 +51,6 @@ pub struct Calibration {
     pub energy_curve: Curve,
     /// Fig. 7 search-latency scaling curve (ps vs word length).
     pub latency_curve: Curve,
-    /// Fig. 4 step-1 miss sense-amp crossing time (s), when available.
-    pub step1_sense: Option<f64>,
-    /// Fig. 4 step-2 miss sense-amp crossing time (s), when available.
-    pub step2_sense: Option<f64>,
-    /// SPICE-measured ML discharge time vs mismatch count (from
-    /// `results/sense_time.csv`); empty when not characterised.
-    pub sense_points: Vec<SensePoint>,
     /// Datasheets the figures actually came from (provenance for the
     /// audit report); empty for paper defaults.
     pub sources: Vec<String>,
@@ -88,9 +77,6 @@ impl Calibration {
             write_energy_per_cell: 0.3816e-15,
             energy_curve: Vec::new(),
             latency_curve: Vec::new(),
-            step1_sense: None,
-            step2_sense: None,
-            sense_points: Vec::new(),
             sources: Vec::new(),
         }
     }
@@ -129,43 +115,7 @@ impl Calibration {
                 cal.sources.push(path.display().to_string());
             }
         }
-        for (file, slot) in [
-            ("fig4_step1_miss.csv", &mut cal.step1_sense),
-            ("fig4_step2_miss.csv", &mut cal.step2_sense),
-        ] {
-            let path = dir.join(file);
-            if let Some(t) = std::fs::read_to_string(&path)
-                .ok()
-                .and_then(|text| sense_crossing(&text))
-            {
-                *slot = Some(t);
-                cal.sources.push(path.display().to_string());
-            }
-        }
-        let sense = dir.join("sense_time.csv");
-        if let Some(points) = std::fs::read_to_string(&sense)
-            .ok()
-            .and_then(|text| parse_sense_csv(&text))
-        {
-            cal.sense_points = points;
-            cal.sources.push(sense.display().to_string());
-        }
         cal
-    }
-
-    /// The sense-time model for approximate (distance-threshold)
-    /// queries: the measured discharge curve when `sense_time.csv` was
-    /// characterised, otherwise the analytic `t(m) = t₁ / m` fallback
-    /// anchored at the step-1 latency (m parallel pull-down paths drain
-    /// the ML capacitance m× faster).
-    #[must_use]
-    pub fn sense_model(&self) -> SenseModel {
-        if self.sense_points.len() >= 2 {
-            SenseModel::from_points(self.sense_points.clone())
-                .unwrap_or_else(|| SenseModel::analytic(self.latency_1step))
-        } else {
-            SenseModel::analytic(self.latency_1step)
-        }
     }
 
     /// Price a word length: the anchor figures scaled along the Fig. 7
@@ -227,58 +177,20 @@ pub struct RowWriteMetrics {
     pub latency: f64,
 }
 
-/// One point of the SPICE-measured sense-time curve: how fast the
-/// match line discharges when `mismatches` cell pairs pull it down,
-/// with the Monte-Carlo spread under V_TH variability.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SensePoint {
-    /// Mismatching (pull-down) cell count, ≥ 1.
-    pub mismatches: usize,
-    /// Mean ML half-swing discharge time (s).
-    pub mean_s: f64,
-    /// Standard deviation of the discharge time under Monte-Carlo (s).
-    pub sigma_s: f64,
-}
-
-/// Misclassification probabilities of one threshold setting: sensing
-/// at [`MisclassPoint::sense_time_s`] accepts rows of distance ≤ t and
-/// rejects distance ≥ t+1, up to the Gaussian overlap of the two
-/// nearest discharge-time distributions.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MisclassPoint {
-    /// Distance threshold this sense moment implements.
-    pub threshold: u32,
-    /// The sense moment (s): inside `(t_d(t+1), t_d(t))`.
-    pub sense_time_s: f64,
-    /// P(row at distance t+1 has *not* discharged yet) — falsely kept.
-    pub p_false_accept: f64,
-    /// P(row at distance t *has* discharged) — falsely dropped.
-    pub p_false_reject: f64,
-}
-
-impl MisclassPoint {
-    /// Combined per-boundary-row misclassification probability.
-    #[must_use]
-    pub fn p_error(&self) -> f64 {
-        0.5 * (self.p_false_accept + self.p_false_reject)
-    }
-}
-
 /// TAP-CAM-style tunable sensing: the ML discharge time encodes the
-/// Hamming distance (m pull-down paths discharge ~m× faster), so the
-/// *sense moment* selects the accepted distance threshold. Built from
-/// the SPICE characterisation when available, or the analytic `t₁ / m`
-/// law anchored at the calibrated step-1 latency.
+/// Hamming distance (m pull-down paths drain the ML capacitance m×
+/// faster), so the *sense moment* selects the accepted distance
+/// threshold. The closed-form law `t(m) = t₁ / m`, anchored at the
+/// calibrated step-1 (single-mismatch) latency t₁.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SenseModel {
-    /// Discharge curve, ascending in mismatch count, strictly
-    /// decreasing in time (monotonicity is validated on construction).
-    points: Vec<SensePoint>,
+    /// Single-mismatch discharge time t₁ (s), > 0.
+    t1: f64,
 }
 
 impl SenseModel {
-    /// Analytic fallback: `t(m) = t₁ / m` with a 5 % relative spread,
-    /// anchored at the single-mismatch (step-1 miss) latency.
+    /// The law anchored at `latency_1step`; a non-positive anchor
+    /// falls back to the paper's 231 ps.
     #[must_use]
     pub fn analytic(latency_1step: f64) -> Self {
         let t1 = if latency_1step > 0.0 {
@@ -286,92 +198,17 @@ impl SenseModel {
         } else {
             231e-12
         };
-        let points = (1..=8usize)
-            .map(|m| SensePoint {
-                mismatches: m,
-                mean_s: t1 / m as f64,
-                sigma_s: 0.05 * t1 / m as f64,
-            })
-            .collect();
-        Self { points }
+        Self { t1 }
     }
 
-    /// Build from measured points; `None` unless there are ≥ 2 points,
-    /// sorted ascending in mismatches with strictly decreasing mean
-    /// discharge time (the physical monotonicity the Monte-Carlo test
-    /// asserts) and positive times.
-    #[must_use]
-    pub fn from_points(mut points: Vec<SensePoint>) -> Option<Self> {
-        points.sort_by_key(|p| p.mismatches);
-        let ok = points.len() >= 2
-            && points.iter().all(|p| p.mismatches >= 1 && p.mean_s > 0.0)
-            && points
-                .windows(2)
-                .all(|w| w[0].mismatches < w[1].mismatches && w[0].mean_s > w[1].mean_s);
-        ok.then_some(Self { points })
-    }
-
-    /// The measured / modelled curve.
-    #[must_use]
-    pub fn points(&self) -> &[SensePoint] {
-        &self.points
-    }
-
-    /// Mean discharge time for `m` mismatches: table interpolation in
-    /// `1/m`, extended by the `1/m` law beyond the last point;
-    /// `+∞` for a full match (no pull-down path ever fires).
+    /// Discharge time for `m` mismatches, `t₁ / m`; `+∞` for a full
+    /// match (no pull-down path ever fires).
     #[must_use]
     pub fn discharge_time(&self, m: u32) -> f64 {
         if m == 0 {
             return f64::INFINITY;
         }
-        self.eval(m, |p| p.mean_s)
-    }
-
-    /// Monte-Carlo spread of the discharge time at `m` mismatches.
-    #[must_use]
-    pub fn discharge_sigma(&self, m: u32) -> f64 {
-        if m == 0 {
-            return 0.0;
-        }
-        self.eval(m, |p| p.sigma_s)
-    }
-
-    fn eval(&self, m: u32, f: impl Fn(&SensePoint) -> f64) -> f64 {
-        let m = m as usize;
-        if let Some(p) = self.points.iter().find(|p| p.mismatches == m) {
-            return f(p);
-        }
-        let first = self.points.first().expect("model has points");
-        let last = self.points.last().expect("model has points");
-        if m < first.mismatches {
-            // Below the table: 1/m extrapolation from the first point.
-            return f(first) * first.mismatches as f64 / m as f64;
-        }
-        if m > last.mismatches {
-            return f(last) * last.mismatches as f64 / m as f64;
-        }
-        // Between points: linear in 1/m.
-        let (mut lo, mut hi) = (first, last);
-        for p in &self.points {
-            if p.mismatches <= m {
-                lo = p;
-            }
-            if p.mismatches >= m && hi.mismatches >= p.mismatches {
-                hi = p;
-            }
-        }
-        let (x0, x1, x) = (
-            1.0 / lo.mismatches as f64,
-            1.0 / hi.mismatches as f64,
-            1.0 / m as f64,
-        );
-        let frac = if (x1 - x0).abs() > 0.0 {
-            (x - x0) / (x1 - x0)
-        } else {
-            0.0
-        };
-        f(lo) + frac * (f(hi) - f(lo))
+        self.t1 / f64::from(m)
     }
 
     /// The sense moment implementing distance threshold `t`: inside
@@ -390,77 +227,6 @@ impl SenseModel {
             1.5 * below
         }
     }
-
-    /// Misclassification probabilities of threshold `t` from the
-    /// Gaussian overlap of the two boundary discharge distributions at
-    /// the sense moment.
-    #[must_use]
-    pub fn misclassification(&self, t: u32) -> MisclassPoint {
-        let s = self.sense_time(t);
-        // A row at distance t+1 is falsely accepted when its (random)
-        // discharge time exceeds the sense moment.
-        let (mu_b, sg_b) = (self.discharge_time(t + 1), self.discharge_sigma(t + 1));
-        let p_false_accept = 1.0 - normal_cdf((s - mu_b) / sg_b.max(1e-18));
-        // A row at distance t is falsely rejected when it discharges
-        // before the sense moment (impossible for exact matches).
-        let p_false_reject = if t == 0 {
-            0.0
-        } else {
-            let (mu_a, sg_a) = (self.discharge_time(t), self.discharge_sigma(t));
-            normal_cdf((s - mu_a) / sg_a.max(1e-18))
-        };
-        MisclassPoint {
-            threshold: t,
-            sense_time_s: s,
-            p_false_accept,
-            p_false_reject,
-        }
-    }
-
-    /// The calibrated misclassification table for thresholds `0..=max_t`.
-    #[must_use]
-    pub fn table(&self, max_t: u32) -> Vec<MisclassPoint> {
-        (0..=max_t).map(|t| self.misclassification(t)).collect()
-    }
-}
-
-/// Standard normal CDF via the Abramowitz–Stegun 7.1.26 erf
-/// approximation (|error| < 1.5e-7) — no libm dependency.
-#[must_use]
-pub fn normal_cdf(x: f64) -> f64 {
-    0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
-}
-
-fn erf(x: f64) -> f64 {
-    let sign = if x < 0.0 { -1.0 } else { 1.0 };
-    let x = x.abs();
-    let t = 1.0 / (1.0 + 0.327_591_1 * x);
-    let poly = t
-        * (0.254_829_592
-            + t * (-0.284_496_736
-                + t * (1.421_413_741 + t * (-1.453_152_027 + t * 1.061_405_429))));
-    sign * (1.0 - poly * (-x * x).exp())
-}
-
-/// Parse `sense_time.csv` (`mismatches,mean_ps,sigma_ps`).
-fn parse_sense_csv(text: &str) -> Option<Vec<SensePoint>> {
-    let mut lines = text.lines();
-    let header = lines.next()?;
-    let col = |name: &str| header.split(',').position(|h| h.trim() == name);
-    let (mc, tc, sc) = (col("mismatches")?, col("mean_ps")?, col("sigma_ps")?);
-    let mut points = Vec::new();
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let cells: Vec<&str> = line.split(',').collect();
-        points.push(SensePoint {
-            mismatches: cells.get(mc)?.trim().parse().ok()?,
-            mean_s: cells.get(tc)?.trim().parse::<f64>().ok()? * 1e-12,
-            sigma_s: cells.get(sc)?.trim().parse::<f64>().ok()? * 1e-12,
-        });
-    }
-    (!points.is_empty()).then_some(points)
 }
 
 /// The Table-IV fields the calibration consumes.
@@ -509,33 +275,6 @@ fn parse_fig7(text: &str, design_name: &str) -> Option<Curve> {
     (!curve.is_empty()).then_some(curve)
 }
 
-/// Time (s) at which the Fig. 4 sense-amp output crosses half its
-/// final swing — the sense-resolution moment of the waveform.
-fn sense_crossing(text: &str) -> Option<f64> {
-    let mut lines = text.lines();
-    let header = lines.next()?;
-    let tcol = header.split(',').position(|h| h.trim() == "time")?;
-    let scol = header.split(',').position(|h| h.trim() == "sa")?;
-    let mut samples = Vec::new();
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let cells: Vec<&str> = line.split(',').collect();
-        let t: f64 = cells.get(tcol)?.trim().parse().ok()?;
-        let s: f64 = cells.get(scol)?.trim().parse().ok()?;
-        samples.push((t, s));
-    }
-    let peak = samples.iter().map(|&(_, s)| s).fold(0.0f64, f64::max);
-    if peak <= 0.0 {
-        return None;
-    }
-    samples
-        .iter()
-        .find(|&&(_, s)| s >= peak / 2.0)
-        .map(|&(t, _)| t)
-}
-
 /// Linear interpolation in `log2(word_len)`, clamped at the curve
 /// ends. `None` for an empty curve.
 fn interp(curve: &Curve, wl: f64) -> Option<f64> {
@@ -578,13 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn sense_crossing_finds_half_swing() {
-        let csv = "time,sela,selb,ml,sa\n0.0,0,0,0,0.0\n1e-12,0,0,0,0.2\n2e-12,0,0,0,0.6\n3e-12,0,0,0,1.0\n";
-        let t = sense_crossing(csv).unwrap();
-        assert!((t - 2e-12).abs() < 1e-18, "first sample >= peak/2");
-    }
-
-    #[test]
     fn paper_defaults_are_ordered() {
         let cal = Calibration::paper_defaults(DesignKind::T15Dg);
         assert!(cal.latency_1step < cal.latency_2step);
@@ -621,15 +353,20 @@ mod tests {
 
     #[test]
     fn sense_model_orders_thresholds() {
-        let m = SenseModel::analytic(231e-12);
+        let t1 = 231e-12;
+        let m = SenseModel::analytic(t1);
+        // The law itself, bit for bit, across the served width.
+        for k in 1..=65u32 {
+            assert_eq!(m.discharge_time(k).to_bits(), (t1 / k as f64).to_bits());
+        }
         // Discharge time strictly decreasing in mismatch count.
-        for k in 1..12u32 {
+        for k in 1..65u32 {
             assert!(m.discharge_time(k) > m.discharge_time(k + 1), "m = {k}");
         }
         assert!(m.discharge_time(0).is_infinite());
         // Sense moments: larger thresholds sense earlier, and each
         // moment sits inside its (t_d(t+1), t_d(t)) window.
-        for t in 0..8u32 {
+        for t in 0..64u32 {
             let s = m.sense_time(t);
             assert!(s > m.discharge_time(t + 1), "t = {t}");
             assert!(s < m.discharge_time(t), "t = {t}");
@@ -640,127 +377,24 @@ mod tests {
     }
 
     #[test]
-    fn misclassification_grows_with_overlap() {
-        let tight = SenseModel::from_points(vec![
-            SensePoint {
-                mismatches: 1,
-                mean_s: 200e-12,
-                sigma_s: 2e-12,
-            },
-            SensePoint {
-                mismatches: 2,
-                mean_s: 100e-12,
-                sigma_s: 1e-12,
-            },
-            SensePoint {
-                mismatches: 3,
-                mean_s: 66e-12,
-                sigma_s: 1e-12,
-            },
-        ])
-        .unwrap();
-        let wide = SenseModel::from_points(vec![
-            SensePoint {
-                mismatches: 1,
-                mean_s: 200e-12,
-                sigma_s: 60e-12,
-            },
-            SensePoint {
-                mismatches: 2,
-                mean_s: 100e-12,
-                sigma_s: 40e-12,
-            },
-            SensePoint {
-                mismatches: 3,
-                mean_s: 66e-12,
-                sigma_s: 30e-12,
-            },
-        ])
-        .unwrap();
-        for t in 0..3u32 {
-            let (a, b) = (tight.misclassification(t), wide.misclassification(t));
-            assert!(
-                a.p_error() < b.p_error(),
-                "t = {t}: {} vs {}",
-                a.p_error(),
-                b.p_error()
-            );
-            assert!(a.p_error() >= 0.0 && b.p_error() <= 1.0);
-        }
-        // Exact match never falsely rejects (no pull-down path).
-        assert_eq!(wide.misclassification(0).p_false_reject, 0.0);
-    }
-
-    #[test]
-    fn from_points_rejects_non_monotone_curves() {
-        assert!(SenseModel::from_points(vec![
-            SensePoint {
-                mismatches: 1,
-                mean_s: 100e-12,
-                sigma_s: 1e-12
-            },
-            SensePoint {
-                mismatches: 2,
-                mean_s: 150e-12,
-                sigma_s: 1e-12
-            },
-        ])
-        .is_none());
-        assert!(SenseModel::from_points(vec![SensePoint {
-            mismatches: 1,
-            mean_s: 100e-12,
-            sigma_s: 1e-12
-        }])
-        .is_none());
-    }
-
-    #[test]
-    fn normal_cdf_is_sane() {
-        assert!((normal_cdf(0.0) - 0.5).abs() < 1e-7);
-        assert!((normal_cdf(1.959_96) - 0.975).abs() < 1e-4);
-        assert!(normal_cdf(-6.0) < 1e-8);
-        assert!(normal_cdf(6.0) > 1.0 - 1e-8);
-    }
-
-    #[test]
-    fn sense_csv_round_trip() {
-        let csv = "mismatches,mean_ps,sigma_ps\n1,200.0,8.0\n2,100.0,4.0\n4,50.0,2.0\n";
-        let points = parse_sense_csv(csv).unwrap();
-        assert_eq!(points.len(), 3);
-        assert!((points[0].mean_s - 200e-12).abs() < 1e-24);
-        let model = SenseModel::from_points(points).unwrap();
-        // Interpolation in 1/m between 2 and 4 mismatches.
-        let t3 = model.discharge_time(3);
-        assert!(t3 < 100e-12 && t3 > 50e-12);
-        // 1/m extrapolation beyond the table.
-        assert!((model.discharge_time(8) - 25e-12).abs() < 1e-15);
-    }
-
-    #[test]
     fn loads_real_datasheets_when_present() {
         let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-        if !dir.join("table4.json").exists() {
-            return; // fresh checkout without generated artefacts
-        }
-        let cal = Calibration::load(&dir, DesignKind::T15Dg);
         assert!(
-            !cal.sources.is_empty(),
-            "datasheets present but none loaded"
+            dir.join("table4.json").exists(),
+            "results/table4.json is committed"
+        );
+        let cal = Calibration::load(&dir, DesignKind::T15Dg);
+        assert_eq!(
+            cal.sources,
+            ["table4.json", "fig7_energy.csv", "fig7_latency.csv"]
+                .map(|f| dir.join(f).display().to_string()),
+            "every committed datasheet calibrates the model"
         );
         // The repo's own characterisation, not the paper constants.
         assert!(cal.latency_2step > cal.latency_1step);
         let m = cal.search_metrics(64);
         assert!(m.energy_1step > 0.0 && m.energy_2step.unwrap() > m.energy_1step);
-        if !cal.energy_curve.is_empty() {
-            // Scaling at the anchor must be the identity.
-            let anchored = cal.search_metrics(64);
-            assert!(
-                (anchored.energy_1step - cal.energy_1step_per_cell * 64.0).abs()
-                    < 1e-9 * anchored.energy_1step
-            );
-        }
-        if let Some(t) = cal.step1_sense {
-            assert!(t > 0.0 && t < 1e-6, "crossing time is physical: {t}");
-        }
+        // Scaling at the anchor must be the identity.
+        assert!((m.energy_1step - cal.energy_1step_per_cell * 64.0).abs() < 1e-9 * m.energy_1step);
     }
 }

@@ -16,7 +16,6 @@ use crate::senseamp::attach_sense_amp;
 use crate::ternary::TernaryWord;
 use ferrotcam_device::fefet::Fefet;
 use ferrotcam_device::mosfet::Mosfet;
-use ferrotcam_device::variability::skewed_fefet;
 use ferrotcam_spice::prelude::*;
 
 use crate::cell::t15::state_for;
@@ -48,6 +47,7 @@ pub struct FullArrayCircuit {
 ///
 /// # Panics
 /// Panics for non-1.5T designs, empty arrays, or odd word lengths.
+#[allow(clippy::too_many_lines)]
 pub fn build_full_array(
     params: &DesignParams,
     rows: &[TernaryWord],
@@ -55,56 +55,6 @@ pub fn build_full_array(
     timing: &SearchTiming,
     par: &RowParasitics,
     enable_step2: bool,
-) -> Result<FullArrayCircuit> {
-    build_full_array_inner(params, rows, query, timing, par, enable_step2, None)
-}
-
-/// [`build_full_array`] with a per-device V_TH offset applied to every
-/// FeFET — the Monte-Carlo entry point for sense-time characterisation.
-/// `vth_offsets[r * n + c]` skews the FeFET of row `r`, column `c` (as
-/// drawn by `device::variability::VthVariation::sample_at`).
-///
-/// # Errors
-/// Propagates netlist-construction failures.
-///
-/// # Panics
-/// Panics for non-1.5T designs, empty arrays, odd word lengths, or an
-/// offsets slice shorter than `rows.len() * word_len`.
-pub fn build_full_array_skewed(
-    params: &DesignParams,
-    rows: &[TernaryWord],
-    query: &[bool],
-    timing: &SearchTiming,
-    par: &RowParasitics,
-    enable_step2: bool,
-    vth_offsets: &[f64],
-) -> Result<FullArrayCircuit> {
-    assert!(
-        vth_offsets.len() >= rows.len() * query.len(),
-        "need one V_TH offset per FeFET ({} × {})",
-        rows.len(),
-        query.len()
-    );
-    build_full_array_inner(
-        params,
-        rows,
-        query,
-        timing,
-        par,
-        enable_step2,
-        Some(vth_offsets),
-    )
-}
-
-#[allow(clippy::too_many_lines)]
-fn build_full_array_inner(
-    params: &DesignParams,
-    rows: &[TernaryWord],
-    query: &[bool],
-    timing: &SearchTiming,
-    par: &RowParasitics,
-    enable_step2: bool,
-    vth_offsets: Option<&[f64]>,
 ) -> Result<FullArrayCircuit> {
     assert!(
         params.kind.is_t15(),
@@ -206,12 +156,7 @@ fn build_full_array_inner(
         };
         let (bg1, bg2) = if is_dg { (sela, selb) } else { (gnd, gnd) };
 
-        // One divider per (row, pair); Monte-Carlo runs skew each
-        // FeFET's V_TH individually.
-        let fe_params = |r: usize, c: usize| match vth_offsets {
-            Some(o) => skewed_fefet(params.fefet(), o[r * n + c]),
-            None => params.fefet().clone(),
-        };
+        // One divider per (row, pair).
         for (r, word) in rows.iter().enumerate() {
             let slbar = ckt.node(&format!("slbar{r}_{p}"));
             ckt.capacitor(&format!("cslbar{r}_{p}"), slbar, gnd, par.slbar_wire)?;
@@ -221,7 +166,7 @@ fn build_full_array_inner(
                 fg1,
                 slbar,
                 bg1,
-                fe_params(r, c1),
+                params.fefet().clone(),
             );
             f1.program(state_for(word.digit(c1)));
             ckt.device(Box::new(f1));
@@ -231,7 +176,7 @@ fn build_full_array_inner(
                 fg2,
                 slbar,
                 bg2,
-                fe_params(r, c2),
+                params.fefet().clone(),
             );
             f2.program(state_for(word.digit(c2)));
             ckt.device(Box::new(f2));

@@ -47,12 +47,11 @@ pub use approx::{
 };
 pub use array::{build_search_row, SearchRun, SearchSim};
 pub use behav::{BehavioralTcam, SearchOutcome};
-pub use calib::{Calibration, MisclassPoint, RowWriteMetrics, SenseModel, SensePoint};
+pub use calib::{Calibration, RowWriteMetrics, SenseModel};
 pub use cell::{DesignKind, DesignParams, RowParasitics, SearchTiming};
 pub use fom::{characterize_search, characterize_write, SearchMetrics, WriteMetrics};
 pub use full_array::{
-    build_full_array, build_full_array_skewed, cross_validate_array, search_full_array,
-    ArraySearchResult, FullArrayCircuit,
+    build_full_array, cross_validate_array, search_full_array, ArraySearchResult, FullArrayCircuit,
 };
 pub use margins::{nominal_margins, DividerLevels, SearchMargins};
 pub use packed::{

@@ -1,17 +1,16 @@
-//! Circuit-grounded sense-time characterisation for approximate match.
+//! Circuit checks behind the approximate-match kinds.
 //!
 //! **Hamming sensing (TAP-CAM).** Every mismatching cell pair of a row
-//! turns on one match-line pull-down, so m mismatches discharge the ML
-//! through m parallel paths — roughly m× faster. [`discharge_times`]
-//! measures this directly: it builds a small single-step array
-//! (via [`build_full_array_skewed`]) whose row m carries exactly m
-//! mismatching pairs against the query, runs the SPICE transient, and
-//! extracts each ML's half-swing falling crossing. The resulting
-//! discharge-time-vs-mismatch curve — nominal plus Monte-Carlo spread
-//! under `device::variability` — is written to `sense_time.csv` and
-//! consumed by [`crate::calib::SenseModel`], which turns a sense
-//! *moment* into a Hamming-distance *threshold* with a calibrated
-//! misclassification probability.
+//! turns on one match-line pull-down, so more mismatches discharge the
+//! ML sooner. [`discharge_times`] measures this directly: it builds a
+//! small single-step array (via [`build_full_array`]) whose row m
+//! carries exactly m mismatching pairs against the query, runs the
+//! SPICE transient, and extracts each ML's half-swing falling
+//! crossing. `core/tests/sense_model.rs` holds that curve to the
+//! ordering of the closed-form [`crate::calib::SenseModel`] law the
+//! service prices threshold queries with: times fall strictly with m,
+//! and a full match never discharges. Only the ordering is checked:
+//! the measured times fall far more slowly than the law's `t₁ / m`.
 //!
 //! **Range sensing (FeCAM).** A range cell stores a `[lo, hi]` window
 //! as two programmed thresholds: one FeFET gated by the query voltage
@@ -23,11 +22,10 @@
 //! DC-solves it — the SPICE spot-check behind the behavioural
 //! [`crate::BitSlices::range_search`] kernel.
 
-use crate::calib::SensePoint;
 use crate::cell::{DesignParams, RowParasitics, SearchTiming};
-use crate::full_array::{build_full_array, build_full_array_skewed};
+use crate::full_array::build_full_array;
 use crate::ternary::{Ternary, TernaryWord};
-use ferrotcam_device::variability::{skewed_fefet, VthVariation};
+use ferrotcam_device::variability::skewed_fefet;
 use ferrotcam_device::Fefet;
 use ferrotcam_device::VthState;
 use ferrotcam_spice::prelude::*;
@@ -67,8 +65,7 @@ pub fn mismatch_ladder(word_len: usize, max_mismatch: usize) -> (Vec<TernaryWord
 /// ML half-swing discharge time per mismatch count: entry m is the
 /// time (s, from search start) at which the ML of the row with m
 /// mismatches falls through `vdd / 2`, or `None` when it never
-/// discharges (always the case for m = 0). With `vth_offsets`, every
-/// FeFET is skewed individually — the Monte-Carlo path.
+/// discharges (always the case for m = 0).
 ///
 /// # Errors
 /// Propagates simulator failures.
@@ -79,16 +76,11 @@ pub fn discharge_times(
     params: &DesignParams,
     word_len: usize,
     max_mismatch: usize,
-    vth_offsets: Option<&[f64]>,
 ) -> Result<Vec<Option<f64>>> {
     let (rows, query) = mismatch_ladder(word_len, max_mismatch);
     let timing = SearchTiming::default();
     let par = RowParasitics::default();
-    let built = match vth_offsets {
-        Some(o) => build_full_array_skewed(params, &rows, &query, &timing, &par, false, o),
-        None => build_full_array(params, &rows, &query, &timing, &par, false),
-    }?;
-    let mut circuit = built.circuit;
+    let mut circuit = build_full_array(params, &rows, &query, &timing, &par, false)?.circuit;
     let mut opts = TranOpts::to_time(timing.t_stop(false));
     opts.dt_init = 1e-12;
     opts.dt_max = 4e-12;
@@ -112,76 +104,6 @@ pub fn discharge_times(
             Ok(None)
         })
         .collect()
-}
-
-/// Deterministic Monte-Carlo variant of [`discharge_times`]: V_TH
-/// offsets drawn per device from `VthVariation::for_fefet` stream
-/// `seed` (same convention as the Fig. 7 grid).
-///
-/// # Errors
-/// Propagates simulator failures.
-pub fn discharge_times_mc(
-    params: &DesignParams,
-    word_len: usize,
-    max_mismatch: usize,
-    seed: u64,
-) -> Result<Vec<Option<f64>>> {
-    let var = VthVariation::for_fefet(params.fefet());
-    let offsets = var.sample_batch(seed, (max_mismatch + 1) * word_len);
-    discharge_times(params, word_len, max_mismatch, Some(&offsets))
-}
-
-/// Characterise the sense-time curve: nominal discharge times plus one
-/// Monte-Carlo run per seed, folded into per-mismatch mean and spread.
-/// Only mismatch counts where *every* run discharged make the curve
-/// (m = 0 never does, by construction).
-///
-/// # Errors
-/// Propagates simulator failures.
-pub fn characterize_sense(
-    params: &DesignParams,
-    word_len: usize,
-    max_mismatch: usize,
-    mc_seeds: &[u64],
-) -> Result<Vec<SensePoint>> {
-    let mut runs = vec![discharge_times(params, word_len, max_mismatch, None)?];
-    for &seed in mc_seeds {
-        runs.push(discharge_times_mc(params, word_len, max_mismatch, seed)?);
-    }
-    let mut points = Vec::new();
-    for m in 1..=max_mismatch {
-        let times: Vec<f64> = runs.iter().filter_map(|run| run[m]).collect();
-        if times.len() < runs.len() {
-            continue; // some run never discharged: outside the curve
-        }
-        let mean = times.iter().sum::<f64>() / times.len() as f64;
-        let var = times.iter().map(|t| (t - mean) * (t - mean)).sum::<f64>() / times.len() as f64;
-        // A single run has no measured spread; carry a conservative
-        // 2 % floor so the misclassification table never divides by 0.
-        let sigma = var.sqrt().max(0.02 * mean);
-        points.push(SensePoint {
-            mismatches: m,
-            mean_s: mean,
-            sigma_s: sigma,
-        });
-    }
-    Ok(points)
-}
-
-/// Render the characterised curve as `sense_time.csv` (picoseconds,
-/// the format [`crate::calib::Calibration::load`] consumes).
-#[must_use]
-pub fn render_sense_csv(points: &[SensePoint]) -> String {
-    let mut out = String::from("mismatches,mean_ps,sigma_ps\n");
-    for p in points {
-        out.push_str(&format!(
-            "{},{:.4},{:.4}\n",
-            p.mismatches,
-            p.mean_s * 1e12,
-            p.sigma_s * 1e12
-        ));
-    }
-    out
 }
 
 /// A built (unsolved) FeCAM range-sense cell.
@@ -310,24 +232,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn render_csv_round_trips_through_calibration() {
-        let points = vec![
-            SensePoint {
-                mismatches: 1,
-                mean_s: 210e-12,
-                sigma_s: 9e-12,
-            },
-            SensePoint {
-                mismatches: 2,
-                mean_s: 110e-12,
-                sigma_s: 5e-12,
-            },
-        ];
-        let csv = render_sense_csv(&points);
-        assert!(csv.starts_with("mismatches,mean_ps,sigma_ps\n"));
-        assert!(csv.contains("1,210.0000,9.0000"));
     }
 }

@@ -9,7 +9,6 @@
 //! quantum.
 
 use crate::fefet::FefetParams;
-use ferrotcam_spice::parallel::par_map;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr_like::NormalSampler;
@@ -101,11 +100,6 @@ impl VthVariation {
         .sample(rng)
     }
 
-    /// Draw `n` offsets.
-    pub fn sample_n<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<f64> {
-        (0..n).map(|_| self.sample(rng)).collect()
-    }
-
     /// Draw the `index`-th offset of the deterministic stream `seed`
     /// (V, FG-referred).
     ///
@@ -116,22 +110,6 @@ impl VthVariation {
     pub fn sample_at(&self, seed: u64, index: u64) -> f64 {
         let mut rng = StdRng::seed_from_u64(sample_seed(seed, index));
         self.sample(&mut rng)
-    }
-
-    /// Draw offsets `0..n` of stream `seed` serially (reference order).
-    #[must_use]
-    pub fn sample_batch(&self, seed: u64, n: usize) -> Vec<f64> {
-        (0..n as u64).map(|i| self.sample_at(seed, i)).collect()
-    }
-
-    /// Draw offsets `0..n` of stream `seed` on `jobs` workers.
-    ///
-    /// Bit-identical to [`Self::sample_batch`] for every worker count,
-    /// because each index derives its own generator.
-    #[must_use]
-    pub fn sample_batch_par(&self, seed: u64, n: usize, jobs: usize) -> Vec<f64> {
-        let indices: Vec<u64> = (0..n as u64).collect();
-        par_map(&indices, jobs, |_, &i| self.sample_at(seed, i))
     }
 
     /// A copy with the sigma scaled by `factor` (for sensitivity
@@ -159,8 +137,6 @@ pub fn skewed_fefet(params: &FefetParams, dvth: f64) -> FefetParams {
 mod tests {
     use super::*;
     use crate::calib;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn sigma_is_millivolt_scale() {
@@ -168,22 +144,6 @@ mod tests {
         let s = v.sigma_vth();
         // 20×50 nm device: tens of mV.
         assert!(s > 0.02 && s < 0.12, "sigma = {s}");
-    }
-
-    #[test]
-    fn samples_match_requested_sigma() {
-        let v = VthVariation::for_fefet(&calib::dg_fefet_14nm());
-        let mut rng = StdRng::seed_from_u64(9);
-        let xs = v.sample_n(&mut rng, 20_000);
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / xs.len() as f64;
-        assert!(mean.abs() < 0.002, "mean = {mean}");
-        assert!(
-            (var.sqrt() / v.sigma_vth() - 1.0).abs() < 0.05,
-            "sd = {} vs {}",
-            var.sqrt(),
-            v.sigma_vth()
-        );
     }
 
     #[test]
@@ -202,18 +162,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_batch_is_bit_identical_to_serial() {
-        let v = VthVariation::for_fefet(&calib::dg_fefet_14nm());
-        let serial = v.sample_batch(0xfe1d, 257);
-        for jobs in [1, 2, 3, 8, 64] {
-            assert_eq!(v.sample_batch_par(0xfe1d, 257, jobs), serial, "jobs={jobs}");
-        }
-    }
-
-    #[test]
     fn indexed_batch_matches_requested_sigma() {
         let v = VthVariation::for_fefet(&calib::dg_fefet_14nm());
-        let xs = v.sample_batch(42, 20_000);
+        let xs: Vec<f64> = (0..20_000).map(|i| v.sample_at(42, i)).collect();
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / xs.len() as f64;
         assert!(mean.abs() < 0.002, "mean = {mean}");

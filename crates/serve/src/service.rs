@@ -717,7 +717,7 @@ fn caller_run(inner: &Inner, job: Job) {
 
 /// Per-kind bank-occupancy multiplier for the batch planner. With a
 /// sense-time model attached, a threshold query's bank time is its
-/// sense time (high thresholds sense late, low ones early) and a range
+/// sense time (high thresholds sense early, low ones late) and a range
 /// query senses at the one-mismatch discharge point; exact and top-k
 /// queries keep the two-step unit cost. Clamped so a degenerate model
 /// can never starve or flood the schedule.
