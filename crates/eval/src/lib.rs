@@ -20,13 +20,11 @@
 pub mod analytic;
 pub mod layout;
 pub mod parasitics;
-pub mod related;
 pub mod report;
 pub mod tech;
 
 pub use analytic::{analytic_search, AnalyticSearch};
 pub use layout::{cell_area, cell_dimensions, cell_layout, CellLayout};
 pub use parasitics::row_parasitics;
-pub use related::{normalized_cell_area, published_designs, PublishedTcam};
 pub use report::{cmos_published, FomRow, FomTable};
 pub use tech::{tech_14nm, TechNode};

@@ -189,19 +189,4 @@ mod tests {
         // (through R1, held by gmin at ~1 V).
         assert!((sol.voltage(b) - 1.0).abs() < 1e-3);
     }
-
-    #[test]
-    fn isource_into_resistor() {
-        let mut ckt = Circuit::new();
-        let a = ckt.node("a");
-        // 1 mA pulled from ground into a (p=gnd flows to n=a ⇒ enters a).
-        ckt.isource("I1", Circuit::gnd(), a, Waveform::dc(1e-3));
-        ckt.resistor("R1", a, Circuit::gnd(), 1e3).unwrap();
-        let sol = operating_point(&ckt, &DcOpts::default()).unwrap();
-        assert!(
-            (sol.voltage(a) - 1.0).abs() < 1e-4,
-            "v = {}",
-            sol.voltage(a)
-        );
-    }
 }

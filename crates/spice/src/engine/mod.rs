@@ -631,48 +631,6 @@ impl<'a> System<'a> {
                     }
                     rhs[bv] += wave.value(time) * source_scale;
                 }
-                Element::ISource { p, n, wave, .. } => {
-                    let j = wave.value(time) * source_scale;
-                    self.stamp_current_pn(rhs, *p, *n, j);
-                }
-                Element::Vcvs {
-                    p,
-                    n,
-                    cp,
-                    cn,
-                    gain,
-                    branch,
-                    ..
-                } => {
-                    if let Some(t) = mat.as_deref_mut() {
-                        let bv = self.branch_var(*branch);
-                        if let Some(vp) = self.var_of(*p) {
-                            t.add(vp, bv, 1.0);
-                            t.add(bv, vp, 1.0);
-                        }
-                        if let Some(vn) = self.var_of(*n) {
-                            t.add(vn, bv, -1.0);
-                            t.add(bv, vn, -1.0);
-                        }
-                        // Branch row: v_p − v_n − gain·(v_cp − v_cn) = 0.
-                        if let Some(vc) = self.var_of(*cp) {
-                            t.add(bv, vc, -gain);
-                        }
-                        if let Some(vc) = self.var_of(*cn) {
-                            t.add(bv, vc, *gain);
-                        }
-                        if self.var_of(*p).is_none() && self.var_of(*n).is_none() {
-                            t.add(bv, bv, 1.0);
-                        }
-                    }
-                }
-                Element::Vccs {
-                    p, n, cp, cn, gm, ..
-                } => {
-                    if let Some(t) = mat.as_deref_mut() {
-                        self.stamp_transconductance(t, *p, *n, *cp, *cn, *gm);
-                    }
-                }
             }
         }
     }
@@ -944,26 +902,6 @@ impl<'a> System<'a> {
         }
     }
 
-    #[inline]
-    fn stamp_transconductance<S: Stamper>(
-        &self,
-        tri: &mut S,
-        p: NodeId,
-        n: NodeId,
-        cp: NodeId,
-        cn: NodeId,
-        gm: f64,
-    ) {
-        for (out, sign_o) in [(p, 1.0), (n, -1.0)] {
-            let Some(r) = self.var_of(out) else { continue };
-            for (ctrl, sign_c) in [(cp, 1.0), (cn, -1.0)] {
-                if let Some(c) = self.var_of(ctrl) {
-                    tri.add(r, c, gm * sign_o * sign_c);
-                }
-            }
-        }
-    }
-
     /// Worst-residual attribution from the system last assembled into
     /// `ws` around operating point `x`.
     ///
@@ -1034,21 +972,12 @@ impl<'a> System<'a> {
             .elements()
             .iter()
             .find(|e| match e {
-                Element::Resistor { p, n, .. }
-                | Element::Capacitor { p, n, .. }
-                | Element::ISource { p, n, .. } => at(*p) || at(*n),
+                Element::Resistor { p, n, .. } | Element::Capacitor { p, n, .. } => {
+                    at(*p) || at(*n)
+                }
                 Element::VSource { p, n, branch, .. } => {
                     self.branch_var(*branch) == row || at(*p) || at(*n)
                 }
-                Element::Vcvs {
-                    p,
-                    n,
-                    cp,
-                    cn,
-                    branch,
-                    ..
-                } => self.branch_var(*branch) == row || at(*p) || at(*n) || at(*cp) || at(*cn),
-                Element::Vccs { p, n, cp, cn, .. } => at(*p) || at(*n) || at(*cp) || at(*cn),
             })
             .map(Element::name)
     }
@@ -1199,59 +1128,5 @@ mod tests {
         // means −1 mA through the source p→n convention.
         let i = x[sys.branch_var(0)];
         assert!((i + 1e-3).abs() < 1e-6, "i = {i}");
-    }
-
-    #[test]
-    fn vcvs_amplifies() {
-        let mut ckt = Circuit::new();
-        let inp = ckt.node("in");
-        let out = ckt.node("out");
-        ckt.vsource("V1", inp, Circuit::gnd(), Waveform::dc(0.25));
-        ckt.vcvs("E1", out, Circuit::gnd(), inp, Circuit::gnd(), 4.0);
-        ckt.resistor("RL", out, Circuit::gnd(), 1e3).unwrap();
-        let sys = System::new(&ckt);
-        let mut ws = NewtonWorkspace::new(&sys);
-        let (x, _) = sys
-            .newton(
-                &vec![0.0; sys.nvars],
-                0.0,
-                1.0,
-                crate::units::TEMP_NOMINAL,
-                GMIN,
-                None,
-                &mut ws,
-                None,
-                "dc",
-            )
-            .unwrap();
-        assert!((sys.voltage(&x, out) - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn vccs_injects_current() {
-        // V1 = 1 V on ctrl; VCCS gm = 1 mS drives current into load 1k.
-        let mut ckt = Circuit::new();
-        let ctrl = ckt.node("ctrl");
-        let out = ckt.node("out");
-        ckt.vsource("V1", ctrl, Circuit::gnd(), Waveform::dc(1.0));
-        ckt.vccs("G1", Circuit::gnd(), out, ctrl, Circuit::gnd(), 1e-3);
-        ckt.resistor("RL", out, Circuit::gnd(), 1e3).unwrap();
-        let sys = System::new(&ckt);
-        let mut ws = NewtonWorkspace::new(&sys);
-        let (x, _) = sys
-            .newton(
-                &vec![0.0; sys.nvars],
-                0.0,
-                1.0,
-                crate::units::TEMP_NOMINAL,
-                GMIN,
-                None,
-                &mut ws,
-                None,
-                "dc",
-            )
-            .unwrap();
-        // i(gnd→out) = gm·1 V = 1 mA into out's load → v(out) = +1 V.
-        assert!((sys.voltage(&x, out) - 1.0).abs() < 1e-4);
     }
 }

@@ -66,9 +66,7 @@ pub fn collect_breakpoints(ckt: &Circuit, t_stop: f64) -> Vec<f64> {
         .elements()
         .iter()
         .flat_map(|e| match e {
-            Element::VSource { wave, .. } | Element::ISource { wave, .. } => {
-                wave.breakpoints(t_stop)
-            }
+            Element::VSource { wave, .. } => wave.breakpoints(t_stop),
             _ => Vec::new(),
         })
         .collect();

@@ -47,70 +47,20 @@ fn node_name(ckt: &Circuit, idx: usize) -> String {
     ckt.node_name(NodeId(idx as u32)).to_string()
 }
 
-/// Register a zero-impedance edge (voltage source or VCVS output) and
-/// diagnose the cycle it may close: a direct parallel partner with a
-/// different waveform is a driver conflict, anything else a loop.
-#[allow(clippy::too_many_arguments)]
-fn zero_edge<'c>(
-    ckt: &Circuit,
-    p: usize,
-    q: usize,
-    name: &'c str,
-    wave: Option<&'c Waveform>,
-    zero: &mut UnionFind,
-    zero_edges: &mut Vec<(usize, usize, &'c str, Option<&'c Waveform>)>,
-    diags: &mut Vec<ErcDiagnostic>,
-) {
-    let closes_cycle = p == q || !zero.union(p, q);
-    if closes_cycle {
-        let key = (p.min(q), p.max(q));
-        let parallel = zero_edges.iter().find(|&&(lo, hi, _, _)| (lo, hi) == key);
-        let diag = match parallel {
-            Some(&(_, _, other, other_wave))
-                if wave.is_some() && other_wave.is_some() && wave != other_wave =>
-            {
-                ErcDiagnostic::new(
-                    Rule::DriverConflict,
-                    format!(
-                        "low-impedance drivers {other} and {name} share a node \
-                         with different waveforms"
-                    ),
-                )
-                .with_devices(vec![other.to_string(), name.to_string()])
-            }
-            Some(&(_, _, other, _)) => ErcDiagnostic::new(
-                Rule::VoltageSourceLoop,
-                format!("{name} is connected in parallel with {other}"),
-            )
-            .with_devices(vec![other.to_string(), name.to_string()]),
-            None => ErcDiagnostic::new(
-                Rule::VoltageSourceLoop,
-                format!("{name} closes a loop of zero-impedance branches"),
-            )
-            .with_devices(vec![name.to_string()]),
-        };
-        diags.push(diag.with_nodes(vec![node_name(ckt, p), node_name(ckt, q)]));
-    }
-    zero_edges.push((p.min(q), p.max(q), name, wave));
-}
-
 pub(super) fn run(ckt: &Circuit, diags: &mut Vec<ErcDiagnostic>) {
     let n = ckt.num_nodes();
 
-    // Incidence degree per node (every element terminal, including the
-    // high-impedance control terminals of controlled sources).
+    // Incidence degree per node (every element and device terminal).
     let mut degree = vec![0usize; n];
     // Any-coupling connectivity: does a node connect to ground at all?
     let mut full = UnionFind::new(n);
-    // DC conduction only: resistors, voltage-source branches, VCVS
-    // outputs, and the channel paths devices declare via `dc_paths`.
+    // DC conduction only: resistors, voltage-source branches, and the
+    // channel paths devices declare via `dc_paths`.
     let mut dc = UnionFind::new(n);
     // Zero-impedance subgraph for voltage-source loop detection.
     let mut zero = UnionFind::new(n);
     // Zero-impedance edges seen so far: (lo, hi, name, waveform).
-    let mut zero_edges: Vec<(usize, usize, &str, Option<&Waveform>)> = Vec::new();
-    // Current-source attachments (independent sources + VCCS outputs).
-    let mut isrc_nodes: Vec<(usize, &str)> = Vec::new();
+    let mut zero_edges: Vec<(usize, usize, &str, &Waveform)> = Vec::new();
 
     for e in ckt.elements() {
         match e {
@@ -132,52 +82,39 @@ pub(super) fn run(ckt: &Circuit, diags: &mut Vec<ErcDiagnostic>) {
                 degree[n.index()] += 1;
                 full.union(p.index(), n.index());
                 dc.union(p.index(), n.index());
-                zero_edge(
-                    ckt,
-                    p.index(),
-                    n.index(),
-                    name,
-                    Some(wave),
-                    &mut zero,
-                    &mut zero_edges,
-                    diags,
-                );
-            }
-            Element::ISource { name, p, n, .. } => {
-                degree[p.index()] += 1;
-                degree[n.index()] += 1;
-                full.union(p.index(), n.index());
-                isrc_nodes.push((p.index(), name));
-                isrc_nodes.push((n.index(), name));
-            }
-            Element::Vcvs {
-                name, p, n, cp, cn, ..
-            } => {
-                for t in [p, n, cp, cn] {
-                    degree[t.index()] += 1;
+                // A source that closes a cycle of zero-impedance edges: a
+                // direct parallel partner with a different waveform is a
+                // driver conflict, anything else a loop.
+                let (p, q) = (p.index(), n.index());
+                let key = (p.min(q), p.max(q));
+                let closes_cycle = p == q || !zero.union(p, q);
+                if closes_cycle {
+                    let parallel = zero_edges.iter().find(|&&(lo, hi, _, _)| (lo, hi) == key);
+                    let diag = match parallel {
+                        Some(&(_, _, other, other_wave)) if wave != other_wave => {
+                            ErcDiagnostic::new(
+                                Rule::DriverConflict,
+                                format!(
+                                    "low-impedance drivers {other} and {name} share a node \
+                                     with different waveforms"
+                                ),
+                            )
+                            .with_devices(vec![other.to_string(), name.to_string()])
+                        }
+                        Some(&(_, _, other, _)) => ErcDiagnostic::new(
+                            Rule::VoltageSourceLoop,
+                            format!("{name} is connected in parallel with {other}"),
+                        )
+                        .with_devices(vec![other.to_string(), name.to_string()]),
+                        None => ErcDiagnostic::new(
+                            Rule::VoltageSourceLoop,
+                            format!("{name} closes a loop of zero-impedance branches"),
+                        )
+                        .with_devices(vec![name.to_string()]),
+                    };
+                    diags.push(diag.with_nodes(vec![node_name(ckt, p), node_name(ckt, q)]));
                 }
-                full.union(p.index(), n.index());
-                dc.union(p.index(), n.index());
-                zero_edge(
-                    ckt,
-                    p.index(),
-                    n.index(),
-                    name,
-                    None,
-                    &mut zero,
-                    &mut zero_edges,
-                    diags,
-                );
-            }
-            Element::Vccs {
-                name, p, n, cp, cn, ..
-            } => {
-                for t in [p, n, cp, cn] {
-                    degree[t.index()] += 1;
-                }
-                full.union(p.index(), n.index());
-                isrc_nodes.push((p.index(), name));
-                isrc_nodes.push((n.index(), name));
+                zero_edges.push((key.0, key.1, name, wave));
             }
         }
     }
@@ -231,31 +168,13 @@ pub(super) fn run(ckt: &Circuit, diags: &mut Vec<ErcDiagnostic>) {
         }
     }
     for members in dc_islands.values() {
-        let mut feeders: Vec<String> = isrc_nodes
-            .iter()
-            .filter(|&&(v, _)| members.contains(&v))
-            .map(|&(_, name)| name.to_string())
-            .collect();
-        feeders.dedup();
-        let nodes: Vec<String> = members.iter().map(|&v| node_name(ckt, v)).collect();
-        if feeders.is_empty() {
-            diags.push(
-                ErcDiagnostic::new(
-                    Rule::NoDcPath,
-                    "no DC conduction path to ground (capacitor/gate-only island)",
-                )
-                .with_nodes(nodes),
-            );
-        } else {
-            diags.push(
-                ErcDiagnostic::new(
-                    Rule::CurrentSourceCutset,
-                    "current source drives an island with no DC path to carry its current",
-                )
-                .with_nodes(nodes)
-                .with_devices(feeders),
-            );
-        }
+        diags.push(
+            ErcDiagnostic::new(
+                Rule::NoDcPath,
+                "no DC conduction path to ground (capacitor/gate-only island)",
+            )
+            .with_nodes(members.iter().map(|&v| node_name(ckt, v)).collect()),
+        );
     }
 
     // --- Dangling terminals (warning). --------------------------------

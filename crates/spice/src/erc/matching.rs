@@ -43,27 +43,8 @@ pub(super) fn run(ckt: &Circuit, diags: &mut Vec<ErcDiagnostic>) {
                     rows[b].push(a);
                 }
             }
-            Element::Capacitor { .. } | Element::ISource { .. } => {}
+            Element::Capacitor { .. } => {}
             Element::VSource { p, n, branch, .. } => {
-                let bv = nnodes + branch;
-                for (t, _sign) in [(p, 1.0), (n, -1.0)] {
-                    if let Some(v) = var(*t) {
-                        rows[v].push(bv);
-                        rows[bv].push(v);
-                    }
-                }
-                if var(*p).is_none() && var(*n).is_none() {
-                    rows[bv].push(bv);
-                }
-            }
-            Element::Vcvs {
-                p,
-                n,
-                cp,
-                cn,
-                branch,
-                ..
-            } => {
                 let bv = nnodes + branch;
                 for t in [p, n] {
                     if let Some(v) = var(*t) {
@@ -71,23 +52,8 @@ pub(super) fn run(ckt: &Circuit, diags: &mut Vec<ErcDiagnostic>) {
                         rows[bv].push(v);
                     }
                 }
-                for c in [cp, cn] {
-                    if let Some(v) = var(*c) {
-                        rows[bv].push(v);
-                    }
-                }
                 if var(*p).is_none() && var(*n).is_none() {
                     rows[bv].push(bv);
-                }
-            }
-            Element::Vccs { p, n, cp, cn, .. } => {
-                for out in [p, n] {
-                    let Some(r) = var(*out) else { continue };
-                    for ctrl in [cp, cn] {
-                        if let Some(c) = var(*ctrl) {
-                            rows[r].push(c);
-                        }
-                    }
                 }
             }
         }
@@ -135,11 +101,7 @@ pub(super) fn run(ckt: &Circuit, diags: &mut Vec<ErcDiagnostic>) {
                 .elements()
                 .iter()
                 .find_map(|e| match e {
-                    Element::VSource { name, branch, .. } | Element::Vcvs { name, branch, .. }
-                        if *branch == b =>
-                    {
-                        Some(name.clone())
-                    }
+                    Element::VSource { name, branch, .. } if *branch == b => Some(name.clone()),
                     _ => None,
                 })
                 .unwrap_or_else(|| format!("branch#{b}"));

@@ -8,12 +8,12 @@
 //! structurally:
 //!
 //! * **connectivity** (`graph`): nodes unreachable from ground,
-//!   dangling terminals, capacitor-only islands with no DC path to
-//!   ground, current sources driving into DC-isolated islands;
+//!   dangling terminals, capacitor- or gate-only islands with no DC
+//!   path to ground;
 //! * **KVL/KCL structure** (`graph`, `matching`): loops of
-//!   zero-impedance branches (voltage sources, VCVS outputs),
-//!   driver conflicts (parallel low-impedance drivers with differing
-//!   waveforms on one node), and structurally-singular MNA prediction
+//!   zero-impedance branches (voltage sources), driver conflicts
+//!   (parallel low-impedance drivers with differing waveforms on one
+//!   node), and structurally-singular MNA prediction
 //!   via maximum matching on the gmin-free DC pattern
 //!   (Dulmage–Mendelsohn coarse test);
 //! * **parameter domain** (`params`): NaN/non-finite element and
@@ -59,9 +59,10 @@ impl fmt::Display for Severity {
 }
 
 /// The rule catalogue. Each rule has a stable kebab-case id used in
-/// JSON output and tests.
+/// JSON output and tests. Exhaustive on purpose: the ERC mutation
+/// corpus matches on it with no `_` arm, so a new rule cannot land
+/// without a fault fixture that triggers it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
 pub enum Rule {
     /// A node (island) with no connection of any kind to ground.
     FloatingNode,
@@ -70,10 +71,8 @@ pub enum Rule {
     /// A node island connected only through capacitors (or device
     /// gates): no DC conduction path to ground.
     NoDcPath,
-    /// Zero-impedance branches (V sources, VCVS outputs) form a loop.
+    /// Zero-impedance branches (voltage sources) form a loop.
     VoltageSourceLoop,
-    /// A current source drives into an island with no DC path out.
-    CurrentSourceCutset,
     /// Maximum matching on the gmin-free DC pattern is deficient: the
     /// MNA matrix is structurally singular.
     StructurallySingular,
@@ -96,7 +95,6 @@ impl Rule {
             Rule::DanglingTerminal => "dangling-terminal",
             Rule::NoDcPath => "no-dc-path",
             Rule::VoltageSourceLoop => "voltage-source-loop",
-            Rule::CurrentSourceCutset => "current-source-cutset",
             Rule::StructurallySingular => "structurally-singular",
             Rule::NonFiniteParameter => "non-finite-parameter",
             Rule::NonPositiveGeometry => "non-positive-geometry",
@@ -358,16 +356,9 @@ pub fn validate(ckt: &Circuit) -> Result<()> {
         match e {
             Element::Resistor { p, n, .. }
             | Element::Capacitor { p, n, .. }
-            | Element::VSource { p, n, .. }
-            | Element::ISource { p, n, .. } => {
+            | Element::VSource { p, n, .. } => {
                 check(p.index())?;
                 check(n.index())?;
-            }
-            Element::Vcvs { p, n, cp, cn, .. } | Element::Vccs { p, n, cp, cn, .. } => {
-                check(p.index())?;
-                check(n.index())?;
-                check(cp.index())?;
-                check(cn.index())?;
             }
         }
     }
@@ -488,7 +479,7 @@ mod tests {
         let mut small = Circuit::new();
         let a = small.node("a");
         small.vsource("V1", a, Circuit::gnd(), Waveform::dc(1.0));
-        small.isource("I1", foreign, Circuit::gnd(), Waveform::dc(1e-6));
+        small.vsource("V2", foreign, Circuit::gnd(), Waveform::dc(1e-6));
         assert!(matches!(
             check(&small),
             Err(Error::UnknownNode { index: 10 })
@@ -556,20 +547,6 @@ mod tests {
             "{}",
             report.render_human()
         );
-    }
-
-    #[test]
-    fn isolated_current_source_is_a_cutset() {
-        let mut ckt = divider();
-        let x = ckt.node("x");
-        ckt.isource("IX", Circuit::gnd(), x, Waveform::dc(1e-6));
-        let report = check(&ckt).unwrap();
-        assert!(
-            report.has_rule(Rule::CurrentSourceCutset),
-            "{}",
-            report.render_human()
-        );
-        assert!(!report.has_rule(Rule::NoDcPath));
     }
 
     #[test]
@@ -658,21 +635,6 @@ mod tests {
         let report = check(&ckt).unwrap();
         // Self-loop on ground is still a loop of zero-impedance branches.
         assert!(report.has_rule(Rule::VoltageSourceLoop));
-    }
-
-    #[test]
-    fn vccs_output_island_flagged_as_cutset() {
-        let mut ckt = divider();
-        let a = ckt.find_node("a").unwrap();
-        let x = ckt.node("x");
-        ckt.vccs("GX", x, Circuit::gnd(), a, Circuit::gnd(), 1e-3);
-        ckt.capacitor("CX", x, Circuit::gnd(), 1e-15).unwrap();
-        let report = check(&ckt).unwrap();
-        assert!(
-            report.has_rule(Rule::CurrentSourceCutset),
-            "{}",
-            report.render_human()
-        );
     }
 
     #[test]

@@ -37,19 +37,9 @@ pub(super) fn run(ckt: &Circuit, diags: &mut Vec<ErcDiagnostic>) {
                     flag_value(diags, name, "capacitance", *farads);
                 }
             }
-            Element::VSource { name, wave, .. } | Element::ISource { name, wave, .. } => {
+            Element::VSource { name, wave, .. } => {
                 if !wave_finite(wave) {
                     flag_value(diags, name, "source waveform", wave.value(0.0));
-                }
-            }
-            Element::Vcvs { name, gain, .. } => {
-                if !gain.is_finite() {
-                    flag_value(diags, name, "gain", *gain);
-                }
-            }
-            Element::Vccs { name, gm, .. } => {
-                if !gm.is_finite() {
-                    flag_value(diags, name, "transconductance", *gm);
                 }
             }
         }

@@ -11,9 +11,9 @@
 //!   source stepping),
 //! * transient analysis (backward Euler, charge formulation, adaptive
 //!   stepping with source breakpoints),
-//! * linear elements (R, C, V/I sources with DC/pulse/PWL/sine waveforms,
-//!   VCCS) and a trait for user nonlinear devices,
-//! * waveform probing: threshold crossings, integrals, per-source energy.
+//! * linear elements (R, C, independent voltage sources with
+//!   DC/pulse/PWL/sine waveforms) and a trait for user nonlinear devices,
+//! * waveform probing: threshold crossings, extrema, per-source energy.
 //!
 //! ## Quick example: RC low-pass step response
 //!

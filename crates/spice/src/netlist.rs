@@ -72,51 +72,6 @@ pub enum Element {
         /// Branch index assigned at construction.
         branch: usize,
     },
-    /// Independent current source driving current from `p` to `n`
-    /// through itself (SPICE convention).
-    ISource {
-        /// Instance name.
-        name: String,
-        /// Positive node.
-        p: NodeId,
-        /// Negative node.
-        n: NodeId,
-        /// Source waveform.
-        wave: Waveform,
-    },
-    /// Voltage-controlled voltage source: `v(p,n) = gain · (v(cp) − v(cn))`;
-    /// its branch current is an MNA unknown.
-    Vcvs {
-        /// Instance name.
-        name: String,
-        /// Output positive node.
-        p: NodeId,
-        /// Output negative node.
-        n: NodeId,
-        /// Controlling positive node.
-        cp: NodeId,
-        /// Controlling negative node.
-        cn: NodeId,
-        /// Voltage gain.
-        gain: f64,
-        /// Branch index assigned at construction.
-        branch: usize,
-    },
-    /// Voltage-controlled current source: `i(p→n) = gm · (v(cp) − v(cn))`.
-    Vccs {
-        /// Instance name.
-        name: String,
-        /// Output positive node.
-        p: NodeId,
-        /// Output negative node.
-        n: NodeId,
-        /// Controlling positive node.
-        cp: NodeId,
-        /// Controlling negative node.
-        cn: NodeId,
-        /// Transconductance in siemens.
-        gm: f64,
-    },
 }
 
 impl Element {
@@ -126,10 +81,7 @@ impl Element {
         match self {
             Element::Resistor { name, .. }
             | Element::Capacitor { name, .. }
-            | Element::VSource { name, .. }
-            | Element::ISource { name, .. }
-            | Element::Vcvs { name, .. }
-            | Element::Vccs { name, .. } => name,
+            | Element::VSource { name, .. } => name,
         }
     }
 }
@@ -307,54 +259,6 @@ impl Circuit {
         branch
     }
 
-    /// Add an independent current source (current flows `p → n` through
-    /// the source).
-    pub fn isource(&mut self, name: &str, p: NodeId, n: NodeId, wave: Waveform) {
-        self.elements.push(Element::ISource {
-            name: name.to_string(),
-            p,
-            n,
-            wave,
-        });
-    }
-
-    /// Add a voltage-controlled voltage source; returns its branch
-    /// index (its current is an MNA unknown like an independent source).
-    pub fn vcvs(
-        &mut self,
-        name: &str,
-        p: NodeId,
-        n: NodeId,
-        cp: NodeId,
-        cn: NodeId,
-        gain: f64,
-    ) -> usize {
-        let branch = self.num_branches;
-        self.num_branches += 1;
-        self.elements.push(Element::Vcvs {
-            name: name.to_string(),
-            p,
-            n,
-            cp,
-            cn,
-            gain,
-            branch,
-        });
-        branch
-    }
-
-    /// Add a voltage-controlled current source.
-    pub fn vccs(&mut self, name: &str, p: NodeId, n: NodeId, cp: NodeId, cn: NodeId, gm: f64) {
-        self.elements.push(Element::Vccs {
-            name: name.to_string(),
-            p,
-            n,
-            cp,
-            cn,
-            gm,
-        });
-    }
-
     /// Register a nonlinear device.
     pub fn device(&mut self, dev: Box<dyn NonlinearDevice>) {
         self.devices.push(dev);
@@ -412,44 +316,6 @@ impl Circuit {
                 } => {
                     let _ = writeln!(s, "V{name} {} {} {}", node(*p), node(*n), spice_wave(wave));
                 }
-                Element::ISource { name, p, n, wave } => {
-                    let _ = writeln!(s, "I{name} {} {} {}", node(*p), node(*n), spice_wave(wave));
-                }
-                Element::Vcvs {
-                    name,
-                    p,
-                    n,
-                    cp,
-                    cn,
-                    gain,
-                    ..
-                } => {
-                    let _ = writeln!(
-                        s,
-                        "E{name} {} {} {} {} {gain:.6e}",
-                        node(*p),
-                        node(*n),
-                        node(*cp),
-                        node(*cn)
-                    );
-                }
-                Element::Vccs {
-                    name,
-                    p,
-                    n,
-                    cp,
-                    cn,
-                    gm,
-                } => {
-                    let _ = writeln!(
-                        s,
-                        "G{name} {} {} {} {} {gm:.6e}",
-                        node(*p),
-                        node(*n),
-                        node(*cp),
-                        node(*cn)
-                    );
-                }
             }
         }
         for d in &self.devices {
@@ -482,17 +348,6 @@ fn spice_wave(w: &Waveform) -> String {
             fall,
             width,
         } => format!("PULSE({v1:.4e} {v2:.4e} {delay:.4e} {rise:.4e} {fall:.4e} {width:.4e})"),
-        Waveform::PulseTrain {
-            v1,
-            v2,
-            delay,
-            rise,
-            fall,
-            width,
-            period,
-        } => format!(
-            "PULSE({v1:.4e} {v2:.4e} {delay:.4e} {rise:.4e} {fall:.4e} {width:.4e} {period:.4e})"
-        ),
         Waveform::Pwl(points) => {
             let body: Vec<String> = points
                 .iter()
@@ -563,23 +418,24 @@ mod tests {
         let mut c = Circuit::new();
         let a = c.node("in");
         let b = c.node("out");
-        c.vsource("V1", a, Circuit::gnd(), Waveform::dc(1.0));
+        c.vsource(
+            "V1",
+            a,
+            Circuit::gnd(),
+            Waveform::pulse(0.0, 1.0, 0.0, 1e-9, 1e-9, 1e-8),
+        );
+        let bias = c.node("bias");
+        c.vsource("V2", bias, Circuit::gnd(), Waveform::dc(1.0));
         c.resistor("R1", a, b, 1e3).unwrap();
         c.capacitor("C1", b, Circuit::gnd(), 1e-12).unwrap();
-        c.isource(
-            "I1",
-            Circuit::gnd(),
-            b,
-            Waveform::pulse(0.0, 1e-3, 0.0, 1e-9, 1e-9, 1e-8),
-        );
-        c.vccs("G1", b, Circuit::gnd(), a, Circuit::gnd(), 1e-3);
         let s = c.to_spice("test circuit");
         assert!(s.starts_with("* test circuit\n"));
         assert!(s.contains("RR1 in out 1.000000e3"));
-        assert!(s.contains("VV1 in 0 DC 1.000000e0"));
+        assert!(
+            s.contains("VV1 in 0 PULSE(0.0000e0 1.0000e0 0.0000e0 1.0000e-9 1.0000e-9 1.0000e-8)")
+        );
+        assert!(s.contains("VV2 bias 0 DC 1.000000e0"));
         assert!(s.contains("CC1 out 0 1.000000e-12"));
-        assert!(s.contains("II1 0 out PULSE("));
-        assert!(s.contains("GG1 out 0 in 0 1.000000e-3"));
         assert!(s.trim_end().ends_with(".end"));
     }
 

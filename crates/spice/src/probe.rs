@@ -2,7 +2,6 @@
 
 use crate::error::{Error, Result};
 use std::collections::HashMap;
-use std::io::Write;
 
 /// Edge direction for threshold-crossing searches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,19 +197,6 @@ impl Trace {
         Ok(None)
     }
 
-    /// Trapezoidal integral of a signal over the whole record.
-    ///
-    /// # Errors
-    /// [`Error::UnknownSignal`] for unrecorded names.
-    pub fn integral(&self, name: &str) -> Result<f64> {
-        let y = self.signal(name)?;
-        let mut acc = 0.0;
-        for k in 1..y.len() {
-            acc += 0.5 * (y[k] + y[k - 1]) * (self.time[k] - self.time[k - 1]);
-        }
-        Ok(acc)
-    }
-
     /// Final value of a signal (`0.0` when the record is empty).
     ///
     /// # Errors
@@ -250,104 +236,6 @@ impl Trace {
             .iter()
             .copied()
             .fold(f64::INFINITY, f64::min))
-    }
-
-    /// 10 %–90 % rise time of the `nth` low-to-high transition between
-    /// levels `v_lo` and `v_hi`; `None` if the edge never completes.
-    ///
-    /// # Errors
-    /// [`Error::UnknownSignal`] for unrecorded names.
-    pub fn rise_time(&self, name: &str, v_lo: f64, v_hi: f64, nth: usize) -> Result<Option<f64>> {
-        let span = v_hi - v_lo;
-        let t10 = self.cross(name, v_lo + 0.1 * span, Edge::Rising, nth)?;
-        let t90 = self.cross(name, v_lo + 0.9 * span, Edge::Rising, nth)?;
-        Ok(match (t10, t90) {
-            (Some(a), Some(b)) if b > a => Some(b - a),
-            _ => None,
-        })
-    }
-
-    /// 90 %–10 % fall time of the `nth` high-to-low transition.
-    ///
-    /// # Errors
-    /// [`Error::UnknownSignal`] for unrecorded names.
-    pub fn fall_time(&self, name: &str, v_lo: f64, v_hi: f64, nth: usize) -> Result<Option<f64>> {
-        let span = v_hi - v_lo;
-        let t90 = self.cross(name, v_lo + 0.9 * span, Edge::Falling, nth)?;
-        let t10 = self.cross(name, v_lo + 0.1 * span, Edge::Falling, nth)?;
-        Ok(match (t90, t10) {
-            (Some(a), Some(b)) if b > a => Some(b - a),
-            _ => None,
-        })
-    }
-
-    /// Propagation delay from `from`'s `nth_from` crossing of `level`
-    /// to `to`'s `nth_to` crossing, either edge.
-    ///
-    /// # Errors
-    /// [`Error::UnknownSignal`] for unrecorded names.
-    pub fn delay(
-        &self,
-        from: &str,
-        to: &str,
-        level: f64,
-        nth_from: usize,
-        nth_to: usize,
-    ) -> Result<Option<f64>> {
-        let a = self.cross(from, level, Edge::Either, nth_from)?;
-        let b = self.cross(to, level, Edge::Either, nth_to)?;
-        Ok(match (a, b) {
-            (Some(a), Some(b)) => Some(b - a),
-            _ => None,
-        })
-    }
-
-    /// Period of a repetitive signal: spacing of consecutive rising
-    /// crossings of `level`; `None` with fewer than two crossings.
-    ///
-    /// # Errors
-    /// [`Error::UnknownSignal`] for unrecorded names.
-    pub fn period(&self, name: &str, level: f64) -> Result<Option<f64>> {
-        let t1 = self.cross(name, level, Edge::Rising, 1)?;
-        let t2 = self.cross(name, level, Edge::Rising, 2)?;
-        Ok(match (t1, t2) {
-            (Some(a), Some(b)) => Some(b - a),
-            _ => None,
-        })
-    }
-
-    /// Write the trace as CSV (`time` column plus one column per signal,
-    /// restricted to `columns` if non-empty).
-    ///
-    /// # Errors
-    /// Propagates I/O errors from `w`; [`Error::UnknownSignal`] is raised
-    /// as `io::ErrorKind::NotFound` for unknown column requests.
-    pub fn write_csv<W: Write>(&self, w: &mut W, columns: &[&str]) -> std::io::Result<()> {
-        let cols: Vec<usize> = if columns.is_empty() {
-            (0..self.names.len()).collect()
-        } else {
-            columns
-                .iter()
-                .map(|c| {
-                    self.index.get(*c).copied().ok_or_else(|| {
-                        std::io::Error::new(std::io::ErrorKind::NotFound, format!("signal {c}"))
-                    })
-                })
-                .collect::<std::io::Result<_>>()?
-        };
-        write!(w, "time")?;
-        for &c in &cols {
-            write!(w, ",{}", self.names[c])?;
-        }
-        writeln!(w)?;
-        for k in 0..self.time.len() {
-            write!(w, "{:.6e}", self.time[k])?;
-            for &c in &cols {
-                write!(w, ",{:.6e}", self.signals[c][k])?;
-            }
-            writeln!(w)?;
-        }
-        Ok(())
     }
 }
 
@@ -395,68 +283,12 @@ mod tests {
     }
 
     #[test]
-    fn integral_of_ramp() {
-        let tr = ramp_trace();
-        assert!((tr.integral("v(a)").unwrap() - 8.0).abs() < 1e-12); // ∫t dt over [0,4]
-        assert!((tr.integral("i(V1)").unwrap() - 8.0).abs() < 1e-12); // 2·4
-    }
-
-    #[test]
     fn unknown_signal_is_an_error() {
         let tr = ramp_trace();
         assert!(matches!(
             tr.signal("v(zz)"),
             Err(Error::UnknownSignal { .. })
         ));
-    }
-
-    #[test]
-    fn csv_roundtrip_shape() {
-        let tr = ramp_trace();
-        let mut buf = Vec::new();
-        tr.write_csv(&mut buf, &["v(a)"]).unwrap();
-        let s = String::from_utf8(buf).unwrap();
-        let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines[0], "time,v(a)");
-        assert_eq!(lines.len(), 6);
-    }
-
-    #[test]
-    fn rise_and_fall_times() {
-        // Triangle: up over 1 s, down over 2 s.
-        let mut tr = Trace::with_signals(vec!["v(x)".into()]);
-        for (t, v) in [(0.0, 0.0), (1.0, 1.0), (3.0, 0.0)] {
-            tr.push(t, &[v]);
-        }
-        let rise = tr.rise_time("v(x)", 0.0, 1.0, 1).unwrap().unwrap();
-        assert!((rise - 0.8).abs() < 1e-12, "rise {rise}");
-        let fall = tr.fall_time("v(x)", 0.0, 1.0, 1).unwrap().unwrap();
-        assert!((fall - 1.6).abs() < 1e-12, "fall {fall}");
-    }
-
-    #[test]
-    fn delay_between_signals() {
-        let mut tr = Trace::with_signals(vec!["v(a)".into(), "v(b)".into()]);
-        for k in 0..=10 {
-            let t = k as f64 * 0.1;
-            let a = if t >= 0.2 { 1.0 } else { 0.0 };
-            let b = if t >= 0.5 { 1.0 } else { 0.0 };
-            tr.push(t, &[a, b]);
-        }
-        let d = tr.delay("v(a)", "v(b)", 0.5, 1, 1).unwrap().unwrap();
-        assert!((d - 0.3).abs() < 0.02, "delay {d}");
-    }
-
-    #[test]
-    fn period_of_square_wave() {
-        let mut tr = Trace::with_signals(vec!["v(x)".into()]);
-        for k in 0..40 {
-            let t = k as f64 * 0.1;
-            let v = if (t % 2.0) < 1.0 { 0.0 } else { 1.0 };
-            tr.push(t, &[v]);
-        }
-        let p = tr.period("v(x)", 0.5).unwrap().unwrap();
-        assert!((p - 2.0).abs() < 0.11, "period {p}");
     }
 
     #[test]

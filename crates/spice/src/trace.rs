@@ -819,9 +819,6 @@ pub fn mna_var_name(ckt: &Circuit, var: usize) -> String {
         match e {
             Element::VSource {
                 name, branch: b, ..
-            }
-            | Element::Vcvs {
-                name, branch: b, ..
             } if *b == branch => {
                 return format!("i({name})");
             }

@@ -1,9 +1,8 @@
-//! Time-dependent source waveforms (DC, pulse, PWL, sine).
+//! Time-dependent voltage-source waveforms (DC, pulse, PWL, sine).
 
 use serde::{Deserialize, Serialize};
 
-/// A source waveform `v(t)` (volts for voltage sources, amps for current
-/// sources).
+/// A voltage-source waveform `v(t)` in volts.
 ///
 /// ```
 /// use ferrotcam_spice::waveform::Waveform;
@@ -46,24 +45,6 @@ pub enum Waveform {
         /// Start delay in seconds.
         delay: f64,
     },
-    /// Periodic trapezoidal pulse train (SPICE `PULSE` with period):
-    /// after `delay`, the single-pulse shape repeats every `period`.
-    PulseTrain {
-        /// Initial value.
-        v1: f64,
-        /// Pulsed value.
-        v2: f64,
-        /// Delay before the first rising edge.
-        delay: f64,
-        /// Rise time.
-        rise: f64,
-        /// Fall time.
-        fall: f64,
-        /// Time spent at `v2`.
-        width: f64,
-        /// Repetition period (≥ rise + width + fall).
-        period: f64,
-    },
 }
 
 /// Zero-length ramps are snapped to this (1 fs) so the waveform stays
@@ -87,37 +68,6 @@ impl Waveform {
             rise: rise.max(MIN_RAMP),
             fall: fall.max(MIN_RAMP),
             width,
-        }
-    }
-
-    /// Periodic pulse train (see [`Waveform::PulseTrain`] field docs).
-    ///
-    /// # Panics
-    /// Panics when `period < rise + width + fall`.
-    #[must_use]
-    pub fn pulse_train(
-        v1: f64,
-        v2: f64,
-        delay: f64,
-        rise: f64,
-        fall: f64,
-        width: f64,
-        period: f64,
-    ) -> Self {
-        let rise = rise.max(MIN_RAMP);
-        let fall = fall.max(MIN_RAMP);
-        assert!(
-            period >= rise + width + fall,
-            "pulse train period shorter than the pulse itself"
-        );
-        Waveform::PulseTrain {
-            v1,
-            v2,
-            delay,
-            rise,
-            fall,
-            width,
-            period,
         }
     }
 
@@ -194,32 +144,6 @@ impl Waveform {
                     offset + ampl * (2.0 * std::f64::consts::PI * freq * (t - delay)).sin()
                 }
             }
-            Waveform::PulseTrain {
-                v1,
-                v2,
-                delay,
-                rise,
-                fall,
-                width,
-                period,
-            } => {
-                if t < *delay {
-                    return *v1;
-                }
-                let tp = (t - delay) % period;
-                let t2 = *rise;
-                let t3 = t2 + width;
-                let t4 = t3 + fall;
-                if tp < t2 {
-                    v1 + (v2 - v1) * tp / rise
-                } else if tp < t3 {
-                    *v2
-                } else if tp < t4 {
-                    v2 + (v1 - v2) * (tp - t3) / fall
-                } else {
-                    *v1
-                }
-            }
         }
     }
 
@@ -244,25 +168,6 @@ impl Waveform {
             }
             Waveform::Pwl(points) => points.iter().map(|&(t, _)| t).collect(),
             Waveform::Sine { delay, .. } => vec![*delay],
-            Waveform::PulseTrain {
-                delay,
-                rise,
-                fall,
-                width,
-                period,
-                ..
-            } => {
-                let mut out = Vec::new();
-                let mut start = *delay;
-                while start < t_stop {
-                    let t2 = start + rise;
-                    let t3 = t2 + width;
-                    let t4 = t3 + fall;
-                    out.extend_from_slice(&[start, t2, t3, t4]);
-                    start += period;
-                }
-                out
-            }
         };
         bp.retain(|&t| t > 0.0 && t < t_stop);
         bp
@@ -277,7 +182,6 @@ impl Waveform {
             Waveform::Pulse { v1, v2, .. } => v1.abs().max(v2.abs()),
             Waveform::Pwl(points) => points.iter().map(|&(_, v)| v.abs()).fold(0.0, f64::max),
             Waveform::Sine { offset, ampl, .. } => offset.abs() + ampl.abs(),
-            Waveform::PulseTrain { v1, v2, .. } => v1.abs().max(v2.abs()),
         }
     }
 }
@@ -348,28 +252,6 @@ mod tests {
         };
         assert!((w.value(0.25) - 3.0).abs() < 1e-12);
         assert!((w.amplitude() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pulse_train_repeats() {
-        let w = Waveform::pulse_train(0.0, 1.0, 1.0, 0.1, 0.1, 0.3, 1.0);
-        assert_eq!(w.value(0.5), 0.0);
-        for k in 0..4 {
-            let base = 1.0 + k as f64;
-            assert!((w.value(base + 0.25) - 1.0).abs() < 1e-12, "cycle {k}");
-            assert_eq!(w.value(base + 0.9), 0.0, "cycle {k} idle");
-        }
-        // Breakpoints land in every period within the window.
-        let bp = w.breakpoints(3.2);
-        assert!(bp.len() >= 8);
-        assert!(bp.iter().all(|&t| t > 0.0 && t < 3.2));
-        assert!((w.amplitude() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "period shorter")]
-    fn pulse_train_rejects_overlapping_period() {
-        let _ = Waveform::pulse_train(0.0, 1.0, 0.0, 0.2, 0.2, 0.7, 1.0);
     }
 
     #[test]
