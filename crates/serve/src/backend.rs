@@ -176,12 +176,33 @@ thread_local! {
     /// Kernel calls made on this thread, so a test can tell which
     /// thread ran a batch.
     static KERNEL_CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Set by [`panic_in_next_kernel_call`]: the next kernel call on
+    /// this thread panics.
+    static PANIC_NEXT: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Kernel calls made on this thread so far.
+#[cfg(all(test, not(loom)))]
+pub(crate) fn kernel_calls() -> usize {
+    KERNEL_CALLS.with(std::cell::Cell::get)
+}
+
+/// Fault injection for tests: the next kernel call on this thread
+/// panics, as a kernel bug would.
+#[cfg(all(test, not(loom)))]
+pub(crate) fn panic_in_next_kernel_call() {
+    PANIC_NEXT.with(|p| p.set(true));
 }
 
 /// The kernel's answer for one job on shard `s`, with global row ids.
 fn shard_answer(view: &SnapView, s: usize, kind: RequestKind, q: &PackedQuery) -> ShardAnswer {
     #[cfg(test)]
     KERNEL_CALLS.with(|n| n.set(n.get() + 1));
+    #[cfg(test)]
+    assert!(
+        !PANIC_NEXT.with(|p| p.replace(false)),
+        "injected kernel panic"
+    );
     let snap = view.shard(s);
     match kind {
         RequestKind::Exact => {

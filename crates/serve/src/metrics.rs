@@ -235,12 +235,20 @@ pub struct ServiceMetrics {
     /// spinning for a backoff period.
     #[serde(default)]
     pub dispatcher_spin_backoffs: u64,
-    /// Pinned searches answered on the submitting thread because their
-    /// shard's ring was empty: each one is a request that paid no queue
-    /// hop, no wake-up and no spinner pick-up. Counted in
+    /// Searches answered on the submitting thread because every ring
+    /// they would wait behind was empty (a pinned search's own ring, or
+    /// all of them for a fan-out): each one is a request that paid no
+    /// queue hop, no wake-up and no spinner pick-up. Counted in
     /// [`Self::submitted`] as well.
     #[serde(default)]
     pub caller_runs: u64,
+    /// Caller-runs whose batch panicked on the submitting thread: each
+    /// one's ticket resolved `None` and the request still completed at
+    /// the drain gate, so the panic neither reached the submitter nor
+    /// stranded a drain. Counted in [`Self::caller_runs`] as well, and
+    /// never in [`Self::completed`], which counts responses delivered.
+    #[serde(default)]
+    pub caller_run_panics: u64,
 }
 
 impl ServiceMetrics {
@@ -323,6 +331,7 @@ pub struct MetricsCollector {
     dispatcher_spin_pickups: AtomicU64,
     dispatcher_spin_backoffs: AtomicU64,
     caller_runs: AtomicU64,
+    caller_run_panics: AtomicU64,
     inner: Mutex<Inner>,
 }
 
@@ -343,6 +352,7 @@ impl Default for MetricsCollector {
             dispatcher_spin_pickups: AtomicU64::new(0),
             dispatcher_spin_backoffs: AtomicU64::new(0),
             caller_runs: AtomicU64::new(0),
+            caller_run_panics: AtomicU64::new(0),
             inner: Mutex::new("serve.metrics.inner", Inner::default()),
         }
     }
@@ -402,11 +412,16 @@ impl MetricsCollector {
             .fetch_add(1, Ordering::Relaxed); // ordering: stat-relaxed
     }
 
-    /// A pinned search was accepted and runs on its submitting thread,
-    /// past every queue. Lock-free: the submit path.
+    /// A search was accepted and runs on its submitting thread, past
+    /// every queue. Lock-free: the submit path.
     pub fn on_caller_run(&self) {
         self.submitted.fetch_add(1, Ordering::Relaxed); // ordering: stat-relaxed
         self.caller_runs.fetch_add(1, Ordering::Relaxed); // ordering: stat-relaxed
+    }
+
+    /// A caller-run's batch panicked and was contained.
+    pub fn on_caller_run_panic(&self) {
+        self.caller_run_panics.fetch_add(1, Ordering::Relaxed); // ordering: stat-relaxed
     }
 
     /// The dispatcher pulled and scheduled a batch of `size` queries.
@@ -544,6 +559,8 @@ impl MetricsCollector {
             // ordering: stat-relaxed
             dispatcher_spin_backoffs: self.dispatcher_spin_backoffs.load(Ordering::Relaxed),
             caller_runs: self.caller_runs.load(Ordering::Relaxed), // ordering: stat-relaxed
+            // ordering: stat-relaxed
+            caller_run_panics: self.caller_run_panics.load(Ordering::Relaxed),
         }
     }
 }

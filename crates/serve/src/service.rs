@@ -6,7 +6,7 @@
 //!                               ▼             ▼      │       ⋮               ⋮        │ stealing
 //!                            Invalid      Overloaded │    [queue n] ──▶ dispatcher n ─┤
 //!                                                    │                                │
-//!          pinned submit, its ring empty: caller-run └──▶ submitting thread ─────────┤
+//!   submit, every ring it waits on empty: caller-run └──▶ submitting thread ─────────┤
 //!                                                                            │
 //!                                                    writes → LiveTable::apply (epoch bump)
 //!                                                                            │
@@ -28,20 +28,24 @@
 //! (fire-and-forget); a malformed one is [`Rejected::Invalid`] before
 //! admission, a shed one [`Rejected::Overloaded`].
 //!
-//! A **caller-run** skips the hop to a dispatcher: a search pinned to
-//! one shard ([`Route::Home`] or [`Route::Shard`]) submitted through
-//! [`ServiceClient::submit`] whose shard's ring is empty is answered on
-//! the submitting thread, through the same batch execution a dispatcher
-//! runs (a batch of one), and its ticket is resolved when `submit`
-//! returns. Below saturation a batch holds about one request, so
-//! queueing such a read buys no batching, only the hop. Everything else
-//! queues: fan-outs, writes, fire-and-forget `send`s, and pinned reads
-//! that find work queued on their ring, so a read never overtakes the
-//! queue it would have joined. A caller-run completes at the drain gate
-//! off the dispatchers; during a drain that completion may be what a
-//! parked dispatcher waits for, so it then rings every bell
-//! ([`Doorbells::ring_all_if_draining`], whose module docs argue the
-//! fence it pairs with `begin_drain`).
+//! A **caller-run** skips the hop to a dispatcher: a search submitted
+//! through [`ServiceClient::submit`] that finds empty every ring it
+//! would wait behind — its own shard's when pinned ([`Route::Home`] or
+//! [`Route::Shard`]), every ring when it fans out ([`Route::FanOut`]) —
+//! is answered on the submitting thread, through the same batch
+//! execution a dispatcher runs (a batch of one, its shards in shard
+//! order on that thread with one worker), and its ticket is resolved
+//! when `submit` returns. Below saturation a batch holds about one
+//! request, so queueing such a read buys no batching, only the hop.
+//! Everything else queues: writes, fire-and-forget `send`s, and reads
+//! that find work queued on a ring they check, so a read never
+//! overtakes the queue it would have joined. A panic inside a caller-run
+//! stays on that request: its ticket resolves `None` and
+//! [`ServiceMetrics::caller_run_panics`] counts it. A caller-run
+//! completes at the drain gate off the dispatchers; during a drain that
+//! completion may be what a parked dispatcher waits for, so it then
+//! rings every bell ([`Doorbells::ring_all_if_draining`], whose module
+//! docs argue the fence it pairs with `begin_drain`).
 //!
 //! Dispatch is **per-shard**: one bounded queue and one dispatcher
 //! thread per shard. Pinned (key-routed) queries and row-addressed
@@ -111,6 +115,7 @@ use ferrotcam::{program_duration, ApproxHit, PackedQuery, SearchOutcome, SenseMo
 use ferrotcam_spice::parallel::default_jobs;
 use ferrotcam_spice::trace::{self, TraceLevel};
 use rand::split_mix64;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -126,8 +131,9 @@ pub struct ServiceConfig {
     /// 1024, large enough that the kernel's per-query cost, not
     /// dispatch overhead, sets the rate.
     pub max_batch: usize,
-    /// Worker threads for the per-bank batch execution; 0 means the
-    /// `spice::parallel` default (`FERROTCAM_JOBS` or the core count).
+    /// Worker threads for a dispatcher's per-bank batch execution; 0
+    /// means the `spice::parallel` default (`FERROTCAM_JOBS` or the
+    /// core count). A caller-run always uses one: the submitting thread.
     pub jobs: usize,
     /// Rate policy for tenants without an explicit one (exact traffic).
     pub default_policy: RatePolicy,
@@ -401,8 +407,9 @@ impl ServiceClient {
 
     /// The one admission path [`Self::submit`] and [`Self::send`]
     /// funnel into: validate, admit, accept against the drain gate,
-    /// then run a pinned search on this thread when its ring is empty
-    /// ([`caller_run`]), else queue.
+    /// then run a submitted search on this thread ([`caller_run`]) when
+    /// its shard's ring is empty (pinned) or every ring is (fan-out),
+    /// else queue.
     fn enqueue(
         &self,
         tenant: TenantId,
@@ -432,11 +439,16 @@ impl ServiceClient {
             enqueued: now,
             tx,
         };
-        // A pinned search that awaits an answer and finds its shard's
-        // ring empty would wait for a dispatcher to do what this thread
-        // can do at once: answer it here.
-        if let (Some(s), Body::Search(_), Some(_)) = (shard, &job.body, &job.tx) {
-            if inner.queues[s].is_empty() {
+        // A search that awaits an answer and finds every ring it would
+        // wait behind empty (its shard's, or all of them for a fan-out)
+        // would wait for a dispatcher to do what this thread can do at
+        // once: answer it here.
+        if let (Body::Search(_), Some(_)) = (&job.body, &job.tx) {
+            let idle = match shard {
+                Some(s) => inner.queues[s].is_empty(),
+                None => inner.queues.iter().all(BoundedQueue::is_empty),
+            };
+            if idle {
                 caller_run(inner, job);
                 return Ok(());
             }
@@ -657,7 +669,11 @@ fn dispatch_loop(inner: &Inner, me: usize) {
             }
         }
         if !batch.is_empty() {
-            execute_batch(inner, me, &mut batch, &mut audit_counter);
+            let resolved = batch.len();
+            execute_batch(inner, me, inner.jobs, &mut batch, &mut audit_counter);
+            for _ in 0..resolved {
+                inner.gate.complete();
+            }
             last_batch = now();
             continue;
         }
@@ -691,24 +707,39 @@ fn dispatch_loop(inner: &Inner, me: usize) {
     inner.metrics.on_wakeups(inner.bells.ring_all());
 }
 
-/// Answer one accepted pinned search on the submitting thread, as a
-/// batch of one through [`execute_batch`], so deadline shedding, energy
-/// and latency attribution, the `serve.batch` span and the metrics are
-/// a dispatcher's. The job's ticket is resolved before this returns.
-/// Its audit lane is the shard count (dispatchers are `0..shards`), with
-/// one counter shared by every submitting thread. Afterwards, if the
-/// service is draining, this completion may be what a parked dispatcher
+/// Answer one accepted search, pinned or fanned out, on the submitting
+/// thread, as a batch of one through [`execute_batch`], so deadline
+/// shedding, energy and latency attribution, the `serve.batch` span and
+/// the metrics are a dispatcher's. Its shards run in shard order on
+/// this thread with one worker, whatever [`ServiceConfig::jobs`] says:
+/// scoped workers spawned per call would cost more than the hop saved.
+/// The job's ticket is resolved before this returns. Its audit lane is
+/// the shard count (dispatchers are `0..shards`), with one counter
+/// shared by every submitting thread.
+///
+/// A panic inside the batch is contained here: the unwind drops the
+/// job's reply sender unsent, so its ticket resolves `None`, and
+/// [`ServiceMetrics::caller_run_panics`] counts it. Answered, shed or
+/// unwound, the job then completes at the gate exactly once, and if the
+/// service is draining, that completion may be what a parked dispatcher
 /// waits for, so every bell rings ([`Doorbells::ring_all_if_draining`]).
 fn caller_run(inner: &Inner, job: Job) {
     inner.metrics.on_caller_run();
     // ordering: caller-audit-relaxed
     let mut audit_counter = inner.caller_audit.fetch_add(1, Ordering::Relaxed);
-    execute_batch(
-        inner,
-        inner.queues.len(),
-        &mut vec![job],
-        &mut audit_counter,
-    );
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        execute_batch(
+            inner,
+            inner.queues.len(),
+            1,
+            &mut vec![job],
+            &mut audit_counter,
+        );
+    }));
+    if run.is_err() {
+        inner.metrics.on_caller_run_panic();
+    }
+    inner.gate.complete();
     let woken = inner.bells.ring_all_if_draining(&inner.gate);
     if woken > 0 {
         inner.metrics.on_wakeups(woken);
@@ -739,16 +770,26 @@ fn kind_cost(kind: RequestKind, sense: Option<&SenseModel>, t_bank: f64) -> f64 
 
 /// Run one batch: apply its writes first (one epoch bump per touched
 /// shard), capture a snapshot view, deadline-shed expired queries, plan
-/// and execute the remaining searches on the kernel against that view,
-/// model the bank schedule, attribute energy, audit a sample, resolve
-/// tickets. Drains `jobs` in place so the dispatcher's
-/// batch buffer is reused across iterations. `lane` names the audit
-/// sampler: dispatcher `me`, or the shard count for a caller-run.
+/// and execute the remaining searches on the kernel against that view
+/// with up to `workers` scoped workers, model the bank schedule,
+/// attribute energy, audit a sample, resolve tickets. Drains `jobs` in
+/// place so the dispatcher's batch buffer is reused across iterations.
+/// `lane` names the audit sampler: dispatcher `me`, or the shard count
+/// for a caller-run. Every job is resolved (applied, shed or answered)
+/// but none is completed at the drain gate: the caller completes the
+/// whole batch once this returns, so a batch that unwinds part-way is
+/// never completed twice.
 ///
 /// Ordering: writes-before-searches within one batch is a valid
 /// linearization — every job in the batch was accepted before any of
 /// them executed, and searches then observe all of the batch's writes.
-fn execute_batch(inner: &Inner, lane: usize, jobs: &mut Vec<Job>, audit_counter: &mut u64) {
+fn execute_batch(
+    inner: &Inner,
+    lane: usize,
+    workers: usize,
+    jobs: &mut Vec<Job>,
+    audit_counter: &mut u64,
+) {
     let tracing = trace::level() != TraceLevel::Off;
     let _span = tracing.then(|| trace::span("serve.batch"));
     // Queue wait is enqueue → batch start; one clock read per batch,
@@ -802,7 +843,6 @@ fn execute_batch(inner: &Inner, lane: usize, jobs: &mut Vec<Job>, audit_counter:
             }
             inner.metrics.on_deadline_shed(job.body.kind);
             // Dropping `tx` unanswered resolves the ticket to `None`.
-            inner.gate.complete();
             false
         });
     }
@@ -831,7 +871,7 @@ fn execute_batch(inner: &Inner, lane: usize, jobs: &mut Vec<Job>, audit_counter:
         hits: mut all_hits,
         per_job_latency_s,
         sched,
-    } = BehaviouralBackend.execute(&view, &spec, inner.jobs, inner.t_bank);
+    } = BehaviouralBackend.execute(&view, &spec, workers, inner.t_bank);
     inner.metrics.on_batch(searches.len(), &sched);
 
     // One clock read for the whole batch: per-job wall latency is pure
@@ -885,7 +925,6 @@ fn execute_batch(inner: &Inner, lane: usize, jobs: &mut Vec<Job>, audit_counter:
                 wall_latency_ns,
             });
         }
-        inner.gate.complete();
     }
     inner.metrics.on_responses(&samples);
 }
@@ -943,7 +982,6 @@ fn apply_writes(inner: &Inner, mut writes: Vec<Job<WriteOp>>) {
                 wall_latency_ns,
             });
         }
-        inner.gate.complete();
     }
     inner.metrics.on_responses(&samples);
 }
@@ -1127,6 +1165,73 @@ mod tests {
         let m = svc.drain();
         assert_eq!(m.shed_rate_limited, 1);
         assert_eq!(m.completed, 2);
+    }
+
+    /// An idle fan-out runs every shard on the submitting thread, one
+    /// worker whatever `jobs` says.
+    #[test]
+    fn a_fan_out_caller_run_scans_every_shard_on_the_caller() {
+        let config = ServiceConfig {
+            jobs: 8,
+            ..ServiceConfig::default()
+        };
+        let svc = TcamService::start(table(48, 3), &config);
+        let client = svc.client();
+        let before = crate::backend::kernel_calls();
+        let resp = client.submit(0, exact(9, Route::FanOut)).unwrap();
+        assert_eq!(
+            crate::backend::kernel_calls() - before,
+            3,
+            "one kernel call per shard, all on this thread"
+        );
+        let resp = resp.try_wait().expect("answered before submit returned");
+        assert_eq!(resp.matches, vec![3], "9 = 3 * 3 is row 3");
+        assert_eq!(resp.rows_searched, 48);
+        drop(svc);
+    }
+
+    /// A caller-run whose kernel panics is contained on the submitting
+    /// thread, pinned or fanned out: `submit` returns its ticket, which
+    /// resolves `None`, the panic is counted, the next request is
+    /// answered, and `drain()` returns with every other response
+    /// delivered. A job the unwind left uncompleted at the gate hangs
+    /// the drain (or the service's `Drop` while a panic unwinds), so
+    /// the body runs on its own thread and a hang fails the test.
+    #[test]
+    fn a_panicking_caller_run_resolves_none_and_the_drain_returns() {
+        let body = std::thread::spawn(|| {
+            let svc = TcamService::start(table(16, 2), &ServiceConfig::default());
+            let client = svc.client();
+            for (i, route) in [Route::Shard(1), Route::FanOut].into_iter().enumerate() {
+                crate::backend::panic_in_next_kernel_call();
+                let ticket = client.submit(0, exact(9, route)).unwrap();
+                assert_eq!(client.metrics().caller_runs, i as u64 + 1, "{route:?}");
+                assert!(ticket.try_wait().is_none(), "{route:?}");
+                assert!(
+                    ticket.wait().is_none(),
+                    "an unwound caller-run has no answer"
+                );
+            }
+            let resp = answered(client.submit(0, exact(9, Route::FanOut)).unwrap());
+            assert!(!resp.matches.is_empty(), "the service keeps answering");
+            svc.drain()
+        });
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !body.is_finished() {
+            assert!(Instant::now() < deadline, "the service hangs after a panic");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let m = body
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        assert_eq!(m.caller_run_panics, 2);
+        assert_eq!(m.caller_runs, 3);
+        assert_eq!(m.submitted, 3);
+        assert_eq!(
+            m.completed,
+            m.submitted - m.caller_run_panics,
+            "every request but the unwound ones delivered its response"
+        );
     }
 
     /// Home-routed searches scan only their key's shard and find it

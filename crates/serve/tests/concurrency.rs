@@ -112,8 +112,27 @@ fn n_threads_yield_exactly_n_responses() {
     assert_eq!(m.wall_latency_ns.count, (THREADS * PER_THREAD) as u64);
 }
 
+/// Submit `req` as a `send` (which always queues) unless `ticketed`,
+/// and as a `submit` (which queues behind work on any ring, or runs on
+/// the caller when every ring is empty) if it is. Ok carries the
+/// ticket of a `submit`.
+fn offer(
+    client: &ferrotcam_serve::ServiceClient,
+    req: Request,
+    ticketed: bool,
+) -> Result<Option<ferrotcam_serve::Ticket>, Rejected> {
+    if ticketed {
+        client.submit(0, req).map(Some)
+    } else {
+        client.send(0, req).map(|()| None)
+    }
+}
+
 /// Offered load beyond capacity is shed with typed errors; the queue
-/// never grows beyond its bound and the service never panics.
+/// never grows beyond its bound and the service never panics. The
+/// burst is mostly `send`s, so it reaches the dispatchers even though
+/// an idle fan-out `submit` would run on this thread; every eighth
+/// request is a `submit` whose ticket must resolve.
 #[test]
 fn overload_sheds_and_queue_stays_bounded() {
     let cfg = ServiceConfig {
@@ -128,12 +147,12 @@ fn overload_sheds_and_queue_stays_bounded() {
     let mut shed = 0u64;
     let mut tickets = Vec::new();
     // Blast far more submissions than a 16-deep queue can hold while
-    // the dispatcher chews 512-row fan-out scans.
+    // the dispatchers chew 512-row fan-out scans.
     for i in 0..2000u64 {
-        match client.submit(0, exact(i & 0xFFFF)) {
+        match offer(&client, exact(i & 0xFFFF), i % 8 == 7) {
             Ok(t) => {
                 accepted += 1;
-                tickets.push(t);
+                tickets.extend(t);
             }
             Err(Rejected::Overloaded(Overloaded::QueueFull)) => shed += 1,
             Err(e) => panic!("unexpected shed kind: {e}"),
@@ -149,17 +168,24 @@ fn overload_sheds_and_queue_stays_bounded() {
         m.max_queue_depth,
         cfg.queue_capacity
     );
+    assert!(
+        m.batch.batches > m.caller_runs,
+        "the dispatchers ran batches: {m:?}"
+    );
     for t in tickets {
-        let _ = t.wait();
+        assert!(t.wait().is_some(), "no deadline: every ticket answers");
     }
 }
 
 /// A parked service still sheds and drains. Both dispatchers park
 /// before each burst; 4 client threads then burst into 2-slot rings
 /// (`queue_capacity: 4` over 2 shards) faster than the woken
-/// dispatchers scan 512 rows per query. A full ring sheds a typed
+/// dispatchers scan 512 rows per query. The bursts are `send`s with a
+/// `submit` every eighth request, as in
+/// `overload_sheds_and_queue_stays_bounded`. A full ring sheds a typed
 /// `QueueFull` that the metrics count, every accepted ticket resolves,
-/// and the drain returns with exactly the accepted requests completed.
+/// the dispatchers run batches, and the drain returns with exactly the
+/// accepted requests completed.
 #[test]
 fn parked_service_sheds_and_drains() {
     const CLIENTS: u64 = 4;
@@ -179,22 +205,25 @@ fn parked_service_sheds_and_drains() {
             .map(|c| {
                 let client = svc.client();
                 std::thread::spawn(move || {
-                    let (mut tickets, mut shed) = (Vec::new(), 0u64);
+                    let (mut tickets, mut accepted, mut shed) = (Vec::new(), 0u64, 0u64);
                     for i in 0..BURST {
-                        match client.submit(0, exact((c * BURST + i) & 0xFFFF)) {
-                            Ok(t) => tickets.push(t),
+                        match offer(&client, exact((c * BURST + i) & 0xFFFF), i % 8 == 7) {
+                            Ok(t) => {
+                                accepted += 1;
+                                tickets.extend(t);
+                            }
                             Err(Rejected::Overloaded(Overloaded::QueueFull)) => shed += 1,
                             Err(e) => panic!("unexpected rejection: {e}"),
                         }
                     }
-                    (tickets, shed)
+                    (tickets, accepted, shed)
                 })
             })
             .collect();
         for burst in bursts {
-            let (tickets, s) = burst.join().unwrap();
+            let (tickets, a, s) = burst.join().unwrap();
             shed += s;
-            accepted += tickets.len() as u64;
+            accepted += a;
             for t in tickets {
                 assert!(t.wait().is_some(), "no deadline: every ticket answers");
             }
@@ -211,6 +240,10 @@ fn parked_service_sheds_and_drains() {
     assert!(
         m.dispatcher_parks > 0,
         "the dispatchers parked between bursts"
+    );
+    assert!(
+        m.batch.batches > m.caller_runs,
+        "the dispatchers ran batches: {m:?}"
     );
 }
 

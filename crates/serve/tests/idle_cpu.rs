@@ -116,22 +116,22 @@ fn dispatchers_go_quiet_after_a_burst() {
         let bits: Vec<bool> = (0..8).rev().map(|b| (v >> b) & 1 == 1).collect();
         PackedQuery::from_bits(&bits)
     };
-    // Submit in waves no deeper than the rings, answering each wave
-    // before the next, so the burst is accepted whole.
-    let mut answered = 0;
+    // Send in waves no deeper than the rings, letting each wave
+    // complete before the next, so the burst is accepted whole. A
+    // `send` always queues; an idle fan-out `submit` would run on this
+    // thread and leave the dispatchers out of the burst.
     for wave in 0..BURST / 256 + 1 {
-        let tickets: Vec<_> = (wave * 256..((wave + 1) * 256).min(BURST))
-            .map(|i| {
-                let req = Request::search(RequestKind::Exact, query(i % 64), Route::FanOut);
-                client.submit(0, req).expect("accepted")
-            })
-            .collect();
-        for t in tickets {
-            assert_eq!(t.wait().expect("answered").matches.len(), 1);
-            answered += 1;
+        let end = ((wave + 1) * 256).min(BURST);
+        for i in wave * 256..end {
+            let req = Request::search(RequestKind::Exact, query(i % 64), Route::FanOut);
+            client.send(0, req).expect("accepted");
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while client.metrics().completed < end {
+            assert!(Instant::now() < deadline, "wave {wave} never completed");
+            std::thread::sleep(Duration::from_micros(100));
         }
     }
-    assert_eq!(answered, BURST);
 
     // No settling pause: the spinner's window must end on its own.
     let (cpu_ms, m) = idle_second(svc);
@@ -139,4 +139,8 @@ fn dispatchers_go_quiet_after_a_burst() {
         cpu_ms < 20,
         "dispatchers used {cpu_ms} ms of CPU over the 1 s after a burst: {m:?}"
     );
+    assert_eq!(m.completed, BURST);
+    assert_eq!(m.matches, BURST, "every key matches its one row");
+    assert_eq!(m.caller_runs, 0);
+    assert!(m.batch.batches > 0, "the dispatchers ran the burst");
 }

@@ -37,10 +37,11 @@
 //!   as a deadlock. Orderings are all `SeqCst` here, so these models
 //!   check the protocol's logic; the fence pairing it needs on real
 //!   hardware is argued in `doorbell.rs`.
-//! * Caller-runs — a pinned read that a client answers on its own
-//!   thread completes off the dispatchers: when that completion is the
-//!   one a drain waits for, it wakes the parked dispatcher, and a read
-//!   accepted after a write's ack loads the written snapshot.
+//! * Caller-runs — a read that a client answers on its own thread
+//!   completes off the dispatchers: when that completion is the one a
+//!   drain waits for, it wakes the parked dispatcher, and a read
+//!   accepted after a write's ack loads the written snapshot, on every
+//!   shard a fan-out loads.
 //! * [`reply`] — a ticket's one-shot slot resolves exactly once: an
 //!   answer sent while the client waits or polls is delivered once, a
 //!   sender dropped unanswered resolves to `None`, and a parked client
@@ -716,8 +717,8 @@ fn caller_run_completion_during_drain_wakes_the_parked_dispatcher() {
 }
 
 /// A read accepted after a write's ack loads the written snapshot. A
-/// dispatcher applies one write to an [`EpochCell`], completes it and
-/// acks it through the write's reply slot, then applies a second write.
+/// dispatcher applies one write to an [`EpochCell`], acks it through
+/// the write's reply slot and completes it, then applies a second write.
 /// The client waits for the ack, accepts a read at the gate and loads
 /// the cell as a caller-run does: it may see the second write, never
 /// the value before the first, and its epoch names what it loaded.
@@ -732,8 +733,8 @@ fn caller_run_after_a_write_ack_loads_the_written_value() {
             let (c, g) = (Arc::clone(&cell), Arc::clone(&gate));
             thread::spawn(move || {
                 c.update(|_| (1, ()));
-                g.complete();
                 tx.send(());
+                g.complete();
                 c.update(|_| (2, ()));
             })
         };
@@ -742,6 +743,55 @@ fn caller_run_after_a_write_ack_loads_the_written_value() {
         let (snap, epoch) = cell.load();
         assert!(*snap >= 1, "a read after the ack missed the write");
         assert_eq!(*snap, epoch, "the epoch names the loaded snapshot");
+        gate.complete();
+        dispatcher.join().unwrap();
+    });
+}
+
+/// [`caller_run_after_a_write_ack_loads_the_written_value`] over two
+/// shards, for a fan-out. The write sits in ring 1; a dispatcher pops
+/// it, applies it to shard 1's [`EpochCell`], acks it through the
+/// write's reply slot and completes it, then applies a later write to
+/// shard 0's cell. The client waits for the ack, accepts a fan-out at
+/// the gate, finds both rings empty (the caller-run condition) and
+/// loads both cells as the fan-out's batch does: shard 1 must show the
+/// acked write, shard 0 may or may not show the later one, and each
+/// epoch names the snapshot loaded.
+#[test]
+fn fan_out_caller_run_after_write_ack_loads_every_shard() {
+    loom::model(|| {
+        let cells = Arc::new([EpochCell::new(0u64), EpochCell::new(0u64)]);
+        let queues = Arc::new([BoundedQueue::new(2), BoundedQueue::new(2)]);
+        let gate = Arc::new(DrainGate::new());
+        let (tx, rx) = reply::slot::<()>();
+        assert!(gate.try_accept(), "the write is accepted");
+        queues[1].push(7u32).unwrap();
+        let dispatcher = {
+            let (c, q, g) = (Arc::clone(&cells), Arc::clone(&queues), Arc::clone(&gate));
+            thread::spawn(move || {
+                assert_eq!(q[1].pop(), Some(7), "the write was queued on ring 1");
+                c[1].update(|_| (1, ()));
+                tx.send(());
+                g.complete();
+                c[0].update(|_| (1, ()));
+            })
+        };
+        rx.wait().expect("the write is acked");
+        assert!(gate.try_accept(), "the fan-out is accepted");
+        assert!(
+            queues.iter().all(BoundedQueue::is_empty),
+            "after the ack every ring is empty, so the fan-out runs on the caller"
+        );
+        for (shard, cell) in cells.iter().enumerate() {
+            let (snap, epoch) = cell.load();
+            assert_eq!(
+                *snap, epoch,
+                "shard {shard}: the epoch names the loaded snapshot"
+            );
+            if shard == 1 {
+                assert_eq!(*snap, 1, "a fan-out after the ack missed the write");
+            }
+        }
         gate.complete();
         dispatcher.join().unwrap();
     });

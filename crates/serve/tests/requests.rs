@@ -4,12 +4,14 @@
 //! drain. The ticket contract: `try_wait` polls without blocking and
 //! yields an answer exactly once, `wait` works from any thread, and a
 //! deadline-shed ticket resolves to `None`. And the caller-run rule: a
-//! pinned `submit` whose ring is empty is answered on the submitting
-//! thread, and nothing else is.
+//! `submit`ted search that finds every ring it would wait behind empty
+//! (its own shard's when pinned, all of them when it fans out) is
+//! answered on the submitting thread, and nothing else is.
 
 use ferrotcam::{PackedQuery, TernaryWord};
 use ferrotcam_serve::{
-    Invalid, Rejected, Request, RequestKind, Route, ServiceConfig, ShardedTcam, TcamService, Ticket,
+    reference_search, Invalid, Rejected, Request, RequestKind, Route, ServiceClient, ServiceConfig,
+    ShardedTcam, TcamService, Ticket,
 };
 use proptest::prelude::*;
 use rand::split_mix64;
@@ -214,28 +216,53 @@ fn counting_table(rows: u64) -> ShardedTcam {
     t
 }
 
+/// A top-k scan of a 16 384-row table: long enough to keep a
+/// dispatcher busy while the client submits behind it.
+fn heavy() -> Request {
+    let q = PackedQuery::from_bits(&[false; 16]);
+    Request::search(RequestKind::TopK { k: 8 }, q, Route::FanOut)
+}
+
+/// Poll the metrics until `completed` reaches `n`: every request
+/// offered so far has been answered and no ring holds work.
+fn settle(client: &ServiceClient, n: u64) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while client.metrics().completed < n {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "{n} requests never completed"
+        );
+        std::thread::sleep(Duration::from_micros(100));
+    }
+}
+
 /// `try_wait` reads `None` while the request is pending, the answer
 /// once, then `None` again, and a later `wait` returns `None`. One
-/// shard means one dispatcher, which answers in submission order, so a
-/// ticket submitted after one that is still unanswered was pending
-/// when it was polled. Eight top-k scans ahead of it keep that window
-/// open for a while even when the dispatcher preempts the client.
+/// shard means one dispatcher, which answers what it pops in ring
+/// order, so a queued ticket submitted after one that is still
+/// unanswered was pending when it was polled. Eight top-k scans sent
+/// ahead (a `send` always queues) keep the ring busy, so the eight
+/// ticketed scans and the probe behind them queue too, and keep the
+/// window open for a while even when the dispatcher preempts the
+/// client. A probe that still found the ring empty ran on the caller
+/// (`caller_runs` moved) and is not held to the order.
 #[test]
 fn try_wait_is_none_while_pending_then_some_exactly_once() {
     within(Duration::from_secs(60), || {
         let svc = TcamService::start(counting_table(16_384), &ServiceConfig::default());
         let client = svc.client();
-        let heavy = || {
-            let q = PackedQuery::from_bits(&[false; 16]);
-            Request::search(RequestKind::TopK { k: 8 }, q, Route::FanOut)
-        };
         let mut saw_pending = false;
         for _ in 0..100 {
+            for _ in 0..8 {
+                client.send(0, heavy()).unwrap();
+            }
             let ahead: Vec<Ticket> = (0..8).map(|_| client.submit(0, heavy()).unwrap()).collect();
+            let before = client.metrics().caller_runs;
             let probe = client.submit(0, exact16(77)).unwrap();
             let polled = probe.try_wait();
             let last_ahead = ahead[7].try_wait();
-            if last_ahead.is_none() {
+            let queued = client.metrics().caller_runs == before;
+            if last_ahead.is_none() && queued {
                 assert!(polled.is_none(), "answered behind an unanswered request");
                 saw_pending = true;
             }
@@ -248,9 +275,12 @@ fn try_wait_is_none_while_pending_then_some_exactly_once() {
             assert!(probe.try_wait().is_none(), "an answer is taken once");
             assert!(probe.try_wait().is_none());
             assert!(probe.wait().is_none(), "a taken answer waits to None");
-            let (rest, last) = ahead.split_at(7);
-            assert!(last_ahead.or_else(|| last[0].try_wait()).is_some());
-            assert!(rest.iter().all(|t| t.try_wait().is_some()));
+            if queued {
+                // Answered in ring order: all that was ahead is answered.
+                let (rest, last) = ahead.split_at(7);
+                assert!(last_ahead.or_else(|| last[0].try_wait()).is_some());
+                assert!(rest.iter().all(|t| t.try_wait().is_some()));
+            }
             if saw_pending {
                 break;
             }
@@ -258,6 +288,10 @@ fn try_wait_is_none_while_pending_then_some_exactly_once() {
         assert!(saw_pending, "no poll ever caught a request pending");
         let m = svc.drain();
         assert_eq!(m.completed, m.submitted);
+        assert!(
+            m.batch.batches > m.caller_runs,
+            "the dispatcher ran batches"
+        );
     });
 }
 
@@ -341,42 +375,192 @@ fn a_pinned_submit_on_an_idle_service_runs_on_the_caller() {
     });
 }
 
-/// Fan-outs, writes and fire-and-forget `send`s always take the queue,
-/// even on an idle service.
+/// On an idle service a fan-out `submit` of any search kind finds every
+/// ring empty and is answered before `submit` returns: the first
+/// `try_wait` holds the answer, `caller_runs` counts it as well as
+/// `submitted`, no dispatcher runs a batch, and the answer is the
+/// oracle's over a snapshot of the same table. At `audit_period: 1`
+/// the audit lane replays every one of them, cleanly.
 #[test]
-fn fan_outs_writes_and_sends_never_run_on_the_caller() {
+fn an_idle_fan_out_submit_runs_on_the_caller_and_equals_the_oracle() {
+    within(Duration::from_secs(30), || {
+        let config = ServiceConfig {
+            audit_period: 1,
+            ..ServiceConfig::default()
+        };
+        let svc = TcamService::start(table(16, 3, 200), &config);
+        let client = svc.client();
+        let view = client.table();
+        let mut seed = 0xfa40_0001;
+        let mut runs = 0;
+        for kind in [
+            RequestKind::Exact,
+            RequestKind::Threshold { t: 5 },
+            RequestKind::TopK { k: 7 },
+            RequestKind::Range,
+        ] {
+            for _ in 0..4 {
+                let q = PackedQuery::from_bits(&random_bits(&mut seed, 16));
+                let req = Request::search(kind, q.clone(), Route::FanOut);
+                let ticket = client.submit(0, req).unwrap();
+                let resp = ticket.try_wait().expect("answered before submit returned");
+                runs += 1;
+                assert_eq!(client.metrics().caller_runs, runs, "{kind}");
+                let (want, want_hits) = reference_search(&view, kind, &q, None);
+                assert_eq!(resp.kind, kind);
+                assert_eq!(resp.matches, want.matches, "{kind}");
+                assert_eq!(resp.hits, want_hits, "{kind}");
+                assert_eq!(resp.step1_misses, want.step1_misses, "{kind}");
+                assert_eq!(resp.step2_misses, want.step2_misses, "{kind}");
+                assert_eq!(resp.rows_searched, 200, "a fan-out scans every shard");
+            }
+        }
+        let m = svc.drain();
+        assert_eq!(m.caller_runs, runs);
+        assert_eq!(m.submitted, runs, "a caller-run is a submission");
+        assert_eq!(m.completed, m.submitted);
+        assert_eq!(m.batch.batches, runs, "no dispatcher ran a batch");
+        assert_eq!(m.audit_sampled, runs, "period 1 replays every answer");
+        assert_eq!(m.audit_match_divergences, 0);
+        assert_eq!(m.audit_energy_divergences, 0);
+    });
+}
+
+/// A fan-out submitted while another shard's ring holds work takes the
+/// queue. Two shards and `max_batch: 1`: two top-k scans pinned to
+/// shard 1 are sent, then three updates of shard-1 rows (odd rows) are
+/// submitted, all onto ring 1, while ring 0 stays empty. A dispatcher
+/// holds at most one popped, unanswered job, so while all three writes
+/// are still unanswered after the fan-out's `submit` returned, at least
+/// one of them was in ring 1 when the fan-out checked the rings.
+#[test]
+fn a_fan_out_while_another_ring_holds_work_takes_the_queue() {
+    within(Duration::from_secs(60), || {
+        let config = ServiceConfig {
+            max_batch: 1,
+            ..ServiceConfig::default()
+        };
+        let svc = TcamService::start(table(16, 2, 32_768), &config);
+        let client = svc.client();
+        let heavy_on_1 = || {
+            let q = PackedQuery::from_bits(&[false; 16]);
+            Request::search(RequestKind::TopK { k: 8 }, q, Route::Shard(1))
+        };
+        let mut caught = false;
+        for round in 0..100u64 {
+            for _ in 0..2 {
+                client.send(0, heavy_on_1()).unwrap();
+            }
+            let writes: Vec<Ticket> = (0..3)
+                .map(|i| {
+                    let row = 2 * (round * 3 + i) + 1;
+                    let word = TernaryWord::from_u64(row, 16);
+                    let update = Request::update(usize::try_from(row).unwrap(), word);
+                    client.submit(0, update).unwrap()
+                })
+                .collect();
+            let before = client.metrics().caller_runs;
+            let fan_out = client.submit(0, exact16(1)).unwrap();
+            let polls: Vec<_> = writes.iter().map(Ticket::try_wait).collect();
+            if polls.iter().all(Option::is_none) {
+                caught = true;
+                assert_eq!(
+                    client.metrics().caller_runs,
+                    before,
+                    "a fan-out ran past work queued on another ring"
+                );
+            }
+            assert!(fan_out.wait().is_some());
+            for (write, poll) in writes.into_iter().zip(polls) {
+                assert!(poll.or_else(|| write.wait()).is_some());
+            }
+            if caught {
+                break;
+            }
+        }
+        assert!(
+            caught,
+            "no fan-out was ever submitted behind three queued writes"
+        );
+        let m = svc.drain();
+        assert_eq!(m.completed, m.submitted);
+        assert!(
+            m.batch.batches > m.caller_runs,
+            "the dispatchers ran batches"
+        );
+    });
+}
+
+/// A fan-out submitted after a write on shard 1 was acknowledged sees
+/// the write. The ack means a dispatcher popped the write, so every
+/// ring is empty again and each fan-out runs on the caller.
+#[test]
+fn a_fan_out_after_a_write_ack_sees_the_write() {
+    within(Duration::from_secs(30), || {
+        let svc = TcamService::start(table(16, 2, 64), &ServiceConfig::default());
+        let client = svc.client();
+        for round in 0..16u64 {
+            let row = 2 * round + 1;
+            let word = 0xB000 + round;
+            let update = Request::update(
+                usize::try_from(row).unwrap(),
+                TernaryWord::from_u64(word, 16),
+            );
+            assert!(client.submit(0, update).unwrap().wait().is_some());
+            let resp = client.submit(0, exact16(word)).unwrap();
+            let resp = resp.try_wait().expect("answered on the caller");
+            assert!(
+                resp.matches.contains(&usize::try_from(row).unwrap()),
+                "round {round}: the fan-out missed the acknowledged write"
+            );
+            assert_eq!(client.metrics().caller_runs, round + 1);
+        }
+        let m = svc.drain();
+        assert_eq!(m.completed, m.submitted);
+    });
+}
+
+/// Writes and fire-and-forget `send`s, pinned or fanned out, always
+/// take the queue, even on an idle service: each is offered only once
+/// every earlier request has completed, so every ring is empty then,
+/// and each runs as a dispatcher's batch of its own.
+#[test]
+fn writes_and_sends_never_run_on_the_caller() {
     within(Duration::from_secs(30), || {
         let svc = TcamService::start(counting_table(64), &ServiceConfig::default());
         let client = svc.client();
-        // The sends first, while the ring is surely empty.
+        let mut offered = 0;
         for kind in [RequestKind::Exact, RequestKind::TopK { k: 1 }] {
-            client.send(0, search16(kind, 5, Route::Home)).unwrap();
+            for route in [Route::Home, Route::FanOut] {
+                client.send(0, search16(kind, 5, route)).unwrap();
+                offered += 1;
+                settle(&client, offered);
+            }
         }
-        let mut tickets = vec![
-            client.submit(0, exact16(3)).unwrap(),
-            client
-                .submit(0, Request::insert(TernaryWord::from_u64(0xBEEF, 16)))
-                .unwrap(),
-            client
-                .submit(0, Request::update(1, TernaryWord::from_u64(0xCAFE, 16)))
-                .unwrap(),
-            client.submit(0, Request::delete(2)).unwrap(),
-        ];
-        for t in tickets.drain(..) {
-            assert!(t.wait().is_some(), "every ticket answers");
+        for write in [
+            Request::insert(TernaryWord::from_u64(0xBEEF, 16)),
+            Request::update(1, TernaryWord::from_u64(0xCAFE, 16)),
+            Request::delete(2),
+        ] {
+            assert!(client.submit(0, write).unwrap().wait().is_some());
+            offered += 1;
+            settle(&client, offered);
         }
         let m = svc.drain();
         assert_eq!(m.caller_runs, 0);
-        assert_eq!(m.submitted, 6);
+        assert_eq!(m.submitted, 7);
         assert_eq!(m.completed, m.submitted);
+        assert_eq!(m.batch.batches, 4, "one dispatcher batch per search");
     });
 }
 
 /// A pinned read submitted while a write sits queued on its ring takes
 /// the queue too, so it answers after the write and sees it. One shard
 /// means one dispatcher, and `max_batch: 1` makes it pop one job at a
-/// time in ring order, so while the top-k scan queued just ahead of the
-/// write is unanswered, the write is still in the ring.
+/// time in ring order. Seven top-k scans sent ahead keep the ring busy
+/// and a ticketed one queues behind them, so while that last scan is
+/// unanswered, the write queued after it is still in the ring. (A last
+/// scan that found the ring empty ran on the caller and is answered.)
 #[test]
 fn a_pinned_read_behind_a_queued_write_takes_the_queue() {
     within(Duration::from_secs(60), || {
@@ -386,21 +570,20 @@ fn a_pinned_read_behind_a_queued_write_takes_the_queue() {
         };
         let svc = TcamService::start(counting_table(16_384), &config);
         let client = svc.client();
-        let heavy = || {
-            let q = PackedQuery::from_bits(&[false; 16]);
-            Request::search(RequestKind::TopK { k: 8 }, q, Route::FanOut)
-        };
         let mut caught = false;
         for round in 0..100u64 {
             let word = 0xA000 + round;
-            let ahead: Vec<Ticket> = (0..8).map(|_| client.submit(0, heavy()).unwrap()).collect();
+            for _ in 0..7 {
+                client.send(0, heavy()).unwrap();
+            }
+            let ahead = client.submit(0, heavy()).unwrap();
             let update = Request::update(0, TernaryWord::from_u64(word, 16));
             let write = client.submit(0, update).unwrap();
             let before = client.metrics().caller_runs;
             let read = client
                 .submit(0, search16(RequestKind::Exact, word, Route::Shard(0)))
                 .unwrap();
-            let last_ahead = ahead[7].try_wait();
+            let last_ahead = ahead.try_wait();
             if last_ahead.is_none() {
                 caught = true;
                 assert_eq!(
@@ -413,9 +596,6 @@ fn a_pinned_read_behind_a_queued_write_takes_the_queue() {
                 let _ = read.wait();
             }
             assert!(write.wait().is_some());
-            for t in &ahead[..7] {
-                let _ = t.try_wait();
-            }
             if caught {
                 break;
             }
@@ -423,6 +603,10 @@ fn a_pinned_read_behind_a_queued_write_takes_the_queue() {
         assert!(caught, "no read was ever submitted behind a queued write");
         let m = svc.drain();
         assert_eq!(m.completed, m.submitted);
+        assert!(
+            m.batch.batches > m.caller_runs,
+            "the dispatcher ran batches"
+        );
     });
 }
 
