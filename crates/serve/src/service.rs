@@ -712,10 +712,12 @@ fn dispatch_loop(inner: &Inner, me: usize) {
 /// shedding, energy and latency attribution, the `serve.batch` span and
 /// the metrics are a dispatcher's. Its shards run in shard order on
 /// this thread with one worker, whatever [`ServiceConfig::jobs`] says:
-/// scoped workers spawned per call would cost more than the hop saved.
-/// The job's ticket is resolved before this returns. Its audit lane is
-/// the shard count (dispatchers are `0..shards`), with one counter
-/// shared by every submitting thread.
+/// more would make `par_map` spawn scoped threads for every search,
+/// which on perfbench `serve-approx` at the default `jobs` measured
+/// 40–60× the one-worker p50 (DESIGN, caller-runs). The job's ticket
+/// is resolved before this returns. Its audit lane is the shard count
+/// (dispatchers are `0..shards`), with one counter shared by every
+/// submitting thread.
 ///
 /// A panic inside the batch is contained here: the unwind drops the
 /// job's reply sender unsent, so its ticket resolves `None`, and

@@ -296,24 +296,47 @@ fn try_wait_is_none_while_pending_then_some_exactly_once() {
 }
 
 /// A ticket waited on by a thread other than the submitter's resolves
-/// there.
+/// there, including one still pending when that thread got it. Four
+/// top-k scans sent ahead (a `send` always queues) keep the one ring
+/// busy, so the eight tickets queue behind them; each waiter reports
+/// whether its first `try_wait` found the answer missing, and rounds
+/// repeat until one did, so `wait` really blocked on the other thread.
 #[test]
 fn wait_resolves_on_another_thread() {
-    within(Duration::from_secs(30), || {
-        let svc = TcamService::start(counting_table(64), &ServiceConfig::default());
+    within(Duration::from_secs(60), || {
+        let svc = TcamService::start(counting_table(16_384), &ServiceConfig::default());
         let client = svc.client();
-        let waiters: Vec<_> = (0..8u64)
-            .map(|v| {
-                let ticket = client.submit(0, exact16(v)).unwrap();
-                std::thread::spawn(move || (v, ticket.wait()))
-            })
-            .collect();
-        for w in waiters {
-            let (v, resp) = w.join().unwrap();
-            let usize_v = usize::try_from(v).unwrap();
-            assert_eq!(resp.expect("answered").matches, vec![usize_v]);
+        let mut saw_pending = false;
+        for _ in 0..100 {
+            for _ in 0..4 {
+                client.send(0, heavy()).unwrap();
+            }
+            let waiters: Vec<_> = (0..8u64)
+                .map(|v| {
+                    let ticket = client.submit(0, exact16(v)).unwrap();
+                    std::thread::spawn(move || match ticket.try_wait() {
+                        Some(resp) => (v, false, Some(resp)),
+                        None => (v, true, ticket.wait()),
+                    })
+                })
+                .collect();
+            for w in waiters {
+                let (v, pending, resp) = w.join().unwrap();
+                let usize_v = usize::try_from(v).unwrap();
+                assert_eq!(resp.expect("answered").matches, vec![usize_v]);
+                saw_pending |= pending;
+            }
+            if saw_pending {
+                break;
+            }
         }
-        let _ = svc.drain();
+        assert!(saw_pending, "no waiter ever found its ticket pending");
+        let m = svc.drain();
+        assert_eq!(m.completed, m.submitted);
+        assert!(
+            m.batch.batches > m.caller_runs,
+            "the dispatcher ran batches"
+        );
     });
 }
 
