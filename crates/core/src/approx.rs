@@ -14,6 +14,12 @@
 //! [`top_k`] returns the `k` nearest rows with deterministic
 //! tie-breaking — ordered by `(distance, row)`, so the lowest row id
 //! wins among equidistant rows, matching [`BehavioralTcam::nearest`].
+//! Both scan the row-major words. The served threshold search,
+//! [`BitSlices::threshold_search`], answers `t ≤` [`PLANES_MAX_T`] on
+//! the bit-sliced match planes instead, counting each row's
+//! mismatching digits in `t + 1` saturating masks, and calls
+//! [`threshold_search`] only above that cut-off, where the popcount
+//! scan is the faster of the two.
 //!
 //! **Range.** FeCAM stores an analog `[lo, hi]` Vth window per cell
 //! and matches when the query voltage falls inside. Here each ternary
@@ -32,6 +38,8 @@
 //! match rejects.
 //!
 //! [`BitSlices::range_search`]: crate::packed::BitSlices::range_search
+//! [`BitSlices::threshold_search`]: crate::packed::BitSlices::threshold_search
+//! [`PLANES_MAX_T`]: crate::packed::PLANES_MAX_T
 //! [`RangePlan`]: crate::packed::RangePlan
 //! [`BehavioralTcam::nearest`]: crate::behav::BehavioralTcam::nearest
 //! [`TernaryWord::mismatch_count`]: crate::ternary::TernaryWord::mismatch_count
@@ -99,6 +107,13 @@ pub fn row_distance(rows: &PackedRows, row: usize, q: &PackedQuery) -> u32 {
 /// search is the behavioural mirror of sensing the match line at
 /// `SenseModel` window `t`: rows with ≤ `t` pull-down paths have not
 /// discharged yet when the sense fires.
+///
+/// The served path runs this kernel only for `t >`
+/// [`PLANES_MAX_T`], where it beats the match-plane kernel
+/// [`BitSlices::threshold_search`] picks below the cut-off.
+///
+/// [`PLANES_MAX_T`]: crate::packed::PLANES_MAX_T
+/// [`BitSlices::threshold_search`]: crate::packed::BitSlices::threshold_search
 ///
 /// # Panics
 /// Panics on query-width mismatch.

@@ -55,7 +55,7 @@ pub use full_array::{
 };
 pub use margins::{nominal_margins, DividerLevels, SearchMargins};
 pub use packed::{
-    BitSlices, ExactPlan, PackedQuery, PackedRows, RangePlan, STEP1_MASK, STEP2_MASK,
+    BitSlices, ExactPlan, PackedQuery, PackedRows, RangePlan, ThresholdPlan, STEP1_MASK, STEP2_MASK,
 };
 pub use table_io::{load_table, parse_table, render_table, save_table};
 pub use ternary::{Ternary, TernaryWord};

@@ -27,14 +27,17 @@
 //!   The same planes answer the FeCAM range match
 //!   ([`BitSlices::range_search`]): each 4-level cell ANDs one
 //!   expression over its two digits' planes into the accumulator, with
-//!   the same early exit. A query's plane offsets ([`ExactPlan`],
-//!   [`RangePlan`]) are built once and shared by every block of its
-//!   width.
+//!   the same early exit. So does a Hamming threshold up to
+//!   [`PLANES_MAX_T`] ([`BitSlices::threshold_search`]): each digit's
+//!   plane feeds `t + 1` saturating mismatch-count masks. A query's
+//!   plane offsets ([`ExactPlan`], [`RangePlan`]) are built once and
+//!   shared by every block of its width.
 //!
 //! Both return the same [`SearchOutcome`] as [`BehavioralTcam::search`],
 //! bit-identically — including per-step miss counts, which is what the
 //! serving layer's calibrated energy attribution consumes.
 
+use crate::approx::{self, ApproxHit};
 use crate::behav::{BehavioralTcam, SearchOutcome};
 use crate::ternary::{Ternary, TernaryWord};
 
@@ -342,7 +345,8 @@ impl PackedRows {
 
 /// Transposed (bit-sliced) match planes over blocks of 512 rows, plus
 /// the row-major packed words the approximate kernels and the oracle
-/// read. Exact and range search read only the planes.
+/// read. Exact search, range search and small-`t` threshold search
+/// (`t ≤` [`PLANES_MAX_T`]) read only the planes.
 ///
 /// Per block, per digit (even digits first, then odd), two row-bitmap
 /// planes of `WPB` (8) words each: `m0` (rows matching a searched `0`)
@@ -612,6 +616,118 @@ impl BitSlices {
         }
         hits
     }
+
+    /// Every row within masked-Hamming distance `t` of the query, in
+    /// ascending row order with its distance — the served threshold
+    /// search. For `t ≤` [`PLANES_MAX_T`] it runs on the match planes;
+    /// above that it scans the row-major words with
+    /// [`approx::threshold_search`], which is the faster of the two
+    /// there ([`ThresholdPlan`] makes that choice). Both answer
+    /// identically.
+    ///
+    /// # Panics
+    /// Panics on query-width mismatch.
+    #[must_use]
+    pub fn threshold_search(&self, q: &PackedQuery, t: u32) -> Vec<ApproxHit> {
+        self.threshold_search_planned(&ThresholdPlan::new(q, t))
+    }
+
+    /// [`BitSlices::threshold_search`] with the plan built once by the
+    /// caller for every block of the query's width.
+    ///
+    /// On the planes, each digit's selected plane marks, by its
+    /// complement, the rows that mismatch there; per block, `t + 1`
+    /// saturating masks count them (`ge[k]`: rows with more than `k`
+    /// mismatches so far), and a block stops once `ge[t]` holds every
+    /// row, checked every four digits as in exact search. A hit's
+    /// distance is the number of masks that hold it, so no row-major
+    /// word is read.
+    ///
+    /// # Panics
+    /// Panics on query-width mismatch.
+    #[must_use]
+    pub fn threshold_search_planned(&self, plan: &ThresholdPlan<'_>) -> Vec<ApproxHit> {
+        let Some(exact) = &plan.exact else {
+            return approx::threshold_search(&self.packed, plan.q, plan.t);
+        };
+        assert_eq!(exact.sel.len(), self.packed.width(), "query width mismatch");
+        // The mask count is a const generic: a prototype with a runtime
+        // count ran no faster than the row-major kernel at `t = 2`.
+        // `exact` is planned only for `t ≤ PLANES_MAX_T` (3).
+        match plan.t {
+            0 => self.threshold_levels::<1>(exact),
+            1 => self.threshold_levels::<2>(exact),
+            2 => self.threshold_levels::<3>(exact),
+            _ => self.threshold_levels::<4>(exact),
+        }
+    }
+
+    /// [`BitSlices::threshold_search_planned`] at `t = L - 1`.
+    fn threshold_levels<const L: usize>(&self, plan: &ExactPlan) -> Vec<ApproxHit> {
+        let rows = self.packed.rows();
+        let per_block = self.packed.width() * 2 * WPB;
+        let mut hits = Vec::new();
+        for b in 0..self.blocks {
+            let block = &self.planes[b * per_block..(b + 1) * per_block];
+            let mut ge = [[0u64; WPB]; L];
+            for (i, &s) in plan.sel.iter().enumerate() {
+                let plane = &block[s..s + WPB];
+                for k in (1..L).rev() {
+                    for w in 0..WPB {
+                        ge[k][w] |= ge[k - 1][w] & !plane[w];
+                    }
+                }
+                for w in 0..WPB {
+                    ge[0][w] |= !plane[w];
+                }
+                if (i + 1) & 3 == 0 && full(&ge[L - 1]) {
+                    break;
+                }
+            }
+            if full(&ge[L - 1]) {
+                continue;
+            }
+            // Tail padding mismatches every digit, but a width of at
+            // most `t` leaves it under the threshold: clip to the
+            // stored rows.
+            let base = b * ROWS_PER_BLOCK;
+            for w in 0..WPB {
+                let lo = base + w * 64;
+                let stored = match rows.saturating_sub(lo) {
+                    0 => 0,
+                    n if n >= 64 => !0,
+                    n => (1u64 << n) - 1,
+                };
+                let mut bits = !ge[L - 1][w] & stored;
+                while bits != 0 {
+                    let i = bits.trailing_zeros();
+                    let distance = ge[..L - 1].iter().map(|g| (g[w] >> i) as u32 & 1).sum();
+                    hits.push(ApproxHit {
+                        row: lo + i as usize,
+                        distance,
+                    });
+                    bits &= bits - 1;
+                }
+            }
+        }
+        hits
+    }
+}
+
+/// Largest threshold [`BitSlices::threshold_search`] answers on the
+/// match planes. Measured on 32 blocks of 512 rows × 64 digits (1/8
+/// `X`), queries 0–3 flips from a stored row: at `t ≤ 3` the planes
+/// kernel took 1.4–2.5 µs per query against the row-major kernel's
+/// 6.2 µs, and from `t = 4` on it took 17–49 µs, so the row-major
+/// kernel answers there.
+pub const PLANES_MAX_T: u32 = 3;
+
+/// Whether every row of a block's threshold mask is past `t`: the
+/// branch-free fold, as in [`dead`]; a short-circuiting `all` made the
+/// threshold kernel about 1.6× slower at `t = 0`.
+#[inline]
+fn full(ge: &[u64; WPB]) -> bool {
+    ge.iter().fold(!0, |all, &g| all & g) == !0
 }
 
 /// Whether no row of a block's accumulator survives.
@@ -698,6 +814,28 @@ impl ExactPlan {
             .map(|d| plane_of(d, evens) + bit(d) * WPB)
             .collect();
         Self { sel, evens }
+    }
+}
+
+/// One threshold query's plan, shared by every block of its width: the
+/// choice between the two threshold kernels, by `t`, made once. For
+/// `t ≤` [`PLANES_MAX_T`] it holds the exact-search plane offsets the
+/// mismatch-count masks read; above that, only the query for the
+/// row-major popcount scan.
+#[derive(Debug, Clone)]
+pub struct ThresholdPlan<'q> {
+    q: &'q PackedQuery,
+    t: u32,
+    exact: Option<ExactPlan>,
+}
+
+impl<'q> ThresholdPlan<'q> {
+    /// Plan `q` at threshold `t` for
+    /// [`BitSlices::threshold_search_planned`].
+    #[must_use]
+    pub fn new(q: &'q PackedQuery, t: u32) -> Self {
+        let exact = (t <= PLANES_MAX_T).then(|| ExactPlan::new(q));
+        Self { q, t, exact }
     }
 }
 
@@ -1006,5 +1144,86 @@ mod tests {
         let out = BitSlices::from_tcam(&t).search(&PackedQuery::from_bits(&q));
         assert!(out.matches.contains(&ROWS_PER_BLOCK));
         assert_equivalent(&t, &q);
+    }
+
+    /// The served threshold search (the planes kernel for `t ≤ 3`)
+    /// against the row-major one, which the property tests pin to
+    /// `mismatch_count`.
+    fn threshold_both_ways(s: &BitSlices, q: &PackedQuery, t: u32) -> Vec<ApproxHit> {
+        let want = approx::threshold_search(s.packed(), q, t);
+        assert_eq!(s.threshold_search(q, t), want, "t {t}");
+        want
+    }
+
+    #[test]
+    fn threshold_never_reports_tail_padding() {
+        // Width 2 with t = 3: padding mismatches both digits, which is
+        // under the threshold, so only the stored-row clip keeps it out.
+        let mut t = BehavioralTcam::new(2);
+        for r in 0..5 {
+            t.store(TernaryWord::from_u64(r % 4, 2));
+        }
+        let s = BitSlices::from_tcam(&t);
+        for th in [2, 3, 7] {
+            let hits = threshold_both_ways(&s, &PackedQuery::from_u64(0, 2), th);
+            assert_eq!(
+                hits.iter().map(|h| h.row).collect::<Vec<_>>(),
+                [0, 1, 2, 3, 4]
+            );
+            assert_eq!(
+                hits.iter().map(|h| h.distance).collect::<Vec<_>>(),
+                [0, 1, 1, 2, 0]
+            );
+        }
+    }
+
+    #[test]
+    fn threshold_zero_width_returns_every_row_at_distance_zero() {
+        let mut t = BehavioralTcam::new(0);
+        for _ in 0..3 {
+            t.store(TernaryWord::from_bits(&[]));
+        }
+        let s = BitSlices::from_tcam(&t);
+        for th in 0..6 {
+            let hits = threshold_both_ways(&s, &PackedQuery::from_bits(&[]), th);
+            assert_eq!(hits.len(), 3);
+            assert!(hits.iter().all(|h| h.distance == 0));
+        }
+    }
+
+    #[test]
+    fn threshold_hits_on_both_sides_of_the_block_boundary() {
+        // Rows 511 and 512 hold the query's word at distance 1 and 2;
+        // every other row is the query's complement.
+        let width = 16;
+        let q = query_bits(width, 0x5eed);
+        let near = |flips: usize| -> TernaryWord {
+            let bits: Vec<bool> = q
+                .iter()
+                .enumerate()
+                .map(|(i, &b)| b ^ (i < flips))
+                .collect();
+            TernaryWord::from_bits(&bits)
+        };
+        let far: Vec<bool> = q.iter().map(|&b| !b).collect();
+        let mut t = BehavioralTcam::new(width);
+        for r in 0..(ROWS_PER_BLOCK + 40) {
+            t.store(match r {
+                511 => near(1),
+                512 => near(2),
+                _ => TernaryWord::from_bits(&far),
+            });
+        }
+        let s = BitSlices::from_tcam(&t);
+        let pq = PackedQuery::from_bits(&q);
+        for th in 0..=5 {
+            let hits = threshold_both_ways(&s, &pq, th);
+            let want: Vec<ApproxHit> = [(511, 1), (512, 2)]
+                .into_iter()
+                .filter(|&(_, d)| d <= th)
+                .map(|(row, distance)| ApproxHit { row, distance })
+                .collect();
+            assert_eq!(hits, want, "t {th}");
+        }
     }
 }

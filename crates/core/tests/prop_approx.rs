@@ -1,8 +1,10 @@
 //! Property tests pinning the approximate-match kernels to naive
 //! oracles: packed masked-Hamming distance ≡ per-digit
 //! [`TernaryWord::mismatch_count`] (wildcards never mismatch, including
-//! all-wildcard rows and zero-care corpora), threshold search ≡ a
-//! `distance ≤ t` filter over the oracle, top-k ≡ the sorted prefix of
+//! all-wildcard rows and zero-care corpora), threshold search (both
+//! the row-major kernel and the served planes-or-row-major entry point,
+//! also after row mutations) ≡ a `distance ≤ t` filter over the
+//! oracle, top-k ≡ the sorted prefix of
 //! [`BehavioralTcam::nearest`] with its `(distance, row)` tie-break,
 //! and the bit-sliced range kernel ≡ a per-cell window comparison.
 
@@ -69,6 +71,21 @@ fn build(width: usize, rows: &[Vec<Ternary>]) -> (BehavioralTcam, PackedRows) {
     (reference, packed)
 }
 
+/// Every row within masked-Hamming distance `t`, by
+/// [`TernaryWord::mismatch_count`].
+fn distance_filter(rows: &[TernaryWord], query: &[bool], t: u32) -> Vec<ApproxHit> {
+    rows.iter()
+        .enumerate()
+        .filter_map(|(r, row)| {
+            let d = row.mismatch_count(query) as u32;
+            (d <= t).then_some(ApproxHit {
+                row: r,
+                distance: d,
+            })
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -94,17 +111,62 @@ proptest! {
     ) {
         let (reference, packed) = build(width, &rows);
         let q = PackedQuery::from_bits(&query);
-        let hits = approx::threshold_search(&packed, &q, t);
-        let want: Vec<ApproxHit> = reference
-            .rows()
-            .iter()
-            .enumerate()
-            .filter_map(|(r, row)| {
-                let d = row.mismatch_count(&query) as u32;
-                (d <= t).then_some(ApproxHit { row: r, distance: d })
-            })
-            .collect();
-        prop_assert_eq!(hits, want);
+        let want = distance_filter(reference.rows(), &query, t);
+        prop_assert_eq!(approx::threshold_search(&packed, &q, t), want.clone());
+        // The served entry point: the planes kernel for small `t`, the
+        // row-major one above the cut-off.
+        prop_assert_eq!(BitSlices::build(packed).threshold_search(&q, t), want);
+    }
+
+    #[test]
+    fn threshold_search_after_row_mutations(
+        width in width(),
+        n in range_rows(),
+        ops in proptest::collection::vec((0u8..3, any::<u64>()), 0..24),
+        seed in any::<u64>(),
+        t in 0u32..8,
+    ) {
+        // Writes, appends and swap-removes keep the planes in step with
+        // the row-major words, across the 512-row block boundary.
+        let mut state = seed;
+        let mut word = || -> Vec<Ternary> {
+            (0..width)
+                .map(|_| match rand::split_mix64(&mut state) % 8 {
+                    0 => Ternary::X,
+                    1..=4 => Ternary::Zero,
+                    _ => Ternary::One,
+                })
+                .collect()
+        };
+        let mut mirror: Vec<TernaryWord> = (0..n).map(|_| TernaryWord::new(word())).collect();
+        let (_, packed) = build(width, &mirror.iter().map(|w| w.digits().to_vec()).collect::<Vec<_>>());
+        let mut live = BitSlices::build(packed);
+        for (op, pick) in ops {
+            let w = TernaryWord::new(word());
+            match (op, mirror.len()) {
+                (0, len) if len > 0 => {
+                    let r = pick as usize % len;
+                    live.write_row(r, &w);
+                    mirror[r] = w;
+                }
+                (1, len) if len > 0 => {
+                    let r = pick as usize % len;
+                    live.swap_remove_row(r);
+                    mirror.swap_remove(r);
+                }
+                _ => {
+                    live.push_row(&w);
+                    mirror.push(w);
+                }
+            }
+        }
+        // A query near a stored row, so small thresholds hit.
+        let query: Vec<bool> = match mirror.first() {
+            Some(row) => row.digits().iter().map(|&d| d == Ternary::One).collect(),
+            None => (0..width).map(|_| rand::split_mix64(&mut state) & 1 == 1).collect(),
+        };
+        let q = PackedQuery::from_bits(&query);
+        prop_assert_eq!(live.threshold_search(&q, t), distance_filter(&mirror, &query, t));
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! kernels read — bit-sliced match planes for exact and range search
 //! ([`ferrotcam::BitSlices`], 64 rows per machine word, with early
 //! exit once a block is dead; exact search runs both of its steps on
-//! them) and the row-major packed words the popcount Hamming kernels
-//! scan — so nothing is rebuilt per batch.
+//! them, and so does a small-`t` threshold search) and the row-major
+//! packed words the popcount Hamming kernels scan — so nothing is
+//! rebuilt per batch.
 //!
 //! Energy and latency are attributed, not simulated: the kernel's
 //! per-step miss counters feed the SPICE-calibrated Table IV
@@ -19,7 +20,7 @@
 use crate::batch;
 use crate::request::RequestKind;
 use crate::shard::SnapView;
-use ferrotcam::approx::{threshold_search, top_k};
+use ferrotcam::approx::top_k;
 use ferrotcam::{ApproxHit, PackedQuery, SearchOutcome};
 use ferrotcam_arch::sched::ScheduleOutcome;
 use ferrotcam_spice::parallel::par_map;
@@ -115,8 +116,10 @@ fn finalize_job(kind: RequestKind, outcome: &mut SearchOutcome, hits: &mut Vec<A
 /// The serving kernel. Stateless: every snapshot block already holds
 /// its bit-sliced match planes (exact search's step 1 over the
 /// even-digit planes, step 2 over the odd-digit planes for a block's
-/// step-1 survivors, and the per-cell range expressions) and the packed
-/// words the popcount Hamming kernel scans — both maintained
+/// step-1 survivors, the per-cell range expressions, and the
+/// mismatch-count masks of a threshold search with `t ≤ 3`) and the
+/// packed words the popcount Hamming kernels scan (top-k, and
+/// threshold above `t = 3`) — both maintained
 /// incrementally by the copy-on-write shard snapshots, so nothing is
 /// transposed per batch and writes never invalidate a kernel-side
 /// cache.
@@ -216,13 +219,9 @@ fn shard_answer(view: &SnapView, s: usize, kind: RequestKind, q: &PackedQuery) -
             }
         }
         RequestKind::Threshold { t } => {
-            let mut hits = Vec::new();
-            for (base, blk) in snap.blocks() {
-                let mut h = threshold_search(blk.packed(), q, t);
-                for hit in &mut h {
-                    hit.row = view.global_row(s, base + hit.row);
-                }
-                hits.extend(h);
+            let mut hits = snap.threshold_search(q, t);
+            for hit in &mut hits {
+                hit.row = view.global_row(s, hit.row);
             }
             let mut outcome = SearchOutcome::empty();
             outcome.matches = hits.iter().map(|h| h.row).collect();

@@ -45,8 +45,8 @@ use crate::request::RequestKind;
 use crate::sync::{AtomicU64, Mutex, Ordering};
 use ferrotcam::fom::SearchMetrics;
 use ferrotcam::{
-    BehavioralTcam, BitSlices, ExactPlan, PackedQuery, PackedRows, RangePlan, RowWriteMetrics,
-    SearchOutcome, TernaryWord,
+    ApproxHit, BehavioralTcam, BitSlices, ExactPlan, PackedQuery, PackedRows, RangePlan,
+    RowWriteMetrics, SearchOutcome, TernaryWord, ThresholdPlan,
 };
 use rand::split_mix64;
 use std::sync::Arc;
@@ -313,6 +313,31 @@ impl ShardSnap {
         let mut hits = Vec::new();
         for (base, blk) in self.blocks() {
             hits.extend(blk.range_search_planned(&plan).iter().map(|&l| base + l));
+        }
+        hits
+    }
+
+    /// Threshold search over every block — the serving kernel's
+    /// threshold loop — returning the shard-local rows within
+    /// masked-Hamming distance `t`, ascending, with their distances.
+    /// The query is planned once for every block ([`ThresholdPlan`]
+    /// picks the planes or the row-major kernel by `t`).
+    ///
+    /// # Panics
+    /// Panics on query-width mismatch.
+    #[must_use]
+    pub fn threshold_search(&self, q: &PackedQuery, t: u32) -> Vec<ApproxHit> {
+        let plan = ThresholdPlan::new(q, t);
+        let mut hits = Vec::new();
+        for (base, blk) in self.blocks() {
+            hits.extend(
+                blk.threshold_search_planned(&plan)
+                    .into_iter()
+                    .map(|h| ApproxHit {
+                        row: base + h.row,
+                        distance: h.distance,
+                    }),
+            );
         }
         hits
     }
